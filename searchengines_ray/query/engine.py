@@ -7,15 +7,22 @@ query) and serves per-segment top-k; the driver scatters parsed query trees
 to all actors and merges the per-shard heaps under the (score desc, url asc)
 key — the scatter/gather architecture of SURVEY.md §3.4.
 
-Global statistics flow:
+Global statistics flow (the driver builds one :class:`GlobalStats` per
+batch and passes it as an argument of each actor's scoring call, so it
+travels inline with the scatter and grows with the batch's query terms,
+never with the vocabulary):
 - corpus stats (N, docCount, sumFieldLen) from ``stats.json``;
-- per-term df/ctf from the termstats table via hash-bucket point lookups
-  (O(query terms), never O(vocabulary));
+- per-term df/ctf for exactly the batch's (field, term) keys; keys absent
+  from the index are left out (readers default them).  The driver looks
+  them up in the termstats table, which it loads whole once for a small
+  index and reads by hash-bucket point lookups at
+  ``FULL_TERMSTATS_MAX_POSTINGS`` or more; with no table, a dfs phase sums
+  the actors' shard-local dictionary stats.  Point lookups and dfs results
+  are memoized across batches;
 - composite-Iop (#SYN/#NEAR/#WINDOW) derived df/ctf via a stats pass: every
   actor evaluates the derived lists over its segments and returns (df,ctf)
-  partials, summed on the driver, then broadcast with the scoring request —
-  matching the reference's whole-corpus derived lists
-  (``InvList.java:163-178``).
+  partials, summed on the driver — matching the reference's whole-corpus
+  derived lists (``InvList.java:163-178``).
 
 Queries are batched: one scatter serves a whole query file, so the
 per-round-trip overhead amortizes (the reference processes queries one at a
@@ -24,11 +31,13 @@ time in a single JVM — ``QryEval.java:1375-1419``).
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Sequence
 
 import pandas as pd
 
 from ..analysis import AnalyzerConfig, DEFAULT_ANALYZER
+from ..index.build import TERMSTATS_DIR
 from ..index.shard import (
     Segment,
     load_stats,
@@ -46,6 +55,10 @@ from .exec import (
     segment_topk,
 )
 
+# below this many postings the driver loads the whole termstats table once;
+# at or above it, each new key is a parquet point lookup
+FULL_TERMSTATS_MAX_POSTINGS = 2_000_000
+
 
 def bag_of_words_terms(node: Node):
     """[(field, term)] leaves in query order when the tree is a pure BM25
@@ -56,6 +69,16 @@ def bag_of_words_terms(node: Node):
     if node.op == "sum" and all(a.op == "term" for a in node.args):
         return [(a.field, a.term) for a in node.args]
     return None
+
+
+def _sum_partials(parts: Sequence[dict]) -> dict:
+    """Key-wise sum of per-searcher (df, ctf) partials."""
+    merged: dict = {}
+    for p in parts:
+        for key, (df, ctf) in p.items():
+            d0, c0 = merged.get(key, (0, 0))
+            merged[key] = (d0 + df, c0 + ctf)
+    return merged
 
 
 def _has_composite(node: Node) -> bool:
@@ -239,8 +262,12 @@ class SearchEngine:
         self.index_dir = index_dir
         self.config = config
         self.stats = load_stats(index_dir)
+        self._has_termstats = os.path.exists(
+            os.path.join(index_dir, TERMSTATS_DIR)
+        )
         self._termstats_cache: Optional[dict] = None
-        self._term_memo: dict = {}  # per-term lookup memo across batches
+        # (field, term) -> (df, ctf), or None when absent; across batches
+        self._term_memo: dict = {}
         self._local: Optional[LocalSearcher] = None
         self._actors: list = []
         if num_searchers and num_searchers > 0:
@@ -264,48 +291,43 @@ class SearchEngine:
     # ------------------------------------------------------------------ stats
 
     def _term_stats(self, keys: set) -> dict:
-        import os
-
-        from ..index.build import TERMSTATS_DIR
-
-        missing = {k for k in keys if k not in self._term_memo}
-        if not missing:
-            return self._term_memo
-        keys = missing
-
-        if not os.path.exists(os.path.join(self.index_dir, TERMSTATS_DIR)):
-            # no merged table: 'dfs phase' — sum shard-local dictionary
-            # stats across searchers (exact global df/ctf, one scatter)
-            keys_l = sorted(keys)
-            if self._actors:
-                import ray
-
-                parts = ray.get(
-                    [a.term_stats_partial.remote(keys_l) for a in self._actors]
-                )
-            else:
-                parts = [self._local.term_stats_partial(keys_l)]
-            merged: dict = {}
-            for p in parts:
-                for key, (df, ctf) in p.items():
-                    d0, c0 = merged.get(key, (0, 0))
-                    merged[key] = (d0 + df, c0 + ctf)
-            for k in keys:
-                self._term_memo[k] = merged.get(k, (0, 0))
-            return self._term_memo
-        n_vocab_smallish = 2_000_000
+        """Global (field, term) -> (df, ctf) for exactly ``keys``; keys
+        absent from the index are left out on every path."""
         if self._termstats_cache is None and (
-            self.stats.get("n_postings", 0) < n_vocab_smallish
+            self._has_termstats
+            and self.stats.get("n_postings", 0) < FULL_TERMSTATS_MAX_POSTINGS
         ):
             # small index: load once, reuse across query batches
             self._termstats_cache = load_termstats(self.index_dir)
         if self._termstats_cache is not None:
-            return self._termstats_cache
-        # scale path: term-sorted parquet point lookups for just these terms
-        got = load_termstats(self.index_dir, terms=sorted(keys))
-        for k in keys:
-            self._term_memo[k] = got.get(k, (0, 0))
-        return self._term_memo
+            table = self._termstats_cache
+            return {k: table[k] for k in keys if k in table}
+
+        missing = sorted(k for k in keys if k not in self._term_memo)
+        if missing:
+            if self._has_termstats:
+                # scale path: term-sorted parquet point lookups
+                got = load_termstats(self.index_dir, terms=missing)
+            else:
+                # no merged table: 'dfs phase' — sum shard-local dictionary
+                # stats across searchers (exact global df/ctf, one scatter)
+                got = _sum_partials(
+                    self._scatter("term_stats_partial", missing)
+                )
+            for k in missing:
+                self._term_memo[k] = got.get(k)  # None: absent, not re-read
+        memo = self._term_memo
+        return {k: memo[k] for k in keys if memo[k] is not None}
+
+    def _scatter(self, method: str, *args) -> list:
+        """``method(*args)`` on every searcher; one result per searcher."""
+        if self._actors:
+            import ray
+
+            return ray.get(
+                [getattr(a, method).remote(*args) for a in self._actors]
+            )
+        return [getattr(self._local, method)(*args)]
 
     def global_stats_for(
         self, trees: Sequence[Optional[Node]], token=None
@@ -322,23 +344,9 @@ class SearchEngine:
         )
         live = [t for t in trees if t is not None and _has_composite(t)]
         if live:
-            if self._actors:
-                import ray
-
-                partials = ray.get(
-                    [
-                        a.iop_stats_partial.remote(live, token)
-                        for a in self._actors
-                    ]
-                )
-            else:
-                partials = [self._local.iop_stats_partial(live, token)]
-            merged: dict = {}
-            for p in partials:
-                for key, (df, ctf) in p.items():
-                    d0, c0 = merged.get(key, (0, 0))
-                    merged[key] = (d0 + df, c0 + ctf)
-            g.iop_stats = merged
+            g.iop_stats = _sum_partials(
+                self._scatter("iop_stats_partial", live, token)
+            )
         return g
 
     # ----------------------------------------------------------------- search
@@ -365,24 +373,13 @@ class SearchEngine:
         # fresh token = batch boundary marker for the persistent Iop cache
         # (eviction happens only when the token CHANGES — see _caches)
         token = uuid.uuid4().hex
+        # g covers only this batch's keys and travels as a plain argument:
+        # Ray inlines it in each actor's call, and moves it to the object
+        # store itself when it pickles above its inline limit (100 KB)
         g = self.global_stats_for(trees, token)
-
-        if self._actors:
-            import ray
-
-            gref = ray.put(g)
-            per_actor = ray.get(
-                [
-                    a.search_trees.remote(
-                        trees, gref, model, k, use_wand, token
-                    )
-                    for a in self._actors
-                ]
-            )
-        else:
-            per_actor = [
-                self._local.search_trees(trees, g, model, k, use_wand, token)
-            ]
+        per_actor = self._scatter(
+            "search_trees", trees, g, model, k, use_wand, token
+        )
 
         rows = []
         for qi, (qid, _) in enumerate(queries):
@@ -408,21 +405,12 @@ class SearchEngine:
     ) -> dict[int, list[str]]:
         """Scatter/gather forward-index fetch (doc-sharded: each actor owns
         the vectors of its segments' docs)."""
-        if self._actors:
-            import ray
-
-            parts = ray.get(
-                [
-                    a.term_vectors.remote(list(doc_ids), field)
-                    for a in self._actors
-                ]
-            )
-            out: dict[int, list[str]] = {}
-            for p in parts:
-                out.update(p)
-            return out
-        return self._local.term_vectors(doc_ids, field)
+        out: dict[int, list[str]] = {}
+        for p in self._scatter("term_vectors", list(doc_ids), field):
+            out.update(p)
+        return out
 
     def term_stats_for(self, keys: list) -> dict:
-        """Global (field,term) -> (df, ctf) for the given keys."""
+        """Global (field,term) -> (df, ctf) for the given keys; keys absent
+        from the index are left out."""
         return self._term_stats(set(keys))

@@ -91,20 +91,30 @@ def test_stats_match(corpus):
 
 
 @pytest.mark.parametrize("model_i", range(len(MODELS)))
-def test_inprocess_engine_matches_oracle(corpus, model_i):
+def test_inprocess_engine_matches_oracle(corpus, model_i, monkeypatch):
+    from searchengines_ray.query import engine as engine_mod
+
     out, oidx, _ = corpus
     model = MODELS[model_i]
-    eng = SearchEngine(out, num_searchers=0)
-    res = eng.search_batch([(str(i), q) for i, q in enumerate(QUERIES)], model, k=15)
-    for i, q in enumerate(QUERIES):
-        want = run_query(oidx, q, model, k=15)
-        got = res[res.qid == str(i)]
-        got_rows = list(
-            zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
+    # first the whole termstats table, then parquet point lookups
+    for path in ("full", "point"):
+        if path == "point":
+            monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", 0)
+        eng = SearchEngine(out, num_searchers=0)
+        res = eng.search_batch(
+            [(str(i), q) for i, q in enumerate(QUERIES)], model, k=15
         )
-        assert got_rows == want, (
-            f"model={model.name} query={q!r}\n got={got_rows[:5]}\nwant={want[:5]}"
-        )
+        assert (eng._termstats_cache is None) == (path == "point")
+        for i, q in enumerate(QUERIES):
+            want = run_query(oidx, q, model, k=15)
+            got = res[res.qid == str(i)]
+            got_rows = list(
+                zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
+            )
+            assert got_rows == want, (
+                f"path={path} model={model.name} query={q!r}\n"
+                f" got={got_rows[:5]}\nwant={want[:5]}"
+            )
 
 
 def test_actor_engine_matches_oracle(corpus, ray_session):
@@ -177,6 +187,124 @@ def test_dfs_phase_without_termstats_table(corpus, tmp_path_factory, ray_session
                 zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
             )
             assert got_rows == want, f"model={model.name} query={q!r}"
+
+
+def _stats_engines(out, tmp_path, monkeypatch):
+    """One engine per global-statistics path over the same index: the full
+    termstats table, parquet point lookups, and the dfs phase (a copy of the
+    index without its termstats table)."""
+    import shutil
+
+    from searchengines_ray.index.build import TERMSTATS_DIR
+    from searchengines_ray.query import engine as engine_mod
+
+    no_table = str(tmp_path / "no_termstats")
+    shutil.copytree(out, no_table)
+    shutil.rmtree(os.path.join(no_table, TERMSTATS_DIR))
+    full = SearchEngine(out, num_searchers=0)
+    full.term_stats_for([])  # loads the whole table under the real limit
+    monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", 0)
+    return {
+        "full": full,
+        "point": SearchEngine(out, num_searchers=0),
+        "dfs": SearchEngine(no_table, num_searchers=0),
+    }
+
+
+def test_term_stats_paths_agree(corpus, tmp_path, monkeypatch):
+    """All three lookup paths return exactly the requested keys that the
+    index holds, with the oracle's df/ctf; an absent key is left out, and
+    a key seen before (absent or not) is not looked up again. The
+    GlobalStats sent with a search call covers that call's query keys
+    only, never the whole table or the memo of earlier calls."""
+    from searchengines_ray.parser import parse_query
+    from searchengines_ray.query import engine as engine_mod
+    from searchengines_ray.query.exec import iter_term_keys
+
+    out, oidx, _ = corpus
+    engines = _stats_engines(out, tmp_path, monkeypatch)
+    lookups = []
+    real_load = engine_mod.load_termstats
+    monkeypatch.setattr(
+        engine_mod,
+        "load_termstats",
+        lambda d, terms=None: lookups.append(terms) or real_load(d, terms),
+    )
+    dfs_local = engines["dfs"]._local
+    real_partial = dfs_local.term_stats_partial
+    monkeypatch.setattr(
+        dfs_local,
+        "term_stats_partial",
+        lambda keys: lookups.append(keys) or real_partial(keys),
+    )
+
+    absent = ("body", "zzzznohit")
+    first = [("body", "w0001"), ("body", "w0005"), ("title", "w0024"), absent]
+    second = [("body", "w0005"), ("url", "000123"), ("body", "w0002")]
+
+    def want(keys):
+        stats = {}
+        for f, t in keys:
+            inv = oidx.inv_list(f, t)
+            if inv:
+                stats[(f, t)] = (len(inv), sum(len(p) for _, p in inv))
+        return stats
+
+    assert len(want(first)) == 3 and len(want(second)) == 3
+    for name, eng in engines.items():
+        lookups.clear()
+        assert eng.term_stats_for(first) == want(first), name
+        assert eng.term_stats_for(second) == want(second), name
+        assert eng.term_stats_for(first + second) == want(first + second), name
+        if name == "full":
+            assert lookups == [], name
+        else:
+            # first: all 4 keys; second: only the 2 new ones; third: none
+            assert [len(k) for k in lookups] == [4, 2], (name, lookups)
+        for q in QUERIES:
+            tree = parse_query(q, "sum")
+            keys: set = set()
+            if tree is not None:
+                iter_term_keys(tree, keys)
+            shipped = eng.global_stats_for([tree]).term_stats
+            assert len(shipped) <= len(keys) and set(shipped) <= keys, (name, q)
+    assert engines["point"]._termstats_cache is None
+
+
+def test_large_global_stats_via_object_store(corpus, ray_session):
+    """A batch whose GlobalStats pickles above Ray's 100 KB inline limit
+    reaches the actors through the object store and still matches the
+    oracle exactly."""
+    import pickle
+
+    from searchengines_ray.parser import parse_query
+
+    out, oidx, _ = corpus
+    model = Indri(mu=700.0, lam=0.5)
+    queries = []
+    for i in range(800):  # distinct term triples: ~3,200 composite keys
+        lap = i // 400
+        a, b, c = (
+            f"w{n % 400:04d}"
+            for n in (i, i * 37 + 11 + lap, i * 91 + 5 + 2 * lap)
+        )
+        queries.append(
+            f"#AND(#NEAR/{1 + i % 4}({a} {b}) #WINDOW/{3 + i % 5}({b} {c}) "
+            f"#NEAR/{2 + i % 3}({c} {a}) #SYN({a} {c} {b}.title) {c}.url)"
+        )
+    batch = [(str(i), q) for i, q in enumerate(queries)]
+    eng = SearchEngine(out, num_searchers=2)
+    g = eng.global_stats_for(
+        [parse_query(q, model.default_op) for q in queries]
+    )
+    assert len(pickle.dumps(g)) > 100 * 1024
+    res = eng.search_batch(batch, model, k=10)
+    for i, q in enumerate(queries):
+        got = res[res.qid == str(i)]
+        got_rows = list(
+            zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
+        )
+        assert got_rows == run_query(oidx, q, model, k=10), q
 
 
 def test_wand_exactly_matches_exhaustive(corpus):

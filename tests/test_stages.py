@@ -516,7 +516,7 @@ def test_cosine_topk_matches_bruteforce(ray_session):
         assert g == want, (qi, g, want)
 
 
-def test_ivf_recall(ray_session):
+def test_ivf_recall(ray_session, tmp_path):
     import ray.data
 
     from searchengines_ray.stages.similarity import IVFIndex, cosine_topk
@@ -526,7 +526,7 @@ def test_ivf_recall(ray_session):
         [np.asarray(v) for v in emb.limit(5).to_pandas()["embedding"]]
     ).astype(np.float64)
     exact = cosine_topk(emb, queries, k=10)
-    ivf = IVFIndex(nlist=8).fit(emb).assign(emb)
+    ivf = IVFIndex(nlist=8).fit(emb).assign(emb, path=str(tmp_path))
     approx = ivf.search(queries, k=10, nprobe=4)
     # recall@10 over 5 queries should be high with half the buckets probed
     recalls = []
@@ -537,7 +537,7 @@ def test_ivf_recall(ray_session):
     assert np.mean(recalls) >= 0.6, recalls
 
 
-def test_topk_tiebreak_with_duplicate_embeddings(ray_session):
+def test_topk_tiebreak_with_duplicate_embeddings(ray_session, tmp_path):
     """Duplicate embeddings tying at the k boundary must resolve by the
     frozen (cosine desc, vec_id asc) rule regardless of batch partitioning
     (the argpartition-only combiner dropped an arbitrary tied row)."""
@@ -557,7 +557,7 @@ def test_topk_tiebreak_with_duplicate_embeddings(ray_session):
     ds = ray.data.from_items(rows).repartition(6)
     got = cosine_topk(ds, np.stack([base]), k=5)
     assert got.sort_values("rank")["vec_id"].tolist() == [0, 1, 2, 3, 4]
-    ivf = IVFIndex(nlist=4).fit(ds).assign(ds)
+    ivf = IVFIndex(nlist=4).fit(ds).assign(ds, path=str(tmp_path))
     approx = ivf.search(np.stack([base]), k=5, nprobe=4)
     assert approx.sort_values("rank")["vec_id"].tolist() == [0, 1, 2, 3, 4]
 
@@ -2997,9 +2997,7 @@ def test_pack_sequences(ray_session):
     assert out.loc[1, ["off", "seq_first", "seq_last"]].tolist() == [0, 0, 1]
 
 
-def test_ivf_persistence_reopen(ray_session):
-    import tempfile
-
+def test_ivf_persistence_reopen(ray_session, tmp_path):
     import ray.data
 
     from searchengines_ray.stages.similarity import IVFIndex
@@ -3008,7 +3006,7 @@ def test_ivf_persistence_reopen(ray_session):
     queries = np.stack(
         [np.asarray(v) for v in emb.limit(3).to_pandas()["embedding"]]
     ).astype(np.float64)
-    path = tempfile.mkdtemp(prefix="ivf-persist-")
+    path = str(tmp_path / "ivf-persist")
     ivf = IVFIndex(nlist=8).fit(emb).assign(emb, path=path)
     want = ivf.search(queries, k=5, nprobe=4)
     # a fresh process-equivalent: reopen from disk, no refit/reassign
@@ -3065,9 +3063,7 @@ def test_canonicalize_url_chain():
         assert canonicalize_url(raw) == want, (raw, canonicalize_url(raw))
 
 
-def test_ivf_incremental_append(ray_session):
-    import tempfile
-
+def test_ivf_incremental_append(ray_session, tmp_path):
     import ray.data
 
     from searchengines_ray.stages.similarity import IVFIndex
@@ -3086,12 +3082,12 @@ def test_ivf_incremental_append(ray_session):
     ).astype(np.float64)
 
     # baseline: everything assigned at once
-    p_all = tempfile.mkdtemp(prefix="ivf-all-")
+    p_all = str(tmp_path / "ivf-all")
     ivf_all = IVFIndex(nlist=8).fit(emb).assign(emb, path=p_all)
     want = ivf_all.search(queries, k=5, nprobe=8)
 
     # incremental: half assigned, half appended with the SAME centroids
-    p_inc = tempfile.mkdtemp(prefix="ivf-inc-")
+    p_inc = str(tmp_path / "ivf-inc")
     ivf_inc = IVFIndex(nlist=8).fit(emb).assign(first, path=p_inc)
     ivf_inc.append(second)
     got = ivf_inc.search(queries, k=5, nprobe=8)
