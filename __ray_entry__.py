@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zlib
 from collections.abc import Callable
 from typing import Any
 
@@ -1636,6 +1635,7 @@ def _q_split_leakage(sf_dir: str) -> pd.DataFrame:
     group's min doc_id."""
     import ray.data
 
+    from searchengines_ray.stages.exchange import bucket_aggregate
     from searchengines_ray.stages.sample import hash_split
 
     def plant(b: pd.DataFrame) -> pd.DataFrame:
@@ -1653,18 +1653,11 @@ def _q_split_leakage(sf_dir: str) -> pd.DataFrame:
     split = hash_split(docs, key="doc_id")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["text"].fillna("")
         return pd.DataFrame(
             {
-                "text": t,
+                "text": b["text"].fillna(""),
                 "doc_id": b["doc_id"].astype("int64"),
                 "split": b["split"],
-                # crc32 is the SHUFFLE key only (co-locates equal
-                # texts); the GROUP key is the text itself, which the
-                # SQL oracle reproduces with GROUP BY text
-                "_cb": t.map(
-                    lambda s: zlib.crc32(s.encode()) % 64
-                ).astype("int64"),
             }
         )
 
@@ -1681,12 +1674,12 @@ def _q_split_leakage(sf_dir: str) -> pd.DataFrame:
             {"group_key": "int64", "n_docs": "int64"}
         )
 
-    out = (
-        split.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(find_leaks, batch_format="pandas")
-        .to_pandas()
-    )
+    # the text bucket is the SHUFFLE key only (co-locates equal texts);
+    # the GROUP key is the text itself, which the SQL oracle reproduces
+    # with GROUP BY text
+    out = bucket_aggregate(
+        split, find_leaks, key="text", buckets=64, partial=partial
+    ).to_pandas()
     if out.empty:
         out = pd.DataFrame(
             {
@@ -3947,6 +3940,14 @@ def _q_hll_group(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
     out = hll_group_registers(ev, p=8).to_pandas()
+    if out.empty:  # no events: an empty Dataset drops its schema
+        out = pd.DataFrame(
+            {
+                "event_type": pd.array([], dtype=object),
+                "bucket": pd.array([], dtype="int64"),
+                "max_rho": pd.array([], dtype="int64"),
+            }
+        )
     return (
         out[["event_type", "bucket", "max_rho"]]
         .sort_values(["event_type", "bucket"])

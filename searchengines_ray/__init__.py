@@ -20,25 +20,3 @@ Nothing here calls ``ray.init()``; sessions are owned by the caller
 
 __version__ = "0.1.0"
 
-
-def _configure_data_context() -> None:
-    """Process-wide Ray Data defaults (no session is created here).
-
-    Push-based shuffle halves the per-shuffle barrier cost of every
-    groupby/sort (measured 13-16 s -> 7.7-9.6 s on the 3-shuffle MinHash
-    dedup at sf0.1) by pipelining the map and reduce phases; semantics
-    are identical to the default sort-based shuffle.
-    """
-    import os
-
-    if os.environ.get("SERAY_PUSH_SHUFFLE", "1") == "0":
-        return
-    try:
-        import ray.data
-
-        ray.data.DataContext.get_current().use_push_based_shuffle = True
-    except Exception:  # pragma: no cover - ray absent / API drift
-        pass
-
-
-_configure_data_context()

@@ -238,21 +238,20 @@ def load_termstats(
     path: O(query terms), not O(vocabulary) — the scale path for serving).
     Without, loads the full table (test/driver convenience at small scale).
     """
-    import zlib
-
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
+    from ..stages.exchange import bucket_of
     from .build import TERMSTATS_BUCKETS
 
     ts_dir = os.path.join(index_dir, TERMSTATS_DIR)
     dataset = pads.dataset(ts_dir, partitioning="hive")
     if terms is not None:
-        # hive-bucketed layout (bucket = crc32(term) % B): partition pruning
-        # reads ONLY the query terms' bucket dirs — O(query terms), no scan
+        # hive-bucketed layout (bucket = bucket_of(term, B)): partition
+        # pruning reads ONLY the query terms' bucket dirs — O(query terms)
         tset = sorted({t for _, t in terms})
         buckets = sorted(
-            {zlib.crc32(t.encode()) % TERMSTATS_BUCKETS for t in tset}
+            int(b) for b in set(bucket_of(tset, TERMSTATS_BUCKETS))
         )
         tbl = dataset.to_table(
             columns=["field", "term", "df", "ctf"],

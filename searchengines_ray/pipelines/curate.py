@@ -21,7 +21,7 @@ Scale posture:
 - Output buckets are committed like index segments: tmp dir + atomic
   rename with a MANIFEST marker, so a re-run SKIPS finished buckets
   (partition-level resume; idempotent because the curated set and the
-  ``doc_id % partitions`` assignment are deterministic).
+  ``bucket_of(doc_id, partitions)`` assignment are deterministic).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 
 from ..stages.dedup import dedup_drop_ids, minhash_dedup_pairs_ds
+from ..stages.exchange import bucket_aggregate, bucket_of
 from ..stages.text import LangId
 
 
@@ -99,18 +100,11 @@ def curate_corpus(
     if out_dir is None:
         return curated, stats
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["bucket"] = (
-            batch["doc_id"].to_numpy() % partitions
-        ).astype("int64")
-        return batch
-
     def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        b = int(group["bucket"].iloc[0])
+        b = int(bucket_of(group["doc_id"].iloc[:1], partitions)[0])
         dest = os.path.join(out_dir, f"bucket={b}")
         if os.path.exists(os.path.join(dest, "MANIFEST.json")):
             return pd.DataFrame(
@@ -120,7 +114,7 @@ def curate_corpus(
         # readers never see partial output; orphans are swept on entry
         tmp = os.path.join(out_dir, f".tmp-bucket-{b}-{os.getpid()}")
         os.makedirs(tmp, exist_ok=True)
-        g = group.drop(columns=["bucket"]).sort_values("doc_id")
+        g = group.sort_values("doc_id")
         pq.write_table(
             pa.Table.from_pandas(g, preserve_index=False),
             os.path.join(tmp, "part.parquet"),
@@ -144,12 +138,9 @@ def curate_corpus(
     for d in os.listdir(out_dir):
         if d.startswith(".tmp-bucket-"):
             _shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
-    manifests = (
-        curated.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    manifests = bucket_aggregate(
+        curated, write_bucket, key="doc_id", buckets=partitions
+    ).to_pandas()
     if manifests.empty:  # empty curated set: zero buckets, stable stats
         stats.update(n_docs=0, n_buckets=0, resumed_buckets=0)
         return curated, stats

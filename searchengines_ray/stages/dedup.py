@@ -31,6 +31,7 @@ import numpy as np
 import pandas as pd
 
 from ..analysis import _ASCII_LOWER
+from .exchange import bucket_aggregate, bucket_of
 
 _WORD = re.compile(r"[0-9a-z]+")
 
@@ -76,21 +77,14 @@ def exact_dedup(ds, key: str = "text"):
 
     def partial_min(batch: pd.DataFrame) -> pd.DataFrame:
         hb = _content_hash_batch(batch, key)
-        g = hb.groupby("h", as_index=False)["doc_id"].min()
-        g["_cb"] = (
-            (g["h"].to_numpy().astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(64)
-        ).astype(np.int64)
-        return g
+        return hb.groupby("h", as_index=False)["doc_id"].min()
 
     def final_min(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("h", as_index=False)["doc_id"].min()
         return g[["doc_id"]].astype({"doc_id": "int64"})
 
-    return (
-        ds.map_batches(partial_min, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(final_min, batch_format="pandas")
+    return bucket_aggregate(
+        ds, final_min, key="h", buckets=64, partial=partial_min
     )
 
 
@@ -223,12 +217,11 @@ class MinHasher:
 
 class MinHashBandRows(MinHasher):
     """Arrow-native fused stage: text -> minhash signature -> LSH band
-    rows ``(doc_id, band, band_hash, cb)`` in ONE ``pyarrow``-format
+    rows ``(doc_id, band, band_hash)`` in ONE ``pyarrow``-format
     map_batches — no pandas conversion at either boundary and no
     intermediate signature block between stages (the signature matrix
     dies inside the task).  ``band_hash`` is byte-identical to
-    :func:`_band_rows` over :class:`MinHasher` signatures (fuzz-pinned);
-    ``cb`` is the coarse shuffle bucket (``band_hash % 1024``)."""
+    :func:`_band_rows` over :class:`MinHasher` signatures (fuzz-pinned)."""
 
     def __init__(
         self,
@@ -253,7 +246,6 @@ class MinHashBandRows(MinHasher):
                     "doc_id": pa.array([], pa.int64()),
                     "band": pa.array([], pa.int32()),
                     "band_hash": pa.array([], pa.int64()),
-                    "cb": pa.array([], pa.int32()),
                 }
             )
         sigs = self.batch_signatures(batch.column("text"))
@@ -263,7 +255,6 @@ class MinHashBandRows(MinHasher):
                 "doc_id": pa.array(np.repeat(doc_ids, bands)),
                 "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
                 "band_hash": pa.array(band_hash),
-                "cb": pa.array((band_hash % 1024).astype(np.int32)),
             }
         )
 
@@ -413,6 +404,9 @@ def _batch_shingle_sets(texts: list, k: int) -> list[np.ndarray]:
     return out
 
 
+_PAIR = ["doc_a", "doc_b"]  # the pair exchanges' composite key
+
+
 def _verify_group(group: pd.DataFrame, threshold: float) -> pd.DataFrame:
     """Vectorized exact-Jaccard kernel over ALL pairs in one bucket — no
     per-pair Python loop.  Duplicate candidate rows for the same (pair,
@@ -535,30 +529,21 @@ def _verify_pairs_broadcast(
                 np.ones(len(pid1), dtype=np.int64),
             ]
         )
-        cb2 = (
-            (
-                doc_a.astype(np.uint64) * np.uint64(1000003)
-                + doc_b.astype(np.uint64)
-            )
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
         return pd.DataFrame(
             {
                 "doc_a": doc_a,
                 "doc_b": doc_b,
                 "side": side,
                 "sh": [blobs[i] for i in np.concatenate([rep0, rep1])],
-                "cb2": cb2,
             }
         )
 
-    return (
-        ds.map_batches(shingle_slot_rows, batch_format="pandas")
-        .groupby("cb2")
-        .map_groups(
-            partial(_verify_group, threshold=threshold),
-            batch_format="pandas",
-        )
+    return bucket_aggregate(
+        ds,
+        partial(_verify_group, threshold=threshold),
+        key=_PAIR,
+        buckets=coarse_buckets,
+        partial=shingle_slot_rows,
     )
 
 
@@ -638,12 +623,6 @@ def minhash_verify_pairs_ds(
     cand_ids = np.unique(idparts["d"].to_numpy().astype(np.int64))
     cref = ray.put(cand_ids)
 
-    def _dbucket(x: np.ndarray) -> np.ndarray:
-        return (
-            (x.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-
     def shingle_rows(batch: pd.DataFrame) -> pd.DataFrame:
         ids = ray.get(cref)
         docs = batch["doc_id"].to_numpy().astype(np.int64)
@@ -661,7 +640,6 @@ def minhash_verify_pairs_ds(
                 # length would densify to a TensorArray and fail to concat
                 # with the slot rows' placeholder column in the shuffle
                 "sh": [np.asarray(s, dtype=np.uint64).tobytes() for s in sets],
-                "cb": _dbucket(d),
             }
         )
 
@@ -679,7 +657,6 @@ def minhash_verify_pairs_ds(
                     [np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)]
                 ),
                 "sh": [b""] * (2 * n),
-                "cb": _dbucket(jd),
             }
         )
 
@@ -687,27 +664,21 @@ def minhash_verify_pairs_ds(
         shr = group.loc[group["side"] == -1]
         slots = group.loc[group["side"] >= 0].drop(columns=["sh"])
         m = slots.merge(shr[["jd", "sh"]], on="jd", how="inner")
-        m["cb2"] = (
-            (m["doc_a"].to_numpy() * 1000003 + m["doc_b"].to_numpy())
-            % coarse_buckets
-        ).astype(np.int64)
-        return m[["doc_a", "doc_b", "side", "sh", "cb2"]]
+        return m[["doc_a", "doc_b", "side", "sh"]]
 
     from functools import partial
 
     # fully lazy/streaming: each stage has a single consumer, so nothing
     # re-executes; the two shuffles move only candidate-bounded rows
     # (shingle sets + pair slots), never the corpus.
-    return (
-        ds.map_batches(shingle_rows, batch_format="pandas")
-        .union(pairs_ds.map_batches(slot_rows, batch_format="pandas"))
-        .groupby("cb")
-        .map_groups(attach, batch_format="pandas")
-        .groupby("cb2")
-        .map_groups(
-            partial(_verify_group, threshold=threshold),
-            batch_format="pandas",
-        )
+    rows = ds.map_batches(shingle_rows, batch_format="pandas").union(
+        pairs_ds.map_batches(slot_rows, batch_format="pandas")
+    )
+    return bucket_aggregate(
+        bucket_aggregate(rows, attach, key="jd", buckets=coarse_buckets),
+        partial(_verify_group, threshold=threshold),
+        key=_PAIR,
+        buckets=coarse_buckets,
     )
 
 
@@ -762,7 +733,6 @@ def minhash_candidate_pairs_ds(
     pair once per matching band; use it when the consumer dedupes anyway
     (``minhash_verify_pairs_ds`` groups by (doc_a, doc_b), so duplicated
     candidates cost only a few extra shuffled slot rows)."""
-    from functools import partial
 
     # an INSTANCE (stateless elastic tasks), not an actor pool: the state is
     # a few hundred ints (cheap pickle), and a fixed-size pool both caps the
@@ -770,14 +740,11 @@ def minhash_candidate_pairs_ds(
     # Arrow-native fused stage: text -> signature -> band rows (+ coarse
     # bucket) in one pyarrow map_batches — zero pandas conversions and no
     # intermediate signature block (was three pandas stages).
-    band_rows = ds.map_batches(
-        MinHashBandRows(num_perm=num_perm, shingle=shingle, bands=bands),
-        batch_format="pyarrow",
-    )
+    band_rows = MinHashBandRows(num_perm=num_perm, shingle=shingle, bands=bands)
 
     # COARSE-bucket shuffle: most (band, band_hash) buckets are singletons,
     # and a per-LSH-bucket map_groups pays Python overhead per group (~docs x
-    # bands groups).  Shuffling on hash(band_hash) % 1024 instead gives a few
+    # bands groups).  Shuffling on bucket_of(band_hash, 1024) gives a few
     # thousand groups, and the fine grouping runs vectorized in pandas inside
     # each coarse group.
     def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
@@ -803,39 +770,27 @@ def minhash_candidate_pairs_ds(
     # dataset re-executes the whole signature chain per consumer.  A
     # single downstream consumer does NOT re-execute (measured on this
     # Ray), so the intermediate band-row stages stay lazy/streaming.
-    pairs = (
-        band_rows.groupby("cb")
-        .map_groups(coarse_pairs, batch_format="pandas")
-        .materialize()
-    )
+    pairs = bucket_aggregate(
+        ds,
+        coarse_pairs,
+        key="band_hash",
+        buckets=1024,
+        partial=band_rows,
+        batch_format="pyarrow",
+    ).materialize()
     if not distinct:
         return pairs
 
     # distinct pairs: one pair-hash-bucketed shuffle + a vectorized
     # drop_duplicates per bucket (a driver-side dedup would make the pair
     # list itself the scale ceiling; dup pairs across bands land in the
-    # same pcb bucket, so the dedup is global)
-    def add_pcb(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["pcb"] = (
-            (
-                batch["doc_a"].to_numpy().astype(np.uint64)
-                * np.uint64(1000003)
-                + batch["doc_b"].to_numpy().astype(np.uint64)
-            )
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-        return batch
-
+    # same pair bucket, so the dedup is global)
     def distinct(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b"]]
 
-    return (
-        pairs.map_batches(add_pcb, batch_format="pandas")
-        .groupby("pcb")
-        .map_groups(distinct, batch_format="pandas")
-        .materialize()  # bounded (distinct pairs); consumed twice by verify
-    )
+    return bucket_aggregate(
+        pairs, distinct, key=_PAIR, buckets=coarse_buckets
+    ).materialize()  # bounded (distinct pairs); consumed twice by verify
 
 
 def minhash_candidate_pairs(
@@ -1106,6 +1061,79 @@ def dedup_survivors_from_pairs(
 # ------------------------------------------------------------------ line dedup
 
 
+def _explode_lines(batch: pd.DataFrame, min_chars: int) -> pd.DataFrame:
+    """One row per line ``(doc_id, line_idx, line, h)``; ``h`` is the
+    line's crc32, or -1 for lines shorter than ``min_chars``.  One
+    SENTINEL row per doc (line_idx -1, h -1, always kept) so a doc whose
+    every line is dropped still yields a ``(doc_id, '')`` row."""
+    import itertools
+
+    docs = batch["doc_id"].to_numpy().astype(np.int64)
+    split = [("" if t is None else t).split("\n") for t in batch["text"]]
+    nlines = np.asarray([len(s) for s in split], dtype=np.int64)
+    doc_rep = np.repeat(docs, nlines)
+    lines = list(itertools.chain.from_iterable(split))
+    idx = (
+        np.arange(len(lines), dtype=np.int64)
+        - np.repeat(np.cumsum(nlines) - nlines, nlines)
+    )
+    h = np.asarray(
+        [
+            zlib.crc32(ln.encode()) if len(ln) >= min_chars else -1
+            for ln in lines
+        ],
+        dtype=np.int64,
+    )
+    return pd.DataFrame(
+        {
+            "doc_id": np.concatenate([doc_rep, docs]),
+            "line_idx": np.concatenate(
+                [idx, np.full(len(docs), -1, dtype=np.int64)]
+            ),
+            "line": lines + [""] * len(docs),
+            "h": np.concatenate([h, np.full(len(docs), -1, dtype=np.int64)]),
+        }
+    )
+
+
+def _reassemble_lines(group: pd.DataFrame) -> pd.DataFrame:
+    """Surviving lines rejoined per doc in line order: ONE vectorized
+    sort + join per coarse doc bucket (a per-document map_groups would
+    pay a Python callback + pandas frame per doc — 10^9 tiny frames at
+    corpus scale)."""
+    g = group.loc[group["line_idx"] >= 0].sort_values(
+        ["doc_id", "line_idx"], kind="mergesort"
+    )
+    joined = g.groupby("doc_id", sort=True)["line"].agg("\n".join)
+    all_docs = np.unique(group["doc_id"].to_numpy())
+    out = pd.DataFrame({"doc_id": all_docs.astype(np.int64)})
+    out["text"] = out["doc_id"].map(joined).fillna("")
+    return out
+
+
+def _line_key(b) -> np.ndarray:
+    """Long lines exchange by their line hash ``h``; short and sentinel
+    lines (``h == -1``) by doc, so they scatter instead of funneling
+    corpus-wide into one bucket."""
+    h = b["h"].to_numpy()
+    return np.where(h == -1, b["doc_id"].to_numpy(), h)
+
+
+def _line_exchange(ds, min_chars: int, mark, coarse_buckets: int):
+    """Explode docs to line rows, ``mark`` the surviving lines per
+    line-hash bucket, reassemble docs per doc bucket."""
+    marked = bucket_aggregate(
+        ds,
+        mark,
+        key=_line_key,
+        buckets=coarse_buckets,
+        partial=lambda b: _explode_lines(b, min_chars),
+    )
+    return bucket_aggregate(
+        marked, _reassemble_lines, key="doc_id", buckets=coarse_buckets
+    )
+
+
 def line_dedup(ds, min_chars: int = 10, coarse_buckets: int = 1024):
     """Cross-corpus line-level deduplication (the C4 pipeline's line dedup):
     every line of ``min_chars``+ characters is kept only at its FIRST
@@ -1126,55 +1154,6 @@ def line_dedup(ds, min_chars: int = 10, coarse_buckets: int = 1024):
     but streaming, never on the driver.
     """
 
-    def _doc_bucket(doc_ids: np.ndarray) -> np.ndarray:
-        # Knuth multiplicative hash — short/sentinel rows scatter by DOC, not
-        # by line hash (a constant short-line bucket would funnel every short
-        # line corpus-wide into one group)
-        return (
-            (doc_ids.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        import itertools
-
-        docs = batch["doc_id"].to_numpy().astype(np.int64)
-        split = [("" if t is None else t).split("\n") for t in batch["text"]]
-        nlines = np.asarray([len(s) for s in split], dtype=np.int64)
-        doc_rep = np.repeat(docs, nlines)
-        lines = list(itertools.chain.from_iterable(split))
-        idx = (
-            np.arange(len(lines), dtype=np.int64)
-            - np.repeat(np.cumsum(nlines) - nlines, nlines)
-        )
-        h = np.asarray(
-            [
-                zlib.crc32(ln.encode()) if len(ln) >= min_chars else -1
-                for ln in lines
-            ],
-            dtype=np.int64,
-        )
-        # one SENTINEL row per doc (line_idx -1, always kept) so a document
-        # whose every line is a duplicate still yields a (doc_id, '') row
-        df = pd.DataFrame(
-            {
-                "doc_id": np.concatenate([doc_rep, docs]),
-                "line_idx": np.concatenate(
-                    [idx, np.full(len(docs), -1, dtype=np.int64)]
-                ),
-                "line": lines + [""] * len(docs),
-                "h": np.concatenate(
-                    [h, np.full(len(docs), -1, dtype=np.int64)]
-                ),
-            }
-        )
-        hh = df["h"].to_numpy()
-        dd = df["doc_id"].to_numpy()
-        df["cb"] = np.where(
-            hh == -1, _doc_bucket(dd), hh % coarse_buckets
-        ).astype(np.int64)
-        return df
-
     def mark(group: pd.DataFrame) -> pd.DataFrame:
         # short/sentinel lines (h == -1) are always kept; long lines keep
         # only the global first occurrence OF THE SAME LINE TEXT (hash +
@@ -1187,32 +1166,11 @@ def line_dedup(ds, min_chars: int = 10, coarse_buckets: int = 1024):
             ["h", "line", "doc_id", "line_idx"], kind="mergesort"
         )
         first = ~gl.duplicated(subset=["h", "line"], keep="first")
-        kept = pd.concat(
+        return pd.concat(
             [group.loc[short], gl.loc[first.to_numpy()]], ignore_index=True
         )[["doc_id", "line_idx", "line"]]
-        kept["cb2"] = _doc_bucket(kept["doc_id"].to_numpy())
-        return kept
 
-    def reassemble(group: pd.DataFrame) -> pd.DataFrame:
-        # ONE vectorized sort + join per coarse doc bucket (a per-document
-        # map_groups would pay a Python callback + pandas frame per doc —
-        # 10^9 tiny frames at corpus scale)
-        g = group.loc[group["line_idx"] >= 0].sort_values(
-            ["doc_id", "line_idx"], kind="mergesort"
-        )
-        joined = g.groupby("doc_id", sort=True)["line"].agg("\n".join)
-        all_docs = np.unique(group["doc_id"].to_numpy())
-        out = pd.DataFrame({"doc_id": all_docs.astype(np.int64)})
-        out["text"] = out["doc_id"].map(joined).fillna("")
-        return out
-
-    return (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("cb")
-        .map_groups(mark, batch_format="pandas")
-        .groupby("cb2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    return _line_exchange(ds, min_chars, mark, coarse_buckets)
 
 
 def boilerplate_filter(
@@ -1233,52 +1191,6 @@ def boilerplate_filter(
     set), and a doc-bucketed groupby reassembles survivors in order.  A
     doc whose every line was boilerplate survives as ``(doc_id, '')``.
     Returns a Dataset ``(doc_id, text)``."""
-
-    def _doc_bucket(doc_ids: np.ndarray) -> np.ndarray:
-        return (
-            (doc_ids.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        import itertools
-
-        docs = batch["doc_id"].to_numpy().astype(np.int64)
-        split = [("" if t is None else t).split("\n") for t in batch["text"]]
-        nlines = np.asarray([len(s) for s in split], dtype=np.int64)
-        doc_rep = np.repeat(docs, nlines)
-        lines = list(itertools.chain.from_iterable(split))
-        idx = (
-            np.arange(len(lines), dtype=np.int64)
-            - np.repeat(np.cumsum(nlines) - nlines, nlines)
-        )
-        h = np.asarray(
-            [
-                zlib.crc32(ln.encode()) if len(ln) >= min_chars else -1
-                for ln in lines
-            ],
-            dtype=np.int64,
-        )
-        # SENTINEL row per doc (line_idx -1, always kept) so an
-        # all-boilerplate doc still yields (doc_id, '')
-        df = pd.DataFrame(
-            {
-                "doc_id": np.concatenate([doc_rep, docs]),
-                "line_idx": np.concatenate(
-                    [idx, np.full(len(docs), -1, dtype=np.int64)]
-                ),
-                "line": lines + [""] * len(docs),
-                "h": np.concatenate(
-                    [h, np.full(len(docs), -1, dtype=np.int64)]
-                ),
-            }
-        )
-        hh = df["h"].to_numpy()
-        dd = df["doc_id"].to_numpy()
-        df["cb"] = np.where(
-            hh == -1, _doc_bucket(dd), hh % coarse_buckets
-        ).astype(np.int64)
-        return df
 
     def mark(group: pd.DataFrame) -> pd.DataFrame:
         # short/sentinel lines (h == -1) always survive; a long line
@@ -1304,29 +1216,11 @@ def boilerplate_filter(
             runlen = np.diff(np.append(starts, len(gl)))
             keep = np.repeat(keep_key, runlen)
             gl = gl.loc[keep]
-        kept = pd.concat([group.loc[short], gl], ignore_index=True)[
+        return pd.concat([group.loc[short], gl], ignore_index=True)[
             ["doc_id", "line_idx", "line"]
         ]
-        kept["cb2"] = _doc_bucket(kept["doc_id"].to_numpy())
-        return kept
 
-    def reassemble(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.loc[group["line_idx"] >= 0].sort_values(
-            ["doc_id", "line_idx"], kind="mergesort"
-        )
-        joined = g.groupby("doc_id", sort=True)["line"].agg("\n".join)
-        all_docs = np.unique(group["doc_id"].to_numpy())
-        out = pd.DataFrame({"doc_id": all_docs.astype(np.int64)})
-        out["text"] = out["doc_id"].map(joined).fillna("")
-        return out
-
-    return (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("cb")
-        .map_groups(mark, batch_format="pandas")
-        .groupby("cb2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    return _line_exchange(ds, min_chars, mark, coarse_buckets)
 
 
 # ----------------------------------------------------------- substring dedup
@@ -1352,10 +1246,9 @@ def substring_dedup(ds, k: int = 8, buckets: int = 64,
 
     Plan (three bucketed exchanges + one equi-join, no driver
     structures): (1) per-batch gram-occurrence explode — gram strings
-    built once per UNIQUE gram of the batch; (2) ``crc32(gram)``-bucket
-    groupby marks non-first occurrences with one vectorized
-    sort+duplicated per coarse bucket (hash + gram text in the key so a
-    crc collision cannot merge distinct grams); (3) doc-bucketed
+    built once per UNIQUE gram of the batch; (2) gram-bucket groupby
+    marks non-first occurrences with one vectorized sort+duplicated per
+    coarse bucket; (3) doc-bucketed
     groupby folds each doc's duplicate start positions into ONE bytes
     row (int64 ``tobytes`` — variable-length arrays ride shuffles as
     bytes); (4) a left :func:`~searchengines_ray.stages.joins.
@@ -1374,19 +1267,11 @@ def substring_dedup(ds, k: int = 8, buckets: int = 64,
 
     M31 = 2147483647
 
-    def _doc_bucket(doc_ids: np.ndarray) -> np.ndarray:
-        return (
-            (doc_ids.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-
     occ_empty = pd.DataFrame(
         {
             "doc_id": pd.array([], dtype="int64"),
             "pos": pd.array([], dtype="int64"),
             "gram": pd.array([], dtype="object"),
-            "h": pd.array([], dtype="int64"),
-            "cb": pd.array([], dtype="int64"),
         }
     )
 
@@ -1408,30 +1293,21 @@ def substring_dedup(ds, k: int = 8, buckets: int = 64,
         s = pd.Series(voc[uniq[:, 0]], dtype=object)
         for i in range(1, k):
             s = s + " " + pd.Series(voc[uniq[:, i]], dtype=object)
-        h = np.fromiter(
-            (zlib.crc32(g.encode()) for g in s), np.int64, len(s)
-        )
         docs = batch["doc_id"].to_numpy().astype(np.int64)
         return pd.DataFrame(
             {
                 "doc_id": docs[par],
                 "pos": pos.astype(np.int64),
                 "gram": s.to_numpy()[inv],
-                "h": h[inv],
-                "cb": (h[inv] % buckets).astype(np.int64),
             }
         )
 
     def mark(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["h", "gram", "doc_id", "pos"], kind="mergesort"
-        )
-        dup = g.duplicated(subset=["h", "gram"], keep="first").to_numpy()
-        out = g.loc[dup, ["doc_id", "pos"]].astype(
+        g = group.sort_values(["gram", "doc_id", "pos"], kind="mergesort")
+        dup = g.duplicated(subset=["gram"], keep="first").to_numpy()
+        return g.loc[dup, ["doc_id", "pos"]].astype(
             {"doc_id": "int64", "pos": "int64"}
         )
-        out["db"] = _doc_bucket(out["doc_id"].to_numpy())
-        return out
 
     def fold_pos(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["doc_id", "pos"], kind="mergesort")
@@ -1448,12 +1324,13 @@ def substring_dedup(ds, k: int = 8, buckets: int = 64,
             }
         )
 
-    dup_pos = (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("cb")
-        .map_groups(mark, batch_format="pandas")
-        .groupby("db")
-        .map_groups(fold_pos, batch_format="pandas")
+    dup_pos = bucket_aggregate(
+        bucket_aggregate(
+            ds, mark, key="gram", buckets=buckets, partial=explode
+        ),
+        fold_pos,
+        key="doc_id",
+        buckets=coarse_buckets,
     )
 
     joined = hash_equijoin(
@@ -1640,8 +1517,6 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
             )
         return pd.concat(frames, ignore_index=True)
 
-    rows = sh.map_batches(band_rows, batch_format="pandas")
-
     def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
         recs = sorted(
             set(zip(group["doc_id"].astype(int), group["simhash"].astype(int)))
@@ -1671,11 +1546,6 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
             }
         )
 
-    def add_coarse(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["cb"] = (b["band_val"].to_numpy() % 1024).astype(np.int32)
-        return b
-
     def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
         frames = [
             bucket_pairs(g)
@@ -1693,10 +1563,8 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
 
     # coarse-bucket shuffle (see minhash_candidate_pairs): per-group Python
     # overhead amortizes over ~1k coarse groups instead of one per LSH bucket
-    pairs = (
-        rows.map_batches(add_coarse, batch_format="pandas")
-        .groupby("cb")
-        .map_groups(coarse_pairs, batch_format="pandas")
+    pairs = bucket_aggregate(
+        sh, coarse_pairs, key="band_val", buckets=1024, partial=band_rows
     )
     out = _pairs_pandas(pairs, {"doc_a": "int64", "doc_b": "int64"})
     return out.drop_duplicates(["doc_a", "doc_b"]).reset_index(drop=True)
@@ -1810,17 +1678,7 @@ def embedding_neardup_pairs(
     # coarse-bucket both exchanges (native multi-key groupby = sorted
     # exchange + one Python callback per LSH bucket / per pair key —
     # the measured ~4x-slow shape); all rows of an LSH bucket still
-    # co-locate because _cb is a pure function of (table, bucket)
-    def add_cb(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        key = b["table"].to_numpy().astype(np.int64) * np.int64(
-            1_000_003
-        ) + b["bucket"].to_numpy().astype(np.int64)
-        b["_cb"] = (
-            (key.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(64)
-        ).astype(np.int64)
-        return b
+    # co-locate because the key is (table, bucket)
 
     def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
         frames = [
@@ -1833,34 +1691,18 @@ def embedding_neardup_pairs(
             else bucket_pairs(group)
         )
 
-    pairs = (
-        rows.map_batches(add_cb, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(coarse_pairs, batch_format="pandas")
+    pairs = bucket_aggregate(
+        rows, coarse_pairs, key=["table", "bucket"], buckets=64
     )
-
-    def add_pb(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        key = b["doc_a"].to_numpy().astype(np.int64) * np.int64(
-            1_000_003
-        ) + b["doc_b"].to_numpy().astype(np.int64)
-        b["_pb"] = (
-            (key.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(64)
-        ).astype(np.int64)
-        return b
 
     def maxpair(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby(
             ["doc_a", "doc_b"], as_index=False
         )["cosine"].max()
 
-    df = (
-        pairs.map_batches(add_pb, batch_format="pandas")
-        .groupby("_pb")
-        .map_groups(maxpair, batch_format="pandas")
-        .to_pandas()
-    )
+    df = bucket_aggregate(
+        pairs, maxpair, key=_PAIR, buckets=64
+    ).to_pandas()
     return _pairs_pandas(
         df, {"doc_a": "int64", "doc_b": "int64", "cosine": "float64"}
     )
@@ -1943,8 +1785,6 @@ def allpairs_jaccard_ds(
     in binary (0.5, 0.25, ...) so ``floor(t*n)`` cannot round up past
     an exact integer product and shorten a prefix.
     """
-    kn = np.uint64(2654435761)
-    cb = np.uint64(coarse_buckets)
 
     def sh_rows(batch: pd.DataFrame) -> pd.DataFrame:
         ids = batch["doc_id"].to_numpy().astype(np.int64)
@@ -1962,7 +1802,6 @@ def allpairs_jaccard_ds(
                 "doc_id": doc,
                 "sh": sh.astype(np.int64),
                 "n": n,
-                "_sb": ((sh * kn) % cb).astype(np.int64),
             }
         )
 
@@ -1971,10 +1810,7 @@ def allpairs_jaccard_ds(
         g["df"] = (
             g.groupby("sh")["doc_id"].transform("size").astype("int64")
         )
-        g["_db"] = (
-            (g["doc_id"].to_numpy().astype(np.uint64) * kn) % cb
-        ).astype(np.int64)
-        return g[["doc_id", "sh", "n", "df", "_db"]]
+        return g[["doc_id", "sh", "n", "df"]]
 
     def prefixes(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["doc_id", "df", "sh"], kind="mergesort")
@@ -1985,11 +1821,7 @@ def allpairs_jaccard_ds(
             - np.floor(threshold * n).astype(np.int64)
             + 1
         )
-        out = g.loc[rank < p, ["doc_id", "sh"]].copy()
-        out["_sb2"] = (
-            (out["sh"].to_numpy().astype(np.uint64) * kn) % cb
-        ).astype(np.int64)
-        return out
+        return g.loc[rank < p, ["doc_id", "sh"]]
 
     def cand_pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["sh", "doc_id"], kind="mergesort")
@@ -2013,14 +1845,14 @@ def allpairs_jaccard_ds(
             )
         return pd.concat(frames, ignore_index=True)
 
-    pairs = (
-        ds.map_batches(sh_rows, batch_format="pandas")
-        .groupby("_sb")
-        .map_groups(attach_df, batch_format="pandas")
-        .groupby("_db")
-        .map_groups(prefixes, batch_format="pandas")
-        .groupby("_sb2")
-        .map_groups(cand_pairs, batch_format="pandas")
+    shingle_df = bucket_aggregate(
+        ds, attach_df, key="sh", buckets=coarse_buckets, partial=sh_rows
+    )
+    prefix_rows = bucket_aggregate(
+        shingle_df, prefixes, key="doc_id", buckets=coarse_buckets
+    )
+    pairs = bucket_aggregate(
+        prefix_rows, cand_pairs, key="sh", buckets=coarse_buckets
     )
     # verify collapses duplicate candidates (groups by pair) and applies
     # the exact n-gram Jaccard >= threshold filter
@@ -2141,17 +1973,11 @@ def cdc_chunk_dedup(ds, k: int = 4, divisor: int = 16,
     occurrence/doc counts and the first occurrence (lexicographic min
     (doc_id, chunk_idx) — min doc, then min index within it).
 
-    The aggregation is bucket-hashed (``chunk_hash % buckets`` +
+    The aggregation is bucket-hashed (``bucket_of(chunk_hash)`` +
     per-bucket vectorized pandas agg), never a Ray-native groupby on the
     fine hash key (the round-3 shuffle-shape lesson).  Returns
     ``(chunk_hash, n_words, n_occ, n_docs, first_doc, first_idx)``.
     """
-    rows = cdc_chunk_rows(ds, k=k, divisor=divisor)
-
-    def bucketize(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["bucket"] = (b["chunk_hash"] % buckets).astype("int32")
-        return b
 
     def agg(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("chunk_hash", sort=False)
@@ -2194,10 +2020,11 @@ def cdc_chunk_dedup(ds, k: int = 4, divisor: int = 16,
             }
         )
 
-    return (
-        rows.map_batches(bucketize, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(agg, batch_format="pandas")
+    return bucket_aggregate(
+        cdc_chunk_rows(ds, k=k, divisor=divisor),
+        agg,
+        key="chunk_hash",
+        buckets=buckets,
     )
 
 
@@ -2311,11 +2138,6 @@ def bottomk_neardup(
     pathological boilerplate (the exact estimator here keeps the SQL
     oracle reproducible).
     """
-    import ray.data
-
-    kn = np.uint64(2654435761)
-    cb = np.uint64(coarse_buckets)
-
     sk = bottomk_sketch_rows(ds, k=k, shingle=shingle).materialize()
 
     def sh_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2331,10 +2153,6 @@ def bottomk_neardup(
             {
                 "sh": pd.array(sh, dtype="int64"),
                 "doc_id": pd.array(np.repeat(ids, lens), dtype="int64"),
-                "_sb": pd.array(
-                    ((sh.astype(np.uint64) * kn) % cb).astype(np.int64),
-                    dtype="int64",
-                ),
             }
         )
 
@@ -2360,10 +2178,8 @@ def bottomk_neardup(
             )
         return pd.concat(frames, ignore_index=True)
 
-    pairs = (
-        sk.map_batches(sh_rows, batch_format="pandas")
-        .groupby("_sb")
-        .map_groups(cand_pairs, batch_format="pandas")
+    pairs = bucket_aggregate(
+        sk, cand_pairs, key="sh", buckets=coarse_buckets, partial=sh_rows
     )
     return bottomk_pair_estimates(
         pairs, sk, k=k, min_inter=min_inter, coarse_buckets=coarse_buckets
@@ -2385,9 +2201,8 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
     the inner slot join).  Shared by :func:`bottomk_neardup`
     (intra-corpus) and :func:`lsh_registry_query` (incoming batch vs a
     persisted registry); the two endpoints of a pair must come from
-    disjoint id spaces or the same corpus."""
-    kn = np.uint64(2654435761)
-    cb = np.uint64(coarse_buckets)
+    disjoint id spaces or the same corpus.  Raises ``ValueError`` when
+    a pair does not attach exactly one blob per endpoint."""
     PAD = np.int64(1) << 62
 
     def slot_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2409,10 +2224,6 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
                 "doc_b": pd.array(doc_b, dtype="int64"),
                 "side": pd.array(side, dtype="int64"),
                 "sk": pd.array([b""] * len(doc), dtype="object"),
-                "_db": pd.array(
-                    ((doc.astype(np.uint64) * kn) % cb).astype(np.int64),
-                    dtype="int64",
-                ),
             }
         )
 
@@ -2426,10 +2237,6 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
                 "doc_b": pd.array(np.full(n, -1), dtype="int64"),
                 "side": pd.array(np.full(n, -1), dtype="int64"),
                 "sk": pd.array(list(batch["sk"]), dtype="object"),
-                "_db": pd.array(
-                    ((ids.astype(np.uint64) * kn) % cb).astype(np.int64),
-                    dtype="int64",
-                ),
             }
         )
 
@@ -2441,18 +2248,25 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
         m = slots[["doc", "doc_a", "doc_b", "side"]].merge(
             blobs, on="doc", how="inner"
         )
-        pa_ = m["doc_a"].to_numpy().astype(np.uint64)
-        pb_ = m["doc_b"].to_numpy().astype(np.uint64)
-        m["_pb"] = pd.array(
-            ((pa_ * np.uint64(1000003) + pb_) % cb).astype(np.int64),
-            dtype="int64",
-        )
-        return m[["doc_a", "doc_b", "side", "sk", "_pb"]]
+        return m[["doc_a", "doc_b", "side", "sk"]]
 
     def estimate(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
             ["doc_a", "doc_b", "side"], kind="mergesort"
         ).reset_index(drop=True)
+        sides = g["side"].to_numpy()
+        a_ids, b_ids = g["doc_a"].to_numpy(), g["doc_b"].to_numpy()
+        if len(g) % 2 or not (
+            (sides[0::2] == 0).all()
+            and (sides[1::2] == 1).all()
+            and (a_ids[0::2] == a_ids[1::2]).all()
+            and (b_ids[0::2] == b_ids[1::2]).all()
+        ):
+            raise ValueError(
+                "bottomk_pair_estimates: a pair did not attach exactly "
+                "one sketch blob per endpoint (missing or duplicate "
+                "blob doc ids)"
+            )
         n = len(g) // 2
         A = np.full((n, k), PAD, dtype=np.int64)
         Bm = np.full((n, k), PAD, dtype=np.int64)
@@ -2483,15 +2297,14 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
         )
         return out.loc[out["inter"] >= min_inter]
 
-    slotted = pairs.map_batches(slot_rows, batch_format="pandas")
-    return (
-        slotted.union(
-            blobs_ds.map_batches(blob_rows, batch_format="pandas")
-        )
-        .groupby("_db")
-        .map_groups(attach, batch_format="pandas")
-        .groupby("_pb")
-        .map_groups(estimate, batch_format="pandas")
+    rows = pairs.map_batches(slot_rows, batch_format="pandas").union(
+        blobs_ds.map_batches(blob_rows, batch_format="pandas")
+    )
+    return bucket_aggregate(
+        bucket_aggregate(rows, attach, key="doc", buckets=coarse_buckets),
+        estimate,
+        key=_PAIR,
+        buckets=coarse_buckets,
     )
 
 
@@ -2501,7 +2314,6 @@ def _sketch_hash_rows(batch: pd.DataFrame, parts: int) -> pd.DataFrame:
     shared by :func:`lsh_registry_write` (the written layout) and
     :func:`lsh_registry_query` (the probe), so the partition key can
     never silently desync between the two sides."""
-    kn = np.uint64(2654435761)
     ids = batch["doc_id"].to_numpy().astype(np.int64)
     blobs = list(batch["sk"])
     lens = np.asarray([len(b) // 8 for b in blobs], dtype=np.int64)
@@ -2514,12 +2326,7 @@ def _sketch_hash_rows(batch: pd.DataFrame, parts: int) -> pd.DataFrame:
         {
             "sh": pd.array(sh, dtype="int64"),
             "doc_id": pd.array(np.repeat(ids, lens), dtype="int64"),
-            "hp": pd.array(
-                ((sh.astype(np.uint64) * kn) % np.uint64(parts)).astype(
-                    np.int64
-                ),
-                dtype="int64",
-            ),
+            "hp": pd.array(bucket_of(sh, parts), dtype="int64"),
         }
     )
 
@@ -2531,10 +2338,10 @@ def lsh_registry_write(ds, path: str, k: int = 16, shingle: int = 4,
     parquet layouts under ``path`` —
 
     - ``hashes/hp=<p>/`` — exploded ``(sh, doc_id)`` sketch-hash rows,
-      partitioned by ``hp = knuth(sh) % parts``: the candidate-probe side
+      partitioned by ``hp = bucket_of(sh, parts)``: the candidate-probe side
       (docs sharing any bottom-k hash are near-dup candidates);
     - ``sketches/dp=<p>/`` — per-doc sketch blobs ``(doc_id, sk)``,
-      partitioned by ``dp = knuth(doc_id) % parts``: the verification
+      partitioned by ``dp = bucket_of(doc_id, parts)``: the verification
       side;
 
     plus ``meta.json`` (k, shingle, parts).  Both writes stream
@@ -2547,8 +2354,6 @@ def lsh_registry_write(ds, path: str, k: int = 16, shingle: int = 4,
     import json
     import os
 
-    kn = np.uint64(2654435761)
-
     sk = bottomk_sketch_rows(ds, k=k, shingle=shingle).materialize()
 
     def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2560,12 +2365,7 @@ def lsh_registry_write(ds, path: str, k: int = 16, shingle: int = 4,
             {
                 "doc_id": pd.array(ids, dtype="int64"),
                 "sk": pd.array(list(batch["sk"]), dtype="object"),
-                "dp": pd.array(
-                    ((ids.astype(np.uint64) * kn) % np.uint64(parts)).astype(
-                        np.int64
-                    ),
-                    dtype="int64",
-                ),
+                "dp": pd.array(bucket_of(ids, parts), dtype="int64"),
             }
         )
         return out
@@ -2617,8 +2417,6 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
     with open(os.path.join(path, "meta.json")) as f:
         meta = json.load(f)
     k, shingle, parts = meta["k"], meta["shingle"], meta["parts"]
-    kn = np.uint64(2654435761)
-    cb = np.uint64(coarse_buckets)
 
     nsk = bottomk_sketch_rows(new_ds, k=k, shingle=shingle).materialize()
 
@@ -2697,10 +2495,6 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
                     "side": pd.array(
                         np.full(len(sh), side, np.int64), dtype="int64"
                     ),
-                    "_sb": pd.array(
-                        ((sh.astype(np.uint64) * kn) % cb).astype(np.int64),
-                        dtype="int64",
-                    ),
                 }
             )
 
@@ -2733,15 +2527,12 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
         )
         return df.drop_duplicates(["doc_a", "doc_b"]).astype("int64")
 
-    pairs = (
-        new_hashes.map_batches(tag_side(1), batch_format="pandas")
-        .union(
-            reg_hashes.map_batches(tag_side(0), batch_format="pandas")
-        )
-        .groupby("_sb")
-        .map_groups(cross_pairs, batch_format="pandas")
-        .materialize()  # consumed twice: reg-id extraction + estimation
+    probe = new_hashes.map_batches(tag_side(1), batch_format="pandas").union(
+        reg_hashes.map_batches(tag_side(0), batch_format="pandas")
     )
+    pairs = bucket_aggregate(
+        probe, cross_pairs, key="sh", buckets=coarse_buckets
+    ).materialize()  # consumed twice: id extraction + estimation
     # same guard-before-select rule on the materialized pair list
     if pairs.count() == 0:
         return (
@@ -2749,15 +2540,15 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
         )
     # candidate registry ids -> the dp partitions to open (candidate-
     # bounded driver array, the keep_best/minhash contract)
-    reg_ids = np.unique(
-        pairs.select_columns(["doc_b"]).to_pandas()["doc_b"].to_numpy()
-    )
-    touched_dp = set(
-        int(x)
-        for x in np.unique(
-            (reg_ids.astype(np.uint64) * kn) % np.uint64(parts)
+    ends = pairs.to_pandas()
+    reg_ids = np.unique(ends["doc_b"].to_numpy())
+    shared = np.intersect1d(ends["doc_a"].to_numpy(), reg_ids)
+    if len(shared):
+        raise ValueError(
+            "lsh_registry_query: incoming and registry doc ids must be "
+            f"disjoint; {len(shared)} shared, e.g. {int(shared[0])}"
         )
-    )
+    touched_dp = set(int(x) for x in np.unique(bucket_of(reg_ids, parts)))
     pf2 = PathPartitionFilter.of(
         lambda kv: "dp" in kv and int(kv["dp"]) in touched_dp,
         style="hive",

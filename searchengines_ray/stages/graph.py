@@ -25,11 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-_KNUTH = np.uint64(2654435761)
-
-
-def _nbucket(x: np.ndarray, n: int) -> np.ndarray:
-    return ((x.astype(np.uint64) * _KNUTH) % np.uint64(n)).astype(np.int64)
+from .exchange import bucket_aggregate
 
 
 def connected_components(
@@ -56,7 +52,6 @@ def connected_components(
                 "key": key,
                 "other": other,
                 "kind": np.zeros(len(key), dtype=np.int8),
-                "cb": _nbucket(key, coarse_buckets),
             }
         )
 
@@ -99,7 +94,6 @@ def connected_components(
                 "key": node,
                 "other": batch["label"].to_numpy().astype(np.int64),
                 "kind": np.ones(len(node), dtype=np.int8),
-                "cb": _nbucket(node, coarse_buckets),
             }
         )
 
@@ -124,11 +118,16 @@ def connected_components(
         # combiner: per-group min per node, re-keyed by node bucket so
         # the reduce is one vectorized min per bucket (the native
         # per-node groupby was a sorted exchange of every candidate row)
-        g = df.groupby("node", as_index=False)["cand"].min()
-        g["_nb"] = _nbucket(
-            g["node"].to_numpy().astype(np.int64), coarse_buckets
+        return df.groupby("node", as_index=False)["cand"].min()
+
+    def min_label(g: pd.DataFrame) -> pd.DataFrame:
+        gm = g.groupby("node", as_index=False)["cand"].min()
+        return pd.DataFrame(
+            {
+                "node": gm["node"].astype("int64"),
+                "label": gm["cand"].astype("int64"),
+            }
         )
-        return g
 
     def jump_reqs(batch: pd.DataFrame) -> pd.DataFrame:
         lab = batch["label"].to_numpy().astype(np.int64)
@@ -137,7 +136,6 @@ def connected_components(
                 "key": lab,  # whose label do I need?  my label's.
                 "other": batch["node"].to_numpy().astype(np.int64),
                 "kind": np.zeros(len(lab), dtype=np.int8),
-                "cb": _nbucket(lab, coarse_buckets),
             }
         )
 
@@ -166,21 +164,12 @@ def connected_components(
     while iters < max_iters:
         lrows = labels.map_batches(label_rows, batch_format="pandas")
         # 1) min over closed neighborhood (combiner-backed groupby.min)
+        cands = bucket_aggregate(
+            edges.union(lrows), propagate, key="key", buckets=coarse_buckets
+        )
         labels = (
-            edges.union(lrows)
-            .groupby("cb")
-            .map_groups(propagate, batch_format="pandas")
-            .groupby("_nb")
-            .map_groups(
-                lambda g: pd.DataFrame(
-                    {
-                        "node": (gm := g.groupby(
-                            "node", as_index=False
-                        )["cand"].min())["node"].astype("int64"),
-                        "label": gm["cand"].astype("int64"),
-                    }
-                ),
-                batch_format="pandas",
+            bucket_aggregate(
+                cands, min_label, key="node", buckets=coarse_buckets
             )
             .repartition(nblocks)
             .materialize()  # bounded (one row per node); an unmaterialized
@@ -206,11 +195,11 @@ def connected_components(
         # confirms the fixpoint (vs alternating 1:1, which pays the edge
         # shuffle O(log diameter) times)
         while iters < max_iters:
+            reqs = labels.map_batches(jump_reqs, batch_format="pandas").union(
+                labels.map_batches(label_rows, batch_format="pandas")
+            )
             labels = (
-                labels.map_batches(jump_reqs, batch_format="pandas")
-                .union(labels.map_batches(label_rows, batch_format="pandas"))
-                .groupby("cb")
-                .map_groups(jump, batch_format="pandas")
+                bucket_aggregate(reqs, jump, key="key", buckets=coarse_buckets)
                 .repartition(nblocks)
                 .materialize()
             )
@@ -320,12 +309,10 @@ def pagerank(
 
     def edge_partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch[["src", "dst"]].drop_duplicates()
-        s = b["src"].to_numpy().astype(np.int64)
         return pd.DataFrame(
             {
-                "src": s,
+                "src": b["src"].to_numpy().astype(np.int64),
                 "dst": b["dst"].to_numpy().astype(np.int64),
-                "_sb": _nbucket(s, coarse_buckets),
             }
         )
 
@@ -338,12 +325,13 @@ def pagerank(
 
     # one src-keyed shuffle: exact (src,dst) dedup (duplicates share a
     # src so they co-locate) + outdegree in the same map_groups
-    ewd = (
-        edges_ds.map_batches(edge_partial, batch_format="pandas")
-        .groupby("_sb")
-        .map_groups(dedup_with_deg, batch_format="pandas")
-        .materialize()
-    )
+    ewd = bucket_aggregate(
+        edges_ds,
+        dedup_with_deg,
+        key="src",
+        buckets=coarse_buckets,
+        partial=edge_partial,
+    ).materialize()
 
     if ewd.count() <= local_max_edges:
         # bounded fast path: all iterations in one task, identical
@@ -383,9 +371,7 @@ def pagerank(
         has_in = np.concatenate(
             [np.zeros(len(s), np.int64), np.ones(len(d), np.int64)]
         )
-        return pd.DataFrame(
-            {"node": n, "has_in": has_in, "_cb": _nbucket(n, coarse_buckets)}
-        )
+        return pd.DataFrame({"node": n, "has_in": has_in})
 
     def node_final(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("node", as_index=False)["has_in"].max()
@@ -397,12 +383,13 @@ def pagerank(
         )
 
     # one node-keyed shuffle: distinct nodes + "has any in-edge" flag
-    nodes = (
-        ewd.map_batches(node_partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(node_final, batch_format="pandas")
-        .materialize()
-    )
+    nodes = bucket_aggregate(
+        ewd,
+        node_final,
+        key="node",
+        buckets=coarse_buckets,
+        partial=node_partial,
+    ).materialize()
     n_nodes = nodes.count()
     if n_nodes == 0:
         return nodes.map_batches(
@@ -458,9 +445,7 @@ def pagerank(
         s = batch["r_r"].to_numpy().astype(np.int64) // batch[
             "od"
         ].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {"node": d, "s": s, "_cb": _nbucket(d, coarse_buckets)}
-        )
+        return pd.DataFrame({"node": d, "s": s})
 
     def next_rank(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("node", as_index=False)["s"].sum()
@@ -480,12 +465,13 @@ def pagerank(
             right_cols=("r",), coarse_buckets=coarse_buckets,
             left_schema_hint=ewd_schema, right_schema_hint=rank_schema,
         )
-        ranks = (
-            joined.map_batches(contrib, batch_format="pandas")
-            .groupby("_cb")
-            .map_groups(next_rank, batch_format="pandas")
-            .union(noin)
-        )
+        ranks = bucket_aggregate(
+            joined,
+            next_rank,
+            key="node",
+            buckets=coarse_buckets,
+            partial=contrib,
+        ).union(noin)
         if (i + 1) % 3 == 0 and i + 1 < iters:
             ranks = ranks.repartition(nblocks)
     return ranks
@@ -539,24 +525,23 @@ def hits(
 
     def edge_partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch[["src", "dst"]].drop_duplicates()
-        s = b["src"].to_numpy().astype(np.int64)
         return pd.DataFrame(
             {
-                "src": s,
+                "src": b["src"].to_numpy().astype(np.int64),
                 "dst": b["dst"].to_numpy().astype(np.int64),
-                "_sb": _nbucket(s, coarse_buckets),
             }
         )
 
     def dedup(group: pd.DataFrame) -> pd.DataFrame:
         return group[["src", "dst"]].drop_duplicates()
 
-    ewd = (
-        edges_ds.map_batches(edge_partial, batch_format="pandas")
-        .groupby("_sb")
-        .map_groups(dedup, batch_format="pandas")
-        .materialize()
-    )
+    ewd = bucket_aggregate(
+        edges_ds,
+        dedup,
+        key="src",
+        buckets=coarse_buckets,
+        partial=edge_partial,
+    ).materialize()
 
     empty = pd.DataFrame(
         {
@@ -617,18 +602,19 @@ def hits(
                 ]
             )
         )
-        return pd.DataFrame({"node": n, "_cb": _nbucket(n, coarse_buckets)})
+        return pd.DataFrame({"node": n})
 
     def node_final(group: pd.DataFrame) -> pd.DataFrame:
         n = np.unique(group["node"].to_numpy().astype(np.int64))
         return pd.DataFrame({"node": n})
 
-    nodes = (
-        ewd.map_batches(node_partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(node_final, batch_format="pandas")
-        .materialize()
-    )
+    nodes = bucket_aggregate(
+        ewd,
+        node_final,
+        key="node",
+        buckets=coarse_buckets,
+        partial=node_partial,
+    ).materialize()
 
     ewd_schema = {"src": np.dtype(np.int64), "dst": np.dtype(np.int64)}
     val_schema = {"node": np.dtype(np.int64), "v": np.dtype(np.int64)}
@@ -649,7 +635,6 @@ def hits(
                 {
                     "node": d,
                     "s": batch["r_v"].to_numpy().astype(np.int64),
-                    "_cb": _nbucket(d, coarse_buckets),
                 }
             )
 
@@ -657,12 +642,13 @@ def hits(
             g = group.groupby("node", as_index=False)["s"].sum()
             return g.astype({"node": "int64", "s": "int64"})
 
-        sums = (
-            joined.map_batches(contrib, batch_format="pandas")
-            .groupby("_cb")
-            .map_groups(bucket_sum, batch_format="pandas")
-            .materialize()
-        )
+        sums = bucket_aggregate(
+            joined,
+            bucket_sum,
+            key="node",
+            buckets=coarse_buckets,
+            partial=contrib,
+        ).materialize()
         m = sums.max("s") if sums.count() else 0
         m = int(m) if m is not None else 0
         if m >= max_norm:
@@ -776,25 +762,15 @@ def triangle_count(
         return group[["doc_a", "doc_b"]].drop_duplicates()
 
     def edge_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch[["doc_a", "doc_b"]].drop_duplicates()
-        a = b["doc_a"].to_numpy().astype(np.int64)
-        c = b["doc_b"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {
-                "doc_a": a,
-                "doc_b": c,
-                "_cb": _nbucket(
-                    a * np.int64(1000003) + c, coarse_buckets
-                ),
-            }
-        )
+        return batch[["doc_a", "doc_b"]].drop_duplicates().astype(np.int64)
 
-    edges = (
-        pairs_ds.map_batches(edge_partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(dedup_edges, batch_format="pandas")
-        .materialize()
-    )
+    edges = bucket_aggregate(
+        pairs_ds,
+        dedup_edges,
+        key=["doc_a", "doc_b"],
+        buckets=coarse_buckets,
+        partial=edge_partial,
+    ).materialize()
 
     if edges.count() <= local_max_edges:
         e = edges.to_pandas()
@@ -840,23 +816,15 @@ def triangle_count(
             ]
         )
         u, c = np.unique(n, return_counts=True)
-        return pd.DataFrame(
-            {
-                "node": u,
-                "deg": c.astype(np.int64),
-                "_cb": _nbucket(u, coarse_buckets),
-            }
-        )
+        return pd.DataFrame({"node": u, "deg": c.astype(np.int64)})
 
-    deg = (
-        edges.map_batches(deg_partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(
-            lambda g: g.groupby("node", as_index=False)["deg"].sum(),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    deg = bucket_aggregate(
+        edges,
+        lambda g: g.groupby("node", as_index=False)["deg"].sum(),
+        key="node",
+        buckets=coarse_buckets,
+        partial=deg_partial,
+    ).materialize()
 
     i64 = np.dtype(np.int64)
     ewd = hash_equijoin(
@@ -897,7 +865,6 @@ def triangle_count(
                 "dst": dst,
                 "sdeg": sd,
                 "ddeg": dd,
-                "_sb": _nbucket(src, coarse_buckets),
             }
         )
 
@@ -935,29 +902,23 @@ def triangle_count(
             }
         )
 
-    def add_wb(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["_wb"] = _nbucket(
-            b["v"].to_numpy().astype(np.int64) * np.int64(1000003)
-            + b["w"].to_numpy().astype(np.int64),
-            coarse_buckets,
-        )
-        return b
-
     def close_count(group: pd.DataFrame) -> pd.DataFrame:
         is_edge = group["kind"].to_numpy() == 1
         e = group.loc[is_edge, ["v", "w"]].drop_duplicates()
         wedges = group.loc[~is_edge, ["v", "w"]]
         return pd.DataFrame({"n": [int(len(wedges.merge(e, on=["v", "w"])))]})
 
-    tagged = (
-        oriented.groupby("_sb")
-        .map_groups(wedge_rows, batch_format="pandas")
-        .union(oriented.map_batches(edge_key_rows, batch_format="pandas"))
-        .map_batches(add_wb, batch_format="pandas")
+    wedges = bucket_aggregate(
+        oriented, wedge_rows, key="src", buckets=coarse_buckets
     )
-    total = tagged.groupby("_wb").map_groups(
-        close_count, batch_format="pandas"
+    tagged = wedges.union(
+        oriented.map_batches(edge_key_rows, batch_format="pandas")
+    )
+    total = bucket_aggregate(
+        tagged,
+        close_count,
+        key=["v", "w"],
+        buckets=coarse_buckets,
     ).sum("n")
     return int(total or 0)
 
@@ -982,13 +943,6 @@ def anchor_text_agg(links_ds, buckets: int = 64):
     """
     import pandas as pd
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["src", "dst", "j", "anchor"]].copy()
-        out["_b"] = (
-            out["dst"].to_numpy().astype(np.int64) % buckets
-        ).astype(np.int32)
-        return out
-
     def agg(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["dst", "src", "j"], kind="mergesort")
         per = g.groupby("dst", sort=True)
@@ -1000,10 +954,11 @@ def anchor_text_agg(links_ds, buckets: int = 64):
             }
         )
 
-    return (
-        links_ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(agg, batch_format="pandas")
+    return bucket_aggregate(
+        links_ds.select_columns(["src", "dst", "j", "anchor"]),
+        agg,
+        key="dst",
+        buckets=buckets,
     )
 
 
@@ -1189,7 +1144,6 @@ def random_walks(
                 "dst": batch["dst"].to_numpy().astype(np.int64),
                 "start": np.full(len(s), -1, dtype=np.int64),
                 "cur": np.full(len(s), -1, dtype=np.int64),
-                "_b": _nbucket(s, coarse_buckets),
             }
         )
 
@@ -1201,7 +1155,6 @@ def random_walks(
                 "dst": np.full(len(c), -1, dtype=np.int64),
                 "start": batch["start"].to_numpy().astype(np.int64),
                 "cur": c,
-                "_b": _nbucket(c, coarse_buckets),
             }
         )
 
@@ -1236,6 +1189,12 @@ def random_walks(
             }
         )
 
+    def walk_key(b: pd.DataFrame) -> np.ndarray:
+        # edge rows (start -1) meet the walks standing at their src
+        return np.where(
+            b["start"].to_numpy() < 0, b["src"].to_numpy(), b["cur"].to_numpy()
+        )
+
     from functools import partial
 
     eb = edges_ds.map_batches(edge_rows, batch_format="pandas")
@@ -1251,11 +1210,12 @@ def random_walks(
                 )
             )
         )
-        frontier = (
-            inp.groupby("_b")
-            .map_groups(partial(_step_group, t=t), batch_format="pandas")
-            .materialize()
-        )
+        frontier = bucket_aggregate(
+            inp,
+            partial(_step_group, t=t),
+            key=walk_key,
+            buckets=coarse_buckets,
+        ).materialize()
         outs.append((t, frontier))
 
     def stamp(batch: pd.DataFrame, t: int) -> pd.DataFrame:
@@ -1339,13 +1299,11 @@ def adamic_adar(edges_ds, cap: int = 64, topk: int = 50,
 
     from .rank import grouped_topk
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        src = batch["src"].to_numpy().astype(np.int64)
+    def edge_rows(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "src": src,
+                "src": batch["src"].to_numpy().astype(np.int64),
                 "dst": batch["dst"].to_numpy().astype(np.int64),
-                "_cb": _nbucket(src, coarse_buckets),
             }
         )
 
@@ -1390,30 +1348,31 @@ def adamic_adar(edges_ds, cap: int = 64, topk: int = 50,
         c = df.groupby("pair", as_index=False)["w"].sum()
         return c.astype({"pair": "int64", "w": "int64"})
 
-    def sum_tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["_cb"] = _nbucket(
-            batch["pair"].to_numpy().astype(np.int64), coarse_buckets
-        )
-        return batch
-
     def sum_final(group: pd.DataFrame) -> pd.DataFrame:
         c = group.groupby("pair", as_index=False)["w"].sum()
         c["const"] = np.int64(0)
         return c.astype({"pair": "int64", "w": "int64", "const": "int64"})
 
-    sums = (
-        edges_ds.map_batches(tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(wedge_pairs, batch_format="pandas")
-        .map_batches(sum_tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(sum_final, batch_format="pandas")
-        # materialize before grouped_topk: its ds.schema() probe would
-        # otherwise partially EXECUTE the lazy wedge pipeline a second
-        # time (the paid-for schema-on-lazy lesson)
-        .materialize()
+    pair_sums = bucket_aggregate(
+        edges_ds,
+        wedge_pairs,
+        key="src",
+        buckets=coarse_buckets,
+        partial=edge_rows,
     )
+    # materialize before grouped_topk: its ds.schema() probe would
+    # otherwise partially EXECUTE the lazy wedge pipeline a second time
+    # (the paid-for schema-on-lazy lesson)
+    sums = bucket_aggregate(
+        pair_sums, sum_final, key="pair", buckets=coarse_buckets
+    ).materialize()
+    if sums.count() == 0:  # no wedge: an empty Dataset has no schema
+        return pd.DataFrame(
+            {
+                c: pd.array([], dtype="int64")
+                for c in ("node_a", "node_b", "score_micro")
+            }
+        )
     top = grouped_topk(
         sums, by="const", val_col="w", k=topk, tie_col="pair"
     ).to_pandas()
@@ -1474,19 +1433,18 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
         s, d = s[keep], d[keep]
         ss = np.concatenate([s, d])
         dd = np.concatenate([d, s])
-        df = pd.DataFrame({"src": ss, "dst": dd}).drop_duplicates()
-        df["_sb"] = _nbucket(df["src"].to_numpy(), coarse_buckets)
-        return df
+        return pd.DataFrame({"src": ss, "dst": dd}).drop_duplicates()
 
     def dedup(group: pd.DataFrame) -> pd.DataFrame:
         return group[["src", "dst"]].drop_duplicates()
 
-    ewd = (
-        edges_ds.map_batches(sym_partial, batch_format="pandas")
-        .groupby("_sb")
-        .map_groups(dedup, batch_format="pandas")
-        .materialize()
-    )
+    ewd = bucket_aggregate(
+        edges_ds,
+        dedup,
+        key="src",
+        buckets=coarse_buckets,
+        partial=sym_partial,
+    ).materialize()
 
     empty = pd.DataFrame(
         {
@@ -1522,21 +1480,19 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
 
     import ray.data  # noqa: F401  (Dataset ops below)
 
+    def deg_partial(batch: pd.DataFrame) -> pd.DataFrame:
+        c = batch.groupby("src", as_index=False).size()
+        return pd.DataFrame(
+            {
+                "src": c["src"].astype("int64"),
+                "n": c["size"].astype("int64"),
+            }
+        )
+
     cur = ewd
     schema_hint = {"src": np.dtype("int64"), "dst": np.dtype("int64")}
     surv_hint = {"node": np.dtype("int64")}
     for _ in range(rounds):
-        def deg_partial(batch: pd.DataFrame) -> pd.DataFrame:
-            c = batch.groupby("src", as_index=False).size()
-            out = pd.DataFrame(
-                {
-                    "src": c["src"].astype("int64"),
-                    "n": c["size"].astype("int64"),
-                }
-            )
-            out["_cb"] = _nbucket(out["src"].to_numpy(), coarse_buckets)
-            return out
-
         def deg_final(group: pd.DataFrame) -> pd.DataFrame:
             c = group.groupby("src", as_index=False)["n"].sum()
             alive = c.loc[c["n"] >= k, ["src"]].rename(
@@ -1544,12 +1500,13 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
             )
             return alive.astype("int64")
 
-        survivors = (
-            cur.map_batches(deg_partial, batch_format="pandas")
-            .groupby("_cb")
-            .map_groups(deg_final, batch_format="pandas")
-            .materialize()  # consumed by two semi-joins
-        )
+        survivors = bucket_aggregate(
+            cur,
+            deg_final,
+            key="src",
+            buckets=coarse_buckets,
+            partial=deg_partial,
+        ).materialize()  # consumed by two semi-joins
         nxt = hash_equijoin(
             cur,
             survivors,
@@ -1578,17 +1535,6 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
             break  # quiescent
         cur = nxt
 
-    def final_deg_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        c = batch.groupby("src", as_index=False).size()
-        out = pd.DataFrame(
-            {
-                "src": c["src"].astype("int64"),
-                "n": c["size"].astype("int64"),
-            }
-        )
-        out["_cb"] = _nbucket(out["src"].to_numpy(), coarse_buckets)
-        return out
-
     def final_deg(group: pd.DataFrame) -> pd.DataFrame:
         c = group.groupby("src", as_index=False)["n"].sum()
         keep = c.loc[c["n"] >= k]
@@ -1599,12 +1545,13 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
             }
         )
 
-    out = (
-        cur.map_batches(final_deg_partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(final_deg, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_aggregate(
+        cur,
+        final_deg,
+        key="src",
+        buckets=coarse_buckets,
+        partial=deg_partial,
+    ).to_pandas()
     if len(out) == 0:
         return empty
     return (

@@ -26,11 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-_KNUTH = np.uint64(2654435761)
-
-
-def _kbucket(x: np.ndarray, n: int) -> np.ndarray:
-    return ((x.astype(np.uint64) * _KNUTH) % np.uint64(n)).astype(np.int64)
+from .exchange import bucket_aggregate
 
 
 def _placeholder(col_type, n: int) -> pd.Series:
@@ -103,7 +99,6 @@ def interval_join(
         for c in rpayload:  # right payload placeholders (int64 contract)
             b[f"_r_{c}"] = np.int64(-1)
         b["_side"] = np.int8(0)
-        b["_cb"] = _kbucket(b[by].to_numpy(np.int64), coarse_buckets)
         b["_ts_us"] = b[on].astype("datetime64[us]").astype("int64")
         b["_s_us"] = np.int64(0)
         b["_e_us"] = np.int64(0)
@@ -126,7 +121,6 @@ def interval_join(
         for c in rpayload:
             b[f"_r_{c}"] = batch[c].to_numpy().astype(np.int64)
         b["_side"] = np.int8(1)
-        b["_cb"] = _kbucket(batch[by].to_numpy(np.int64), coarse_buckets)
         b["_ts_us"] = np.int64(0)
         b["_s_us"] = (
             batch[start].astype("datetime64[us]").astype("int64").to_numpy()
@@ -194,8 +188,8 @@ def interval_join(
     tagged = left_ds.map_batches(tag_left, batch_format="pandas").union(
         right_ds.map_batches(tag_right, batch_format="pandas")
     )
-    return tagged.groupby("_cb").map_groups(
-        join_bucket, batch_format="pandas"
+    return bucket_aggregate(
+        tagged, join_bucket, key=[by], buckets=coarse_buckets
     )
 
 
@@ -228,7 +222,6 @@ def asof_join(
         def _t(batch: pd.DataFrame) -> pd.DataFrame:
             b = batch.copy()
             b["_side"] = np.int8(side)
-            b["_cb"] = _kbucket(b[by].to_numpy(np.int64), coarse_buckets)
             b["_ts_us"] = b[on].astype("datetime64[us]").astype("int64")
             return b
 
@@ -272,8 +265,8 @@ def asof_join(
     tagged = left_ds.map_batches(tag(0), batch_format="pandas").union(
         right_ds.map_batches(tag(1), batch_format="pandas")
     )
-    return tagged.groupby("_cb").map_groups(
-        join_bucket, batch_format="pandas"
+    return bucket_aggregate(
+        tagged, join_bucket, key=[by], buckets=coarse_buckets
     )
 
 
@@ -308,8 +301,6 @@ def hash_equijoin(
     ``r_<col>`` for each of ``right_cols``.  Join keys must share an
     integer or string type; rows with no match are dropped (inner).
     """
-    import zlib
-
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"how must be inner|left|semi|anti, got {how!r}")
     # Schema hints (name -> numpy/arrow dtype) spare a ``.schema()``
@@ -330,16 +321,6 @@ def hash_equijoin(
         right_types = dict(zip(rschema.names, rschema.types))
     rpayload = list(right_cols)
 
-    def _bucket(col: pd.Series) -> np.ndarray:
-        vals = col.to_numpy()
-        if np.issubdtype(vals.dtype, np.integer):
-            return _kbucket(vals.astype(np.int64), coarse_buckets)
-        return np.fromiter(
-            (zlib.crc32(str(x).encode()) % coarse_buckets for x in vals),
-            np.int64,
-            len(vals),
-        )
-
     def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.copy()
         n = len(b)
@@ -348,7 +329,6 @@ def hash_equijoin(
                 b.index
             )
         b["_side"] = np.int8(0)
-        b["_cb"] = _bucket(b[left_on])
         return b
 
     def tag_right(batch: pd.DataFrame) -> pd.DataFrame:
@@ -366,7 +346,6 @@ def hash_equijoin(
         for c in rpayload:
             b[f"_r_{c}"] = batch[c].reset_index(drop=True)
         b["_side"] = np.int8(1)
-        b["_cb"] = _bucket(batch[right_on])
         return b
 
     def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -398,8 +377,9 @@ def hash_equijoin(
     tagged = left_ds.map_batches(tag_left, batch_format="pandas").union(
         right_ds.map_batches(tag_right, batch_format="pandas")
     )
-    return tagged.groupby("_cb").map_groups(
-        join_bucket, batch_format="pandas"
+    # the right key rides in the left_on column of the tagged rows
+    return bucket_aggregate(
+        tagged, join_bucket, key=left_on, buckets=coarse_buckets
     )
 
 

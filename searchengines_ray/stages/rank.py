@@ -15,23 +15,10 @@ DESC, tie ASC) <= k``.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 
-
-def _key_bucket(col: pd.Series, n: int) -> np.ndarray:
-    if np.issubdtype(col.dtype, np.integer):
-        return (
-            (col.to_numpy().astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(n)
-        ).astype(np.int32)
-    return np.fromiter(
-        (zlib.crc32(str(x).encode()) % n for x in col),
-        np.int32,
-        len(col),
-    )
+from .exchange import bucket_aggregate
 
 
 def grouped_quantiles(
@@ -62,7 +49,6 @@ def grouped_quantiles(
         g = batch.groupby([by, val_col], as_index=False).size()
         g = g.rename(columns={"size": "cnt"})
         g["cnt"] = g["cnt"].astype("int64")
-        g["_cb"] = _key_bucket(g[by], coarse_buckets)
         return g
 
     def final(group: pd.DataFrame) -> pd.DataFrame:
@@ -94,10 +80,8 @@ def grouped_quantiles(
             )
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(final, batch_format="pandas")
+    return bucket_aggregate(
+        ds, final, key=by, buckets=coarse_buckets, partial=partial
     )
 
 
@@ -120,9 +104,7 @@ def grouped_topk(
             ascending=[True, ascending, True],
             kind="mergesort",
         )
-        b = b.groupby(by, sort=False).head(k)
-        b["_cb"] = _key_bucket(b[by], coarse_buckets)
-        return b
+        return b.groupby(by, sort=False).head(k)
 
     def final_topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -132,10 +114,8 @@ def grouped_topk(
         )
         return g.groupby(by, sort=False).head(k)[cols]
 
-    return (
-        ds.map_batches(partial_topk, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(final_topk, batch_format="pandas")
+    return bucket_aggregate(
+        ds, final_topk, key=by, buckets=coarse_buckets, partial=partial_topk
     )
 
 
@@ -236,7 +216,6 @@ def ranking_eval(
                 keep[qid_col].to_numpy()[first]
             ].to_numpy()
             keep[col] = vals
-        keep["_cb"] = _key_bucket(keep[qid_col], coarse_buckets)
         return keep
 
     def final(group: pd.DataFrame) -> pd.DataFrame:
@@ -319,10 +298,8 @@ def ranking_eval(
             ]
         ]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(final, batch_format="pandas")
+    return bucket_aggregate(
+        ds, final, key=qid_col, buckets=coarse_buckets, partial=partial
     )
 
 
@@ -369,10 +346,6 @@ def bradley_terry(events_ds, iters: int = 5, scale: int = 10**6,
                 .astype("int64"),
                 "event_type": batch["event_type"],
                 "value": batch["value"].to_numpy().astype(np.float64),
-                "_cb": (
-                    (u.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(coarse_buckets)
-                ).astype(np.int64),
             }
         )
 
@@ -401,12 +374,13 @@ def bradley_terry(events_ds, iters: int = 5, scale: int = 10**6,
             }
         )
 
-    pairs = (
-        events_ds.map_batches(tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(duel_partials, batch_format="pandas")
-        .to_pandas()  # bounded: <= T^2 rows per coarse bucket
-    )
+    pairs = bucket_aggregate(
+        events_ds,
+        duel_partials,
+        key="user_id",
+        buckets=coarse_buckets,
+        partial=tag,
+    ).to_pandas()  # bounded: <= T^2 rows per coarse bucket
     if len(pairs) == 0:
         return pd.DataFrame(
             {

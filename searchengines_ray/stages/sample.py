@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_aggregate
+
 _KNUTH = 2654435761
 _M31P1 = 2147483648  # 2^31
 _M32 = 4294967296  # 2^32
@@ -171,19 +173,14 @@ def consistent_sample(ds, k: int, key: str = "doc_id"):
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.copy()
         b["_h"] = _hll_hash(batch[key].to_numpy())
-        b = bottomk(b)
-        b["_b1"] = b["_h"].to_numpy() % buckets
-        b["_b2"] = np.int64(0)
-        return b
+        return bottomk(b)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_b1")
-        .map_groups(bottomk, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(
-            lambda g: bottomk(g)[cols], batch_format="pandas"
-        )
+    per_bucket = bucket_aggregate(
+        ds, bottomk, key="_h", buckets=buckets, partial=partial
+    )
+    # one bucket: the final task sees every per-bucket bottom-k
+    return bucket_aggregate(
+        per_bucket, lambda g: bottomk(g)[cols], key="_h", buckets=1
     )
 
 

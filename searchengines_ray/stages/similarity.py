@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_aggregate
+
 
 def _as_matrix(col) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=np.float64) for v in col])
@@ -50,12 +52,6 @@ def _merge_topk_ds(partials, k: int, buckets: int = 64):
     groupby('query_id').map_groups here would pay one Python callback
     per query — the fine-key anti-pattern)."""
 
-    def add_b(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["_b"] = (
-            batch["query_id"].to_numpy().astype(np.int64) % buckets
-        ).astype(np.int32)
-        return batch
-
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
             ["query_id", "cosine", "vec_id"],
@@ -68,11 +64,7 @@ def _merge_topk_ds(partials, k: int, buckets: int = 64):
         g = g.loc[g["rank"] <= k]
         return g[["query_id", "vec_id", "cosine", "rank"]]
 
-    return (
-        partials.map_batches(add_b, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return bucket_aggregate(partials, merge, key="query_id", buckets=buckets)
 
 
 def _merge_topk(partials, k: int) -> pd.DataFrame:

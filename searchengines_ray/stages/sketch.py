@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_aggregate
 from .text import _flat_word_stream, _poly_word_hashes
 
 _M31 = 2147483647
@@ -89,19 +90,18 @@ def cms_counts(ds, width: int = 512, depth: int = 3,
                 }
             )
         )
-        out["_cb"] = (
-            out["d"].to_numpy() * width + out["cell"].to_numpy()
-        ) % coarse_buckets
         return out
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby(["d", "cell"], as_index=False)["cnt"].sum()
         return g.astype({"d": "int64", "cell": "int64", "cnt": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(merge, batch_format="pandas")
+    return bucket_aggregate(
+        ds,
+        merge,
+        key=["d", "cell"],
+        buckets=coarse_buckets,
+        partial=partial,
     )
 
 
@@ -163,7 +163,6 @@ def hll_registers(ds, key: str = "doc_id", p: int = 8):
             {
                 "bucket": g["bucket"].astype("int64"),
                 "max_rho": g["rho"].astype("int64"),
-                "_cb": g["bucket"].astype("int64"),
             }
         )
 
@@ -171,10 +170,8 @@ def hll_registers(ds, key: str = "doc_id", p: int = 8):
         g = group.groupby("bucket", as_index=False)["max_rho"].max()
         return g.astype({"bucket": "int64", "max_rho": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(merge, batch_format="pandas")
+    return bucket_aggregate(
+        ds, merge, key="bucket", buckets=m, partial=partial
     )
 
 
@@ -260,13 +257,12 @@ def bloom_member(ds, bloom_bits: np.ndarray, text_col: str = "text",
         vocab, _, _, _ = _flat_word_stream(list(batch[text_col]))
         words = [w for w in vocab if w]
         if not words:
-            # must carry the groupby key too — a keyless empty block
-            # kills the downstream sort ("no such column '_b'")
+            # must carry the exchange key too — a keyless empty block
+            # kills the downstream sort
             return pd.DataFrame(
                 {
                     "term": pd.array([], dtype="object"),
                     "in_bloom": pd.array([], dtype="int64"),
-                    "_b": pd.array([], dtype="int32"),
                 }
             )
         h1 = _poly_word_hashes(words, 131)
@@ -281,23 +277,17 @@ def bloom_member(ds, bloom_bits: np.ndarray, text_col: str = "text",
                 "in_bloom": pd.array(
                     ok.astype(np.int64), dtype="int64"
                 ),
-                # coarse dedup key: the fine-key groupby('term') shape
-                # costs one Python callback per distinct token (the
-                # sessionize 150s->11s lesson); 64 hash buckets dedup the
-                # same rows in 64 vectorized callbacks
-                "_b": pd.array(
-                    (h1 % np.int64(64)).astype(np.int32), dtype="int32"
-                ),
             }
         )
 
     def dedup(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates("term")[["term", "in_bloom"]]
 
-    return (
-        ds.map_batches(check, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(dedup, batch_format="pandas")
+    # coarse dedup: the fine-key groupby('term') shape costs one Python
+    # callback per distinct token (the sessionize 150s->11s lesson); 64
+    # term buckets dedup the same rows in 64 vectorized callbacks
+    return bucket_aggregate(
+        ds, dedup, key="term", buckets=64, partial=check
     )
 
 
@@ -317,8 +307,6 @@ def hll_group_registers(ds, group_col: str = "event_type",
     vectorized per-bucket pandas max (never a Ray-native fine-key
     groupby).  Returns a Dataset ``(group_col, bucket, max_rho)``.
     """
-    import zlib
-
     m = 1 << p
     suffix_bits = 32 - p
 
@@ -331,16 +319,11 @@ def hll_group_registers(ds, group_col: str = "event_type",
             {group_col: batch[group_col], "bucket": bucket, "rho": rho}
         )
         g = df.groupby([group_col, "bucket"], as_index=False)["rho"].max()
-        cb = {
-            v: zlib.crc32(str(v).encode()) % coarse_buckets
-            for v in g[group_col].unique()
-        }
         return pd.DataFrame(
             {
                 group_col: g[group_col],
                 "bucket": g["bucket"].astype("int64"),
                 "max_rho": g["rho"].astype("int64"),
-                "_cb": g[group_col].map(cb).astype("int64"),
             }
         )
 
@@ -350,8 +333,6 @@ def hll_group_registers(ds, group_col: str = "event_type",
         ].max()
         return g.astype({"bucket": "int64", "max_rho": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(merge, batch_format="pandas")
+    return bucket_aggregate(
+        ds, merge, key=group_col, buckets=coarse_buckets, partial=partial
     )

@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 
 from ..analysis import _ASCII_LOWER, LUCENE_STOPWORDS
+from .exchange import bucket_aggregate, bucket_of
 
 _WORD = re.compile(r"[0-9a-z]+")
 _WS = re.compile(r"\S+")
@@ -699,7 +700,6 @@ def source_kl_divergence(ds, buckets: int = 64):
     order-free by the frozen ln contract, SQL-replicable.  Returns
     ``(source, n_tokens, kl_nano)``."""
     import math
-    import zlib
 
     import pyarrow as pa
 
@@ -710,7 +710,6 @@ def source_kl_divergence(ds, buckets: int = 64):
                 "source": pa.array([], pa.string()),
                 "term": pa.array([], pa.string()),
                 "cnt": pa.array([], pa.int64()),
-                "_b": pa.array([], pa.int32()),
             }
         )
         if not len(vids):
@@ -731,29 +730,17 @@ def source_kl_divergence(ds, buckets: int = 64):
                 "source": pa.array(out_src, pa.string()),
                 "term": pa.array(terms, pa.string()),
                 "cnt": pa.array(cnt.astype(np.int64)),
-                "_b": pa.array(
-                    np.fromiter(
-                        (zlib.crc32(t.encode()) % buckets for t in terms),
-                        np.int32,
-                        len(terms),
-                    )
-                ),
             }
         )
 
-    counts = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(
-            # every row in a group shares one _b by construction — carry
-            # the constant, never recompute crc32 per term
-            lambda g: g.groupby(["source", "term"], as_index=False)["cnt"]
-            .sum()
-            .assign(_b=np.int32(g["_b"].iat[0]) if len(g) else g["_b"]),
-            batch_format="pandas",
-        )
-        .materialize()  # consumed twice: totals + contributions
-    )
+    counts = bucket_aggregate(
+        ds,
+        lambda g: g.groupby(["source", "term"], as_index=False)["cnt"].sum(),
+        key="term",
+        buckets=buckets,
+        partial=count_partial,
+        batch_format="pyarrow",
+    ).materialize()  # consumed twice: totals + contributions
 
     # per-source totals: n_sources rows — the only driver structure
     totals = (
@@ -799,8 +786,7 @@ def source_kl_divergence(ds, buckets: int = 64):
         return out.groupby("source", as_index=False)["kl_nano"].sum()
 
     kl = (
-        counts.groupby("_b")
-        .map_groups(contrib, batch_format="pandas")
+        bucket_aggregate(counts, contrib, key="term", buckets=buckets)
         .to_pandas()
         .groupby("source", as_index=False)["kl_nano"]
         .sum()
@@ -826,8 +812,6 @@ def vocab_growth(ds, steps: int = 10, buckets: int = 64):
     doc_ids < threshold are "the first k/steps of the corpus" (doc_ids
     are dense 0..n-1 by the input contract).  Returns
     ``(step, n_docs_prefix, vocab_size)``."""
-    import zlib
-
     import pyarrow as pa
 
     n_docs = ds.count()
@@ -838,7 +822,6 @@ def vocab_growth(ds, steps: int = 10, buckets: int = 64):
             {
                 "term": pa.array([], pa.string()),
                 "first_doc": pa.array([], pa.int64()),
-                "_b": pa.array([], pa.int32()),
             }
         )
         if not len(vids):
@@ -859,13 +842,6 @@ def vocab_growth(ds, steps: int = 10, buckets: int = 64):
             {
                 "term": pa.array(terms, pa.string()),
                 "first_doc": pa.array(fd),
-                "_b": pa.array(
-                    np.fromiter(
-                        (zlib.crc32(t.encode()) % buckets for t in terms),
-                        np.int32,
-                        len(terms),
-                    )
-                ),
             }
         )
 
@@ -885,9 +861,14 @@ def vocab_growth(ds, steps: int = 10, buckets: int = 64):
         )
 
     hist = (
-        ds.map_batches(first_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(bucket_hist, batch_format="pandas")
+        bucket_aggregate(
+            ds,
+            bucket_hist,
+            key="term",
+            buckets=buckets,
+            partial=first_partial,
+            batch_format="pyarrow",
+        )
         .to_pandas()
         .groupby("step")["cnt"]
         .sum()
@@ -1048,21 +1029,13 @@ def _fit_capped_unigram(ds, max_vocab: int):
     need bounded point lookups beyond the cap (the bigram backoff's
     context counts)."""
 
-    import zlib
-
     def term_counts(batch: pd.DataFrame) -> pd.DataFrame:
         vocab, vids, _, _ = _flat_word_stream(list(batch["text"]))
         cnt = np.bincount(vids, minlength=len(vocab)).astype(np.int64)
         # _flat_word_stream's vocab can carry the empty split residue with
         # count 0 — it must not inflate V (the smoothing denominator)
         df = pd.DataFrame({"term": vocab, "ctf": cnt})
-        df = df.loc[(df["ctf"] > 0) & (df["term"] != "")]
-        df["_b"] = np.fromiter(
-            (zlib.crc32(t.encode()) % 64 for t in df["term"]),
-            np.int64,
-            len(df),
-        )
-        return df
+        return df.loc[(df["ctf"] > 0) & (df["term"] != "")]
 
     def bucket_sum(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("term", as_index=False)["ctf"].sum()
@@ -1072,12 +1045,9 @@ def _fit_capped_unigram(ds, max_vocab: int):
     # groupby("term") here is a sorted exchange of every partial row
     # (the round-3/5 fine-key anti-pattern — measured 6.6 s vs 1.3 s on
     # the sf0.1 toy shuffle for identical results)
-    model_ds = (
-        ds.map_batches(term_counts, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(bucket_sum, batch_format="pandas")
-        .materialize()  # consumed repeatedly below — never re-execute
-    )
+    model_ds = bucket_aggregate(
+        ds, bucket_sum, key="term", buckets=64, partial=term_counts
+    ).materialize()  # consumed repeatedly below — never re-execute
     n_terms = model_ds.count()
     v_eff = min(int(max_vocab), int(n_terms))
     if n_terms == 0:
@@ -1175,14 +1145,11 @@ def _fit_capped_bigram(ds, max_bigrams: int, buckets: int = 64):
     top-``max_bigrams``, and a global (cnt desc, w1 asc, w2 asc)
     sort/limit caps the table.  The driver receives only the
     <= ``max_bigrams``-row DataFrame ``(w1, w2, cnt)``."""
-    import zlib
-
     big_empty = pd.DataFrame(
         {
             "w1": pd.array([], dtype="object"),
             "w2": pd.array([], dtype="object"),
             "cnt": pd.array([], dtype="int64"),
-            "_b": pd.array([], dtype="int64"),
         }
     )
 
@@ -1199,17 +1166,11 @@ def _fit_capped_bigram(ds, max_bigrams: int, buckets: int = 64):
         voc = np.asarray(vocab, dtype=object)
         w1 = pd.Series(voc[uniq[:, 0]], dtype=object)
         w2 = pd.Series(voc[uniq[:, 1]], dtype=object)
-        key = w1 + " " + w2
         return pd.DataFrame(
             {
                 "w1": w1,
                 "w2": w2,
                 "cnt": pd.array(cnt.astype(np.int64), dtype="int64"),
-                "_b": np.fromiter(
-                    (zlib.crc32(s.encode()) % buckets for s in key),
-                    np.int64,
-                    len(key),
-                ),
             }
         )
 
@@ -1222,9 +1183,13 @@ def _fit_capped_bigram(ds, max_bigrams: int, buckets: int = 64):
         ).head(max_bigrams)
 
     return (
-        ds.map_batches(big_partial, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(bucket_top, batch_format="pandas")
+        bucket_aggregate(
+            ds,
+            bucket_top,
+            key=lambda b: b["w1"] + " " + b["w2"],
+            buckets=buckets,
+            partial=big_partial,
+        )
         .sort(key=["cnt", "w1", "w2"], descending=[True, False, False])
         .limit(max_bigrams)
         .to_pandas()
@@ -1254,7 +1219,6 @@ def bigram_lm_scores(ds, max_vocab: int = 1 << 16,
     lm_bigram_micro)`` with ``n_scored = max(n_tokens - 1, 0)``.
     """
     import math
-    import zlib
 
     import ray
 
@@ -1569,7 +1533,6 @@ def ngram_counts(ds, n: int = 2, top_k: int = 50, buckets: int = 64):
     sort+limit over the bounded buckets x top_k survivors.  Tie rule
     (count desc, ngram asc) — SQL-replicable with list_zip + ROW window.
     """
-    import zlib
 
     def partial(batch):
         # pyarrow in/out: the text column never round-trips through pandas
@@ -1579,7 +1542,6 @@ def ngram_counts(ds, n: int = 2, top_k: int = 50, buckets: int = 64):
             {
                 "ngram": pa.array([], pa.string()),
                 "cnt": pa.array([], pa.int64()),
-                "_b": pa.array([], pa.int32()),
             }
         )
         vocab, vids, parent, _ = _flat_word_stream_arr(
@@ -1603,13 +1565,6 @@ def ngram_counts(ds, n: int = 2, top_k: int = 50, buckets: int = 64):
             {
                 "ngram": pa.array(s, pa.string()),
                 "cnt": pa.array(cnt.astype(np.int64)),
-                "_b": pa.array(
-                    np.fromiter(
-                        (zlib.crc32(g.encode()) % buckets for g in s),
-                        np.int32,
-                        len(s),
-                    )
-                ),
             }
         )
 
@@ -1621,9 +1576,14 @@ def ngram_counts(ds, n: int = 2, top_k: int = 50, buckets: int = 64):
         return agg[["ngram", "cnt"]]
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(bucket_topk, batch_format="pandas")
+        bucket_aggregate(
+            ds,
+            bucket_topk,
+            key="ngram",
+            buckets=buckets,
+            partial=partial,
+            batch_format="pyarrow",
+        )
         .sort(["cnt", "ngram"], descending=[True, False])
         .limit(top_k)
     )
@@ -1743,17 +1703,11 @@ class _BpeWordShard:
         return keys, fw[parent[:-1][same]], parent[:-1][same]
 
     def _push_deltas(self, keys: np.ndarray, deltas: np.ndarray):
-        import zlib
-
         import ray
 
         if not len(keys):
             return
-        buck = np.fromiter(
-            (zlib.crc32(k.encode()) % self.nc for k in keys),
-            np.int64,
-            len(keys),
-        )
+        buck = bucket_of(keys, self.nc)
         acks = []
         for b in np.unique(buck):
             m = buck == b
@@ -1866,7 +1820,6 @@ def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
     are symbol strings joined by ``|`` (symbols are ``[0-9a-z]+`` so the
     separator never collides).
     """
-    import zlib
 
     def wc_partial(batch):
         # pyarrow in/out: the text column never round-trips through pandas
@@ -1876,7 +1829,6 @@ def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
             {
                 "word": pa.array([], pa.string()),
                 "f": pa.array([], pa.int64()),
-                "_b": pa.array([], pa.int32()),
             }
         )
         vocab, vids, _, _ = _flat_word_stream_arr(batch.column("text"))
@@ -1886,17 +1838,8 @@ def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
         words = np.asarray(vocab, dtype=object)
         m = cnt > 0
         words, cnt = words[m], cnt[m]
-        bb = np.fromiter(
-            (zlib.crc32(w.encode()) % buckets for w in words),
-            np.int32,
-            len(words),
-        )
         return pa.table(
-            {
-                "word": pa.array(words, pa.string()),
-                "f": pa.array(cnt),
-                "_b": pa.array(bb),
-            }
+            {"word": pa.array(words, pa.string()), "f": pa.array(cnt)}
         )
 
     def wc_agg(group: pd.DataFrame) -> pd.DataFrame:
@@ -1912,10 +1855,13 @@ def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
 
     import ray
 
-    words = (
-        ds.map_batches(wc_partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(wc_agg, batch_format="pandas")
+    words = bucket_aggregate(
+        ds,
+        wc_agg,
+        key="word",
+        buckets=buckets,
+        partial=wc_partial,
+        batch_format="pyarrow",
     )
 
     # shard actors: num_cpus=0 — pure bookkeeping state, short work bursts;
@@ -1935,14 +1881,7 @@ def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
             return out
         syms_arr = batch["syms"].to_numpy()
         f_arr = batch["f"].to_numpy()
-        ww = np.fromiter(
-            (
-                zlib.crc32(s.replace("|", "").encode()) % n_shards
-                for s in syms_arr
-            ),
-            np.int64,
-            len(batch),
-        )
+        ww = bucket_of([s.replace("|", "") for s in syms_arr], n_shards)
         acks = []
         for b in np.unique(ww):
             m = ww == b
@@ -2370,14 +2309,11 @@ def repeated_spans(ds, k: int = 8, min_docs: int = 2, top_k: int = 50,
     ``min_docs`` cut, keeps its local top-k; the global sort+limit runs
     over buckets x top_k survivors.
     """
-    import zlib
-
     empty = pd.DataFrame(
         {
             "gram": pd.array([], dtype="object"),
             "n_docs": pd.array([], dtype="int64"),
             "n_occ": pd.array([], dtype="int64"),
-            "_b": pd.array([], dtype="int32"),
         }
     )
 
@@ -2405,14 +2341,6 @@ def repeated_spans(ds, k: int = 8, min_docs: int = 2, top_k: int = 50,
                 "gram": s,
                 "n_docs": pd.array(n_docs, dtype="int64"),
                 "n_occ": pd.array(n_occ, dtype="int64"),
-                "_b": pd.array(
-                    np.fromiter(
-                        (zlib.crc32(g.encode()) % buckets for g in s),
-                        np.int32,
-                        len(s),
-                    ),
-                    dtype="int32",
-                ),
             }
         )
 
@@ -2427,9 +2355,9 @@ def repeated_spans(ds, k: int = 8, min_docs: int = 2, top_k: int = 50,
         return g.astype({"n_docs": "int64", "n_occ": "int64"})
 
     return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(bucket_topk, batch_format="pandas")
+        bucket_aggregate(
+            ds, bucket_topk, key="gram", buckets=buckets, partial=partial
+        )
         .sort(["n_docs", "n_occ", "gram"], descending=[True, True, False])
         .limit(top_k)
     )
@@ -2447,14 +2375,11 @@ def next_word_topk(ds, k: int = 3, min_count: int = 2,
     partial of a prefix lands in one group and the per-prefix top-k
     finalizes inside the same bucket groupby — no second exchange.
     """
-    import zlib
-
     empty = pd.DataFrame(
         {
             "w1": pd.array([], dtype="object"),
             "w2": pd.array([], dtype="object"),
             "cnt": pd.array([], dtype="int64"),
-            "_b": pd.array([], dtype="int32"),
         }
     )
 
@@ -2469,20 +2394,11 @@ def next_word_topk(ds, k: int = 3, min_count: int = 2,
         arr = np.stack([vids[:m][valid], vids[1:][valid]], axis=1)
         uniq, cnt = np.unique(arr, axis=0, return_counts=True)
         voc = np.asarray(vocab, dtype=object)
-        w1 = voc[uniq[:, 0]]
         return pd.DataFrame(
             {
-                "w1": pd.Series(w1, dtype=object),
+                "w1": pd.Series(voc[uniq[:, 0]], dtype=object),
                 "w2": pd.Series(voc[uniq[:, 1]], dtype=object),
                 "cnt": pd.array(cnt.astype(np.int64), dtype="int64"),
-                "_b": pd.array(
-                    np.fromiter(
-                        (zlib.crc32(w.encode()) % buckets for w in w1),
-                        np.int32,
-                        len(w1),
-                    ),
-                    dtype="int32",
-                ),
             }
         )
 
@@ -2497,10 +2413,8 @@ def next_word_topk(ds, k: int = 3, min_count: int = 2,
         out = g.groupby("w1", sort=False).head(k)
         return out[["w1", "w2", "cnt"]].astype({"cnt": "int64"})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(bucket_final, batch_format="pandas")
+    return bucket_aggregate(
+        ds, bucket_final, key="w1", buckets=buckets, partial=partial
     )
 
 
@@ -2558,8 +2472,6 @@ def spell_correct(ds, queries: list[str], k: int = 3,
     deletion, insertion, substitution all share a variant), so the
     exact verify never loses a true candidate.
     """
-    import zlib
-
     import ray
 
     qvar: dict[str, list[str]] = {}
@@ -2575,7 +2487,6 @@ def spell_correct(ds, queries: list[str], k: int = 3,
                 {
                     "term": pd.array([], dtype="object"),
                     "df": pd.array([], dtype="int64"),
-                    "_b": pd.array([], dtype="int32"),
                 }
             )
         pairs = np.unique(
@@ -2587,14 +2498,6 @@ def spell_correct(ds, queries: list[str], k: int = 3,
             {
                 "term": pd.Series(terms, dtype=object),
                 "df": pd.array(cnt.astype(np.int64), dtype="int64"),
-                "_b": pd.array(
-                    np.fromiter(
-                        (zlib.crc32(t.encode()) % buckets for t in terms),
-                        np.int32,
-                        len(terms),
-                    ),
-                    dtype="int32",
-                ),
             }
         )
 
@@ -2612,17 +2515,6 @@ def spell_correct(ds, queries: list[str], k: int = 3,
                 "term": pd.Series(rows_t, dtype=object),
                 "df": pd.array(
                     np.asarray(rows_d, np.int64), dtype="int64"
-                ),
-                "_vb": pd.array(
-                    np.fromiter(
-                        (
-                            zlib.crc32(v.encode()) % buckets
-                            for v in rows_v
-                        ),
-                        np.int32,
-                        len(rows_v),
-                    ),
-                    dtype="int32",
                 ),
             }
         )
@@ -2644,14 +2536,6 @@ def spell_correct(ds, queries: list[str], k: int = 3,
                 "query": pd.Series(qs, dtype=object),
                 "term": pd.Series(ts, dtype=object),
                 "df": pd.array(np.asarray(ds_, np.int64), dtype="int64"),
-                "_qb": pd.array(
-                    np.fromiter(
-                        (zlib.crc32(q.encode()) % buckets for q in qs),
-                        np.int32,
-                        len(qs),
-                    ),
-                    dtype="int32",
-                ),
             }
         )
 
@@ -2671,15 +2555,13 @@ def spell_correct(ds, queries: list[str], k: int = 3,
             {"dist": "int64", "df": "int64"}
         )
 
-    return (
-        ds.map_batches(df_partial, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(emit_variants, batch_format="pandas")
-        .groupby("_vb")
-        .map_groups(match_queries, batch_format="pandas")
-        .groupby("_qb")
-        .map_groups(rank, batch_format="pandas")
+    variants = bucket_aggregate(
+        ds, emit_variants, key="term", buckets=buckets, partial=df_partial
     )
+    hits = bucket_aggregate(
+        variants, match_queries, key="variant", buckets=buckets
+    )
+    return bucket_aggregate(hits, rank, key="query", buckets=buckets)
 
 
 def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
@@ -2691,13 +2573,13 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
 
     1. One corpus pass emits per-batch partial UNIGRAM and BIGRAM counts
        into one union table (bigram keys contain a space, so the key
-       spaces are disjoint), bucketed by crc32(first word) — every
+       spaces are disjoint), bucketed by its first word ``w`` — every
        partial of a key lands in one bucket, and a bigram lands with the
        unigram row of its first word.  The materialized partials also
        yield T (total tokens) and B (total bigrams) by two column sums.
     2. Bucket groupby #1 sums partials, drops bigrams below
        ``min_count`` (the survivors bound all later stages), and attaches
-       c(w1) by a local merge.  Rows re-bucket by crc32(w2).
+       c(w1) by a local merge.  Rows re-bucket by w2.
     3. Bucket groupby #2 attaches c(w2), computes
        ``pmi_micro = floor(ln((cab*T*T)/(B*ca*cb)) * 1e6)`` with scalar
        libm ``math.log`` over the bounded survivors (the repo's frozen
@@ -2706,14 +2588,6 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
        rows only.
     """
     import math
-    import zlib
-
-    def _wbucket(words) -> np.ndarray:
-        return np.fromiter(
-            (zlib.crc32(w.encode()) % buckets for w in words),
-            np.int32,
-            len(words),
-        )
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
         vocab, vids, parent, _ = _flat_word_stream(list(batch["text"]))
@@ -2725,7 +2599,7 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
                 {
                     "key": pd.Series(voc[mask], dtype=object),
                     "cnt": pd.array(cnt[mask], dtype="int64"),
-                    "_b": pd.array(_wbucket(voc[mask]), dtype="int32"),
+                    "w": pd.Series(voc[mask], dtype=object),
                 }
             )
         ]
@@ -2747,9 +2621,7 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
                             "cnt": pd.array(
                                 c2.astype(np.int64), dtype="int64"
                             ),
-                            "_b": pd.array(
-                                _wbucket(w1), dtype="int32"
-                            ),
+                            "w": w1,
                         }
                     )
                 )
@@ -2784,7 +2656,6 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
                 ),
                 "ca": uni["c"].astype("int64"),
                 "is_gram": False,
-                "_b2": pd.array(_wbucket(uni["w"]), dtype="int32"),
             }
         )
         if big.empty:
@@ -2801,7 +2672,6 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
                 "cab": m["cab"],
                 "ca": m["c"].astype("int64"),
                 "is_gram": True,
-                "_b2": pd.array(_wbucket(m["w2"]), dtype="int32"),
             }
         )
         return pd.concat([out_u, out_b], ignore_index=True)
@@ -2860,10 +2730,12 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
         ).head(top_k)
 
     return (
-        part.groupby("_b")
-        .map_groups(attach_ca, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(attach_cb_pmi, batch_format="pandas")
+        bucket_aggregate(
+            bucket_aggregate(part, attach_ca, key="w", buckets=buckets),
+            attach_cb_pmi,
+            key="w2",
+            buckets=buckets,
+        )
         .sort(["pmi_micro", "ngram"], descending=[True, False])
         .limit(top_k)
     )
@@ -2874,7 +2746,7 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
     extraction with no vocabulary broadcast.
 
     Two bucketed shuffles: (1) per-batch unique (doc, term, tf) partials
-    group by crc32(term) so each bucket computes df per term locally
+    group by term bucket so each bucket computes df per term locally
     (rows are unique per (doc, term), so df = the term's row count) and
     re-emits rows keyed by doc; (2) a doc-hash groupby computes
     ``score_micro = floor((tf * ln(N/df)) * 1e6)`` (scalar libm ln per
@@ -2883,7 +2755,6 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
     count (metadata count, no scan).
     """
     import math
-    import zlib
 
     n_docs = float(ds.count())
 
@@ -2900,7 +2771,6 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
                     "doc_id": pa.array([], pa.int64()),
                     "term": pa.array([], pa.string()),
                     "tf": pa.array([], pa.int64()),
-                    "_b": pa.array([], pa.int32()),
                 }
             )
         doc_ids = (
@@ -2919,16 +2789,6 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
                 "doc_id": pa.array(doc_ids[pi[keep]].astype(np.int64)),
                 "term": pa.array(terms, pa.string()),
                 "tf": pa.array(cnt[keep].astype(np.int64)),
-                "_b": pa.array(
-                    np.fromiter(
-                        (
-                            zlib.crc32(t.encode()) % buckets
-                            for t in terms
-                        ),
-                        np.int32,
-                        len(terms),
-                    )
-                ),
             }
         )
 
@@ -2937,14 +2797,7 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
         g["df"] = g.groupby("term")["tf"].transform("size").astype(
             "int64"
         )
-        g["_b2"] = pd.array(
-            (
-                (g["doc_id"].to_numpy().astype(np.uint64) * np.uint64(2654435761))
-                % np.uint64(buckets)
-            ).astype(np.int32),
-            dtype="int32",
-        )
-        return g[["doc_id", "term", "tf", "df", "_b2"]]
+        return g[["doc_id", "term", "tf", "df"]]
 
     def doc_topk(group: pd.DataFrame) -> pd.DataFrame:
         # libm ln once per unique (tf, df) pair, not per row
@@ -2974,13 +2827,15 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
             ["doc_id", "term", "tf", "score_micro"]
         ]
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(attach_df, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(doc_topk, batch_format="pandas")
+    term_df = bucket_aggregate(
+        ds,
+        attach_df,
+        key="term",
+        buckets=buckets,
+        partial=partial,
+        batch_format="pyarrow",
     )
+    return bucket_aggregate(term_df, doc_topk, key="doc_id", buckets=buckets)
 
 
 _TRACKING_PREFIXES = ("utm_", "gclid=", "fbclid=")
@@ -3097,14 +2952,12 @@ def cooccurrence_counts(ds, window: int = 2, top_k: int = 50,
     per-batch distinct pairs, one pair-hash bucketed groupby sums and
     keeps local top-k, exact global (cnt desc, pair asc) sort+limit.
     """
-    import zlib
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
                 "pair": pd.array([], dtype="object"),
                 "cnt": pd.array([], dtype="int64"),
-                "_b": pd.array([], dtype="int32"),
             }
         )
         vocab, vids, parent, _ = _flat_word_stream(list(batch["text"]))
@@ -3134,14 +2987,6 @@ def cooccurrence_counts(ds, window: int = 2, top_k: int = 50,
             {
                 "pair": s,
                 "cnt": pd.array(cnt.astype(np.int64), dtype="int64"),
-                "_b": pd.array(
-                    np.fromiter(
-                        (zlib.crc32(g.encode()) % buckets for g in s),
-                        np.int32,
-                        len(s),
-                    ),
-                    dtype="int32",
-                ),
             }
         )
 
@@ -3152,9 +2997,9 @@ def cooccurrence_counts(ds, window: int = 2, top_k: int = 50,
         ).head(top_k)[["pair", "cnt"]]
 
     return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(bucket_topk, batch_format="pandas")
+        bucket_aggregate(
+            ds, bucket_topk, key="pair", buckets=buckets, partial=partial
+        )
         .sort(["cnt", "pair"], descending=[True, False])
         .limit(top_k)
     )
@@ -3257,16 +3102,9 @@ def nb_classify(ds, class_col: str = "source", max_vocab: int = 2048):
 
         # bucket-hash agg, not a Ray-native fine-key groupby (6.6 s vs
         # 1.3 s at sf0.1 for the same 620-row result)
-        kdf = (
-            ds.map_batches(count_partial, batch_format="pandas")
-            .map_batches(
-                lambda b: b.assign(_b=b["key"].to_numpy() % 64),
-                batch_format="pandas",
-            )
-            .groupby("_b")
-            .map_groups(bucket_key_sum, batch_format="pandas")
-            .to_pandas()
-        )
+        kdf = bucket_aggregate(
+            ds, bucket_key_sum, key="key", buckets=64, partial=count_partial
+        ).to_pandas()
         counts = np.zeros((V, C), dtype=np.int64)
         if len(kdf):
             keys = kdf["key"].to_numpy().astype(np.int64)
@@ -3615,8 +3453,6 @@ def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200,
     driver sums buckets x n_max integers — the gram table never leaves
     the cluster.  Returns ``(n, matched, total)``, one row per n.
     """
-    import zlib
-
     import pyarrow as pa
 
     def partial(batch):
@@ -3658,7 +3494,6 @@ def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200,
                     "gram": pa.array([], pa.string()),
                     "side": pa.array([], pa.int64()),
                     "cnt": pa.array([], pa.int64()),
-                    "_b": pa.array([], pa.int32()),
                 }
             )
         g = np.concatenate(grams)
@@ -3668,13 +3503,6 @@ def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200,
                 "gram": pa.array(g, pa.string()),
                 "side": pa.array(np.concatenate(sides)),
                 "cnt": pa.array(np.concatenate(cnts)),
-                "_b": pa.array(
-                    np.fromiter(
-                        (zlib.crc32(x.encode()) % buckets for x in g),
-                        np.int32,
-                        len(g),
-                    )
-                ),
             }
         )
 
@@ -3701,12 +3529,14 @@ def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200,
         out = df.groupby("n", as_index=False)[["matched", "total"]].sum()
         return out.astype("int64")
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(bucket_fold, batch_format="pandas")
-        .to_pandas()  # bounded: buckets x n_max rows
-    )
+    parts = bucket_aggregate(
+        ds,
+        bucket_fold,
+        key="gram",
+        buckets=buckets,
+        partial=partial,
+        batch_format="pyarrow",
+    ).to_pandas()  # bounded: buckets x n_max rows
     base = pd.DataFrame({"n": np.arange(1, n_max + 1, dtype=np.int64)})
     if len(parts):
         agg = parts.groupby("n", as_index=False)[["matched", "total"]].sum()

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_aggregate, bucket_of
+
 
 def tumbling_window_agg(events_ds, minutes: int = 60):
     """Per (event_type, window) count and value sum/mean.
@@ -43,28 +45,19 @@ def _agg_by_window(with_w, coarse_buckets: int = 64):
     groupby with a vectorized per-bucket sum (Ray's native multi-key
     ``groupby([...]).sum`` is a sorted exchange with per-key overhead —
     measured ~4x slower on this repo's key shapes)."""
-    import zlib
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            batch.groupby(["event_type", "window_start"], as_index=False)
-            .agg(n_events=("value", "size"), sum_value=("value", "sum"))
-        )
+        return batch.groupby(
+            ["event_type", "window_start"], as_index=False
+        ).agg(n_events=("value", "size"), sum_value=("value", "sum"))
+
+    def window_key(g: pd.DataFrame) -> np.ndarray:
+        # (event_type, window) as one int64: the type's full 32-bit hash
         w_us = (
             g["window_start"].astype("datetime64[us]").astype("int64")
             .to_numpy()
         )
-        th = np.fromiter(
-            (zlib.crc32(t.encode()) for t in g["event_type"]),
-            np.int64,
-            len(g),
-        )
-        key = th * np.int64(1000003) + w_us
-        g["_cb"] = (
-            (key.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-        return g
+        return bucket_of(g["event_type"], 1 << 32) * np.int64(1000003) + w_us
 
     def final(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby(
@@ -73,10 +66,8 @@ def _agg_by_window(with_w, coarse_buckets: int = 64):
         g["n_events"] = g["n_events"].astype("int64")
         return g[["event_type", "window_start", "n_events", "sum_value"]]
 
-    return (
-        with_w.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(final, batch_format="pandas")
+    return bucket_aggregate(
+        with_w, final, key=window_key, buckets=coarse_buckets, partial=partial
     )
 
 
@@ -158,16 +149,9 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
 
     def add_salt(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
-        salt = batch["ts"].dt.floor(f"{salt_hours}h")
-        batch["_salt"] = salt
-        u = batch["user_id"].to_numpy().astype(np.int64)
-        s_us = salt.astype("datetime64[us]").astype("int64").to_numpy()
-        key = u * np.int64(1000003) + s_us
-        batch["_cb"] = (
-            (key.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
+        batch["_salt"] = batch["ts"].dt.floor(f"{salt_hours}h")
         return batch
+
 
     def sessions_bucket(group: pd.DataFrame) -> pd.DataFrame:
         # vectorized across every (user, salt) unit in the bucket:
@@ -191,13 +175,7 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
             n_events=("ts", "size"),
             sum_value=("value", "sum"),
         )
-        out = out.reset_index(drop=True)
-        u = out["user_id"].to_numpy().astype(np.int64)
-        out["_ub"] = (
-            (u.astype(np.uint64) * np.uint64(2654435761))
-            % np.uint64(coarse_buckets)
-        ).astype(np.int64)
-        return out
+        return out.reset_index(drop=True)
 
     def stitch_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -221,13 +199,15 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
         )
         return out.reset_index(drop=True)
 
-    pass1 = (
-        events_ds.map_batches(add_salt, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(sessions_bucket, batch_format="pandas")
+    pass1 = bucket_aggregate(
+        events_ds,
+        sessions_bucket,
+        key=["user_id", "_salt"],
+        buckets=coarse_buckets,
+        partial=add_salt,
     )
-    return pass1.groupby("_ub").map_groups(
-        stitch_bucket, batch_format="pandas"
+    return bucket_aggregate(
+        pass1, stitch_bucket, key="user_id", buckets=coarse_buckets
     )
 
 
@@ -256,10 +236,6 @@ def funnel_stages(events_ds, stages=("view", "click", "purchase"),
                 .astype("datetime64[us]")
                 .astype("int64"),
                 "event_type": batch["event_type"],
-                "_cb": (
-                    (u.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(coarse_buckets)
-                ).astype(np.int64),
             }
         )
 
@@ -297,10 +273,8 @@ def funnel_stages(events_ds, stages=("view", "click", "purchase"),
             }
         )
 
-    return (
-        events_ds.map_batches(tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(fold, batch_format="pandas")
+    return bucket_aggregate(
+        events_ds, fold, key="user_id", buckets=coarse_buckets, partial=tag
     )
 
 
@@ -330,10 +304,6 @@ def cohort_retention(events_ds, coarse_buckets: int = 256):
             {
                 "user_id": u,
                 "day": day,
-                "_cb": (
-                    (u.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(coarse_buckets)
-                ).astype(np.int64),
             }
         )
 
@@ -351,27 +321,16 @@ def cohort_retention(events_ds, coarse_buckets: int = 256):
         out["n_users"] = out["n_users"].astype("int64")
         return out
 
-    def partial_key(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["_k"] = (
-            (b["cohort_day"].to_numpy().astype(np.uint64) * np.uint64(1000003)
-             + b["offset_days"].to_numpy().astype(np.uint64))
-            % np.uint64(64)
-        ).astype(np.int64)
-        return b
-
-    return (
-        events_ds.map_batches(tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(per_user, batch_format="pandas")
-        .map_batches(partial_key, batch_format="pandas")
-        .groupby("_k")
-        .map_groups(
-            lambda g: g.groupby(["cohort_day", "offset_days"], as_index=False)[
-                "n_users"
-            ].sum(),
-            batch_format="pandas",
-        )
+    user_cells = bucket_aggregate(
+        events_ds, per_user, key="user_id", buckets=coarse_buckets, partial=tag
+    )
+    return bucket_aggregate(
+        user_cells,
+        lambda g: g.groupby(["cohort_day", "offset_days"], as_index=False)[
+            "n_users"
+        ].sum(),
+        key=["cohort_day", "offset_days"],
+        buckets=64,
     )
 
 
@@ -405,10 +364,6 @@ def rolling_user_agg(events_ds, window_rows: int = 5,
                     batch["value"].to_numpy().astype(np.float64)
                     * 1000.0
                 ).astype(np.int64),
-                "_cb": (
-                    (u.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(coarse_buckets)
-                ).astype(np.int64),
             }
         )
 
@@ -429,10 +384,8 @@ def rolling_user_agg(events_ds, window_rows: int = 5,
             }
         )
 
-    return (
-        events_ds.map_batches(tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(roll, batch_format="pandas")
+    return bucket_aggregate(
+        events_ds, roll, key="user_id", buckets=coarse_buckets, partial=tag
     )
 
 
@@ -458,17 +411,7 @@ def window_unique_users(events_ds, minutes: int = 60,
         )
         u = batch["user_id"].to_numpy().astype(np.int64)
         uniq = np.unique(np.stack([w, u], axis=1), axis=0)
-        key = uniq[:, 0] * np.int64(1000003) + uniq[:, 1]
-        return pd.DataFrame(
-            {
-                "w_us": uniq[:, 0],
-                "user_id": uniq[:, 1],
-                "_cb": (
-                    (key.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(coarse_buckets)
-                ).astype(np.int64),
-            }
-        )
+        return pd.DataFrame({"w_us": uniq[:, 0], "user_id": uniq[:, 1]})
 
     def bucket_count(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["w_us", "user_id"])
@@ -492,9 +435,13 @@ def window_unique_users(events_ds, minutes: int = 60,
         )
 
     return (
-        events_ds.map_batches(pairs, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(bucket_count, batch_format="pandas")
+        bucket_aggregate(
+            events_ds,
+            bucket_count,
+            key=["w_us", "user_id"],
+            buckets=coarse_buckets,
+            partial=pairs,
+        )
         .groupby("w_us")
         .map_groups(final, batch_format="pandas")
     )
@@ -521,10 +468,6 @@ def event_transitions(events_ds, coarse_buckets: int = 256):
                 .astype("datetime64[us]")
                 .astype("int64"),
                 "event_type": batch["event_type"],
-                "_cb": (
-                    (u.astype(np.uint64) * np.uint64(2654435761))
-                    % np.uint64(coarse_buckets)
-                ).astype(np.int64),
             }
         )
 
@@ -552,9 +495,13 @@ def event_transitions(events_ds, coarse_buckets: int = 256):
         return c.astype({"n": "int64"})
 
     return (
-        events_ds.map_batches(tag, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(pair_partials, batch_format="pandas")
+        bucket_aggregate(
+            events_ds,
+            pair_partials,
+            key="user_id",
+            buckets=coarse_buckets,
+            partial=tag,
+        )
         .groupby("from_type")
         .map_groups(final, batch_format="pandas")
     )
@@ -585,7 +532,6 @@ def anomaly_hours(events_ds, window: int = 24, z_milli: int = 3000,
     ``(event_type, hour, cnt)`` of anomalous hours sorted
     (event_type, hour); ``hour`` is the epoch hour.
     """
-    import zlib
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         us = batch["ts"].astype("datetime64[us]").astype("int64")
@@ -605,9 +551,6 @@ def anomaly_hours(events_ds, window: int = 24, z_milli: int = 3000,
                 "event_type": c["event_type"],
                 "h": c["h"].astype("int64"),
                 "n": c["size"].astype("int64"),
-                "_cb": c["event_type"].map(
-                    lambda t: zlib.crc32(str(t).encode()) % coarse_buckets
-                ).astype("int64"),
             }
         )
 
@@ -615,12 +558,13 @@ def anomaly_hours(events_ds, window: int = 24, z_milli: int = 3000,
         c = group.groupby(["event_type", "h"], as_index=False)["n"].sum()
         return c.astype({"h": "int64", "n": "int64"})
 
-    counts = (
-        events_ds.map_batches(partial, batch_format="pandas")
-        .groupby("_cb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # bounded: hours-in-range x types
-    )
+    counts = bucket_aggregate(
+        events_ds,
+        merge,
+        key="event_type",
+        buckets=coarse_buckets,
+        partial=partial,
+    ).to_pandas()  # bounded: hours-in-range x types
     empty = pd.DataFrame(
         {
             "event_type": pd.array([], dtype=object),

@@ -244,6 +244,92 @@ def test_all_reference_param_files_parse():
             assert "prf:numDocs" in params and "prf:numTerms" in params, path
 
 
+PARAM_FIXTURES = {  # FIXTURES.md §7: one param set per flow
+    "bm25.param": "plain",
+    "indri_prf.param": "prf",
+    "ltr.param": "ltr",
+    "xquad.param": "diversity",
+    "pm2.param": "diversity",
+}
+
+
+def _string_literals(*fns) -> set:
+    import ast
+    import inspect
+    import textwrap
+
+    out = set()
+    for fn in fns:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        out |= {
+            n.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        }
+    return out
+
+
+def test_param_fixtures_map_onto_their_flows():
+    """The in-repo param fixtures (tests/data/params) parse, dispatch to
+    the flow they are written for, and every ``prf:``/``ltr:``/
+    ``diversity:`` key they set is read by that flow's code; model keys
+    carry non-default values, so a dropped mapping changes the model."""
+    import glob
+
+    from searchengines_ray.models import BM25, Indri, model_from_params
+    from searchengines_ray.pipelines import ltr, retrieval
+    from searchengines_ray.sources.formats import validate_params
+
+    pdir = os.path.join(os.path.dirname(__file__), "data", "params")
+    files = sorted(glob.glob(os.path.join(pdir, "*.param")))
+    assert {os.path.basename(f) for f in files} == set(PARAM_FIXTURES)
+    readers = {
+        "prf": _string_literals(retrieval.run_param_file),
+        "ltr": _string_literals(
+            retrieval._run_ltr,
+            ltr.run_external_trainer,
+            ltr.run_external_classifier,
+        ),
+        "diversity": _string_literals(retrieval._run_diversity),
+    }
+    for path in files:
+        name = os.path.basename(path)
+        params = read_params(path)
+        validate_params(
+            params,
+            ("indexPath", "queryFilePath", "trecEvalOutputPath",
+             "retrievalAlgorithm"),
+        )
+        algo = params["retrievalAlgorithm"].lower()
+        if algo == "ltr":
+            flow = "ltr"
+        elif params.get("diversity", "").lower() == "true":
+            flow = "diversity"
+        elif params.get("prf") == "Indri":
+            flow = "prf"
+        else:
+            flow = "plain"
+        assert flow == PARAM_FIXTURES[name], name
+        for key in params:
+            family = key.split(":", 1)[0]
+            if ":" in key and family in readers:
+                assert family == flow, (name, key)
+                assert key in readers[family], (name, key)
+        if flow == "ltr":
+            assert {"BM25:k_1", "BM25:b", "BM25:k_3", "Indri:mu",
+                    "Indri:lambda"} <= readers["ltr"] & set(params)
+            continue
+        model = model_from_params(params)
+        if algo == "bm25":
+            assert model == BM25(k_1=0.9, b=0.4, k_3=7.0), name
+        else:
+            assert model == Indri(mu=1500.0, lam=0.7), name
+        if flow == "diversity":
+            assert params["diversity:algorithm"] == (
+                "PM2" if name == "pm2.param" else "xQuAD"
+            )
+
+
 def test_curate_corpus_resumable(tmp_path, ray_session):
     import json
     import shutil

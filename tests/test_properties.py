@@ -164,8 +164,7 @@ def test_minhash_batch_matches_scalar(texts):
 @settings(max_examples=40, deadline=None)
 def test_minhash_band_rows_arrow_matches_pandas_chain(texts):
     """The fused Arrow stage (text -> sig -> band rows, pyarrow in/out)
-    must be byte-identical to MinHasher + _band_rows over pandas batches
-    (+ the coarse band_hash % 1024 bucket)."""
+    must be byte-identical to MinHasher + _band_rows over pandas batches."""
     import pandas as pd
     import pyarrow as pa
 
@@ -178,7 +177,6 @@ def test_minhash_band_rows_arrow_matches_pandas_chain(texts):
     batch_pd = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
     mh = MinHasher(num_perm=16, shingle=3)
     want = _band_rows(mh(batch_pd), bands=4)
-    want["cb"] = (want["band_hash"].to_numpy() % 1024).astype(np.int32)
     got = (
         MinHashBandRows(num_perm=16, shingle=3, bands=4)(
             pa.table(
@@ -192,7 +190,8 @@ def test_minhash_band_rows_arrow_matches_pandas_chain(texts):
         )
         .to_pandas()
     )
-    for col in ("doc_id", "band", "band_hash", "cb"):
+    assert list(got.columns) == ["doc_id", "band", "band_hash"]
+    for col in ("doc_id", "band", "band_hash"):
         assert got[col].tolist() == want[col].tolist(), col
 
 

@@ -4086,6 +4086,43 @@ def test_hll_group_registers_match_per_group_hll(ray_session):
         assert abs(est - true) / true < 0.2
 
 
+def test_adamic_adar_no_wedges(ray_session):
+    """Every node has degree < 2 (a perfect matching): zero wedges give
+    a typed empty result, not a KeyError on the schema-less frame."""
+    import ray.data
+
+    from searchengines_ray.stages.graph import adamic_adar
+
+    df = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 0, 3, 2]})
+    got = adamic_adar(ray.data.from_pandas(df), cap=8, topk=5)
+    assert len(got) == 0
+    assert list(got.columns) == ["node_a", "node_b", "score_micro"]
+    assert (got.dtypes == "int64").all()
+
+
+def test_hll_group_entry_empty_events(tmp_path, ray_session):
+    """An empty event stream yields zero typed rows from the
+    hll_group_registers entry instead of a KeyError."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__
+
+    pq.write_table(
+        pa.table(
+            {
+                "event_type": pa.array([], pa.string()),
+                "user_id": pa.array([], pa.int64()),
+            }
+        ),
+        str(tmp_path / "events.parquet"),
+    )
+    out = __ray_entry__._q_hll_group(str(tmp_path))
+    assert len(out) == 0
+    assert list(out.columns) == ["event_type", "bucket", "max_rho"]
+    assert str(out["bucket"].dtype) == "int64"
+
+
 def test_adamic_adar_vs_bruteforce(ray_session):
     import math
     from collections import defaultdict
@@ -4374,6 +4411,46 @@ def test_lsh_registry_empty_incoming(ray_session):
     assert len(out) == 0
     assert list(out.columns) == ["doc_id", "reg_doc_id", "inter", "denom"]
     assert stats["hash_parts_probed"] == 0
+
+
+def test_lsh_registry_query_rejects_shared_ids(tmp_path, ray_session):
+    """Incoming and registry doc ids must be disjoint: a re-ingest that
+    keeps a registry id raises instead of estimating from two blobs."""
+    import ray.data
+
+    from searchengines_ray.stages.dedup import (
+        lsh_registry_query,
+        lsh_registry_write,
+    )
+
+    texts = [f"alpha beta gamma delta epsilon zeta eta {i}" for i in range(20)]
+    reg = pd.DataFrame({"doc_id": range(20), "text": texts})
+    path = str(tmp_path / "reg")
+    lsh_registry_write(ray.data.from_pandas(reg), path, parts=4)
+    new = pd.DataFrame({"doc_id": [3], "text": [texts[3]]})
+    with pytest.raises(ValueError, match="disjoint"):
+        lsh_registry_query(ray.data.from_pandas(new), path)
+
+
+def test_bottomk_pair_estimates_rejects_unattached_endpoint(ray_session):
+    """Each pair must attach exactly one sketch blob per endpoint: a
+    missing or a duplicated blob raises instead of mis-pairing the
+    bucket's later rows."""
+    import ray.data
+
+    from searchengines_ray.stages.dedup import bottomk_pair_estimates
+
+    sk = np.arange(4, dtype=np.int64).tobytes()
+    pairs = ray.data.from_pandas(
+        pd.DataFrame({"doc_a": [1, 1], "doc_b": [2, 3]})
+    )
+    missing = pd.DataFrame({"doc_id": [1, 2], "sk": [sk, sk]})  # no 3
+    doubled = pd.DataFrame({"doc_id": [1, 2, 3, 3], "sk": [sk] * 4})
+    for blobs in (missing, doubled):
+        with pytest.raises(ValueError, match="exactly one"):
+            bottomk_pair_estimates(
+                pairs, ray.data.from_pandas(blobs), k=4, coarse_buckets=1
+            ).to_pandas()
 
 
 def test_kcore_peel_vs_bruteforce_both_paths(ray_session):
