@@ -3830,7 +3830,7 @@ def _q_lsh_registry(sf_dir: str) -> pd.DataFrame:
     (stages/dedup.py lsh_registry_write/query): the corpus's bottom-k
     sketches live as hive-partitioned parquet; an incoming batch (the
     doc_id % 10 == 0 decile, ids remapped disjoint) reads ONLY the hash /
-    sketch partitions it touches (PathPartitionFilter — the IVF pruning
+    sketch partitions it touches (partition pruning — the IVF pruning
     story) and keeps pairs with estimated jaccard >= 1/2 (integer
     inter*2 >= denom).  The corpus is never rescanned."""
     import shutil

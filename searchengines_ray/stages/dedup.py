@@ -2186,6 +2186,37 @@ def bottomk_neardup(
     )
 
 
+_PAD = np.int64(1) << 62  # right-pad of a short sketch; above any hash
+
+
+def _pad_blobs(blobs, k: int) -> np.ndarray:
+    """Sorted int64 sketch blobs (each <= ``k`` values) as one ``(n, k)``
+    matrix, right-padded with ``_PAD``: one ``np.frombuffer`` over the
+    joined blobs scattered into place — no per-blob Python."""
+    lens = np.fromiter((len(b) // 8 for b in blobs), np.int64, len(blobs))
+    out = np.full((len(blobs), k), _PAD, dtype=np.int64)
+    vals = np.frombuffer(b"".join(blobs), dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    rows = np.repeat(np.arange(len(blobs)), lens)
+    out[rows, np.arange(len(vals)) - starts[rows]] = vals
+    return out
+
+
+def _union_bottomk(A: np.ndarray, B: np.ndarray, k: int):
+    """Row-wise bottom-k Jaccard estimate of two padded sketch matrices
+    (:func:`_pad_blobs`): ``inter`` = hashes in BOTH sketches inside the
+    bottom-``k`` of their union, ``denom`` = ``min(k, |union|)`` — one
+    np.sort over all rows."""
+    X = np.sort(np.concatenate([A, B], axis=1), axis=1)
+    newv = np.ones_like(X, dtype=bool)
+    newv[:, 1:] = X[:, 1:] != X[:, :-1]
+    isval = X < _PAD
+    drank = np.cumsum(newv & isval, axis=1)
+    denom = np.minimum(k, drank[:, -1])
+    inter = np.sum((~newv) & isval & (drank <= denom[:, None]), axis=1)
+    return inter, denom
+
+
 def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
                            min_inter: int = 1,
                            coarse_buckets: int = 256):
@@ -2198,13 +2229,11 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
 
     ``pairs`` is a Dataset ``(doc_a, doc_b)``; ``blobs_ds`` a Dataset
     ``(doc_id, sk)`` covering every endpoint (extra blobs are dropped by
-    the inner slot join).  Shared by :func:`bottomk_neardup`
-    (intra-corpus) and :func:`lsh_registry_query` (incoming batch vs a
-    persisted registry); the two endpoints of a pair must come from
-    disjoint id spaces or the same corpus.  Raises ``ValueError`` when
-    a pair does not attach exactly one blob per endpoint."""
-    PAD = np.int64(1) << 62
-
+    the inner slot join).  Used by :func:`bottomk_neardup`
+    (intra-corpus); :func:`lsh_registry_query` shares its estimate
+    kernel (:func:`_union_bottomk`) but attaches blobs in-process.
+    Raises ``ValueError`` when a pair does not attach exactly one blob
+    per endpoint."""
     def slot_rows(batch: pd.DataFrame) -> pd.DataFrame:
         pa_ = batch["doc_a"].to_numpy().astype(np.int64)
         pb_ = batch["doc_b"].to_numpy().astype(np.int64)
@@ -2267,30 +2296,14 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
                 "one sketch blob per endpoint (missing or duplicate "
                 "blob doc ids)"
             )
-        n = len(g) // 2
-        A = np.full((n, k), PAD, dtype=np.int64)
-        Bm = np.full((n, k), PAD, dtype=np.int64)
-        for i in range(n):
-            a = np.frombuffer(g["sk"].iat[2 * i], dtype=np.int64)
-            b = np.frombuffer(g["sk"].iat[2 * i + 1], dtype=np.int64)
-            A[i, : len(a)] = a
-            Bm[i, : len(b)] = b
-        X = np.sort(np.concatenate([A, Bm], axis=1), axis=1)
-        newv = np.ones_like(X, dtype=bool)
-        newv[:, 1:] = X[:, 1:] != X[:, :-1]
-        isval = X < PAD
-        drank = np.cumsum(newv & isval, axis=1)
-        ku = np.minimum(k, drank[:, -1])
-        dup = (~newv) & isval
-        inter = np.sum(dup & (drank <= ku[:, None]), axis=1)
+        sk = g["sk"].to_numpy()
+        inter, ku = _union_bottomk(
+            _pad_blobs(sk[0::2], k), _pad_blobs(sk[1::2], k), k
+        )
         out = pd.DataFrame(
             {
-                "doc_a": pd.array(
-                    g["doc_a"].to_numpy()[0::2], dtype="int64"
-                ),
-                "doc_b": pd.array(
-                    g["doc_b"].to_numpy()[0::2], dtype="int64"
-                ),
+                "doc_a": pd.array(a_ids[0::2], dtype="int64"),
+                "doc_b": pd.array(b_ids[0::2], dtype="int64"),
                 "inter": pd.array(inter, dtype="int64"),
                 "denom": pd.array(ku, dtype="int64"),
             }
@@ -2348,8 +2361,8 @@ def lsh_registry_write(ds, path: str, k: int = 16, shingle: int = 4,
     (``write_parquet``, never a driver materialize).
     :func:`lsh_registry_query` then dedups an INCOMING batch against the
     registry reading ONLY the partitions its own hashes / candidate docs
-    touch (``PathPartitionFilter`` — the IVF probed-bytes pruning story),
-    without recomputing or rescanning the corpus.  Returns the meta dict.
+    touch (partition pruning — the IVF probed-bytes story), without
+    recomputing or rescanning the corpus.  Returns the meta dict.
     """
     import json
     import os
@@ -2384,33 +2397,42 @@ def lsh_registry_write(ds, path: str, k: int = 16, shingle: int = 4,
 
 
 def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
-                       min_inter: int = 1, coarse_buckets: int = 256,
-                       return_stats: bool = False):
+                       min_inter: int = 1, return_stats: bool = False):
     """Near-dup matches of an INCOMING document batch against a persisted
     :func:`lsh_registry_write` registry — the production incremental-
     ingestion flow: the corpus is never rescanned, only the registry
-    partitions the batch actually touches are read.
+    partitions the batch actually touches are read, and nothing is
+    shuffled (the streaming set-similarity-join shape: a small batch
+    probes persisted state).
 
-    Plan: sketch the incoming docs once (materialized — consumed by both
-    the probe and the verify); probe = the batch's exploded sketch hashes
-    joined per hash-bucket against ONLY the ``hashes/hp=<p>/`` partitions
-    whose ``hp`` appears in the batch (``PathPartitionFilter``);
-    candidate (new, registry) pairs then verify with the exact bottom-k
-    union estimator (:func:`bottomk_pair_estimates`), reading ONLY the
-    ``sketches/dp=<p>/`` partitions holding candidate registry docs.
-    Kept pairs satisfy ``inter * tden >= tnum * denom`` (estimated
-    jaccard >= tnum/tden, integer-exact).  Incoming and registry doc ids
-    MUST be disjoint (the pair estimator unions blob sides by id).
+    Plan:
+
+    1. sketch the incoming docs once, to the driver (O(incoming x k));
+    2. probe: ONE pruned scan of the ``hashes/hp=<p>/`` partitions whose
+       ``hp`` appears in the batch (``PathPartitionFilter``), each
+       registry ``(sh, doc_id)`` row joined in its read task against the
+       batch's sorted hash array by ``np.searchsorted`` ranges; the
+       candidate ``(new, registry)`` pairs come back deduplicated;
+    3. verify: an in-process point lookup of the candidate registry
+       blobs (only the ``sketches/dp=<p>/`` partitions holding them, the
+       ``index/shard.py::load_termstats`` shape), then one vectorized
+       union-bottom-k estimate (:func:`_union_bottomk`) over all pairs.
+
+    Driver memory is O(incoming x k) plus the candidate pairs and their
+    registry blobs.  Kept pairs satisfy ``inter >= min_inter`` and
+    ``inter * tden >= tnum * denom`` (estimated jaccard >= tnum/tden,
+    integer-exact).  Raises ``ValueError`` when incoming doc ids repeat,
+    when incoming and registry doc ids overlap, or when a candidate
+    registry doc does not have exactly one stored blob.
     Returns a pandas DataFrame ``(doc_id, reg_doc_id, inter, denom)``
-    sorted (doc_id, reg_doc_id); candidate-bounded like every pair list.
-    With ``return_stats=True`` also returns a dict of probed/total
-    partition counts and bytes for both layouts (the IVF
-    ``ivf_io_fraction`` evidence pattern).
+    sorted (doc_id, reg_doc_id).  With ``return_stats=True`` also returns
+    a dict of probed/total partition counts and bytes for both layouts
+    (the IVF ``ivf_io_fraction`` evidence pattern).
     """
     import json
-    import os
 
-    import ray
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
     import ray.data
     from ray.data.datasource.partitioning import PathPartitionFilter
 
@@ -2418,22 +2440,9 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
         meta = json.load(f)
     k, shingle, parts = meta["k"], meta["shingle"], meta["parts"]
 
-    nsk = bottomk_sketch_rows(new_ds, k=k, shingle=shingle).materialize()
+    cols = ("doc_id", "reg_doc_id", "inter", "denom")
+    empty = pd.DataFrame({c: pd.array([], dtype="int64") for c in cols})
 
-    def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return _sketch_hash_rows(batch, parts)
-
-    new_hashes = nsk.map_batches(
-        hash_rows, batch_format="pandas"
-    ).materialize()
-    empty = pd.DataFrame(
-        {
-            "doc_id": pd.array([], dtype="int64"),
-            "reg_doc_id": pd.array([], dtype="int64"),
-            "inter": pd.array([], dtype="int64"),
-            "denom": pd.array([], dtype="int64"),
-        }
-    )
     def _stats(touched_hp, touched_dp):
         def part_bytes(base, key, touched):
             tot = prb = 0
@@ -2463,126 +2472,100 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
             "sketch_bytes_total": st,
         }
 
-    # count() is free metadata on the materialized dataset; the guard
-    # must run BEFORE select_columns/to_pandas — an empty Dataset drops
-    # its schema (the pinned edge-corpus contract) and KeyErrors
-    if new_hashes.count() == 0:
-        return (empty, _stats(set(), set())) if return_stats else empty
-    hp_col = new_hashes.select_columns(["hp"]).to_pandas()["hp"]
-    touched_hp = set(int(x) for x in hp_col.unique())  # bounded by parts
+    def done(res, touched_hp, touched_dp):
+        return (res, _stats(touched_hp, touched_dp)) if return_stats else res
+
+    # an empty Dataset drops its schema: check the length before any column
+    nsk = bottomk_sketch_rows(new_ds, k=k, shingle=shingle).to_pandas()
+    if len(nsk) == 0:
+        return done(empty, set(), set())
+    nsk = nsk.sort_values("doc_id", kind="mergesort")
+    new_ids = nsk["doc_id"].to_numpy().astype(np.int64)
+    if (new_ids[1:] == new_ids[:-1]).any():
+        raise ValueError(
+            "lsh_registry_query: incoming doc ids must be unique; "
+            f"{int(new_ids[1:][new_ids[1:] == new_ids[:-1]][0])} repeats"
+        )
+    nh = _sketch_hash_rows(nsk, parts)
+    touched_hp = set(int(x) for x in np.unique(nh["hp"].to_numpy()))
+    order = np.lexsort((nh["doc_id"].to_numpy(), nh["sh"].to_numpy()))
+    s_sh = nh["sh"].to_numpy()[order]
+    s_doc = nh["doc_id"].to_numpy()[order]
+
+    def probe(batch: dict) -> dict:
+        rsh = batch["sh"].astype(np.int64)
+        lo = np.searchsorted(s_sh, rsh, side="left")
+        cnt = np.searchsorted(s_sh, rsh, side="right") - lo
+        # row i of the registry pairs with incoming s_doc[lo[i]:lo[i]+cnt[i]]
+        off = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        pairs = np.stack(
+            [
+                s_doc[np.arange(len(off), dtype=np.int64) + off],
+                np.repeat(batch["doc_id"].astype(np.int64), cnt),
+            ],
+            axis=1,
+        )
+        pairs = np.unique(pairs, axis=0)
+        return {"doc_a": pairs[:, 0], "doc_b": pairs[:, 1]}
 
     pf = PathPartitionFilter.of(
         lambda kv: "hp" in kv and int(kv["hp"]) in touched_hp,
         style="hive",
         base_dir=os.path.join(path, "hashes"),
     )
-    reg_hashes = ray.data.read_parquet(
-        os.path.join(path, "hashes"),
-        partition_filter=pf,
-        columns=["sh", "doc_id"],
-    )
-
-    def tag_side(side: int):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            sh = batch["sh"].to_numpy().astype(np.int64)
-            return pd.DataFrame(
-                {
-                    "sh": pd.array(sh, dtype="int64"),
-                    "doc_id": pd.array(
-                        batch["doc_id"].to_numpy().astype(np.int64),
-                        dtype="int64",
-                    ),
-                    "side": pd.array(
-                        np.full(len(sh), side, np.int64), dtype="int64"
-                    ),
-                }
-            )
-
-        return fn
-
-    def cross_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b = [], []
-        for _, sub in group.groupby("sh", sort=False):
-            nids = np.unique(
-                sub.loc[sub["side"] == 1, "doc_id"].to_numpy()
-            )
-            rids = np.unique(
-                sub.loc[sub["side"] == 0, "doc_id"].to_numpy()
-            )
-            if len(nids) and len(rids):
-                out_a.append(np.repeat(nids, len(rids)))
-                out_b.append(np.tile(rids, len(nids)))
-        if not out_a:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.array([], dtype="int64"),
-                    "doc_b": pd.array([], dtype="int64"),
-                }
-            )
-        df = pd.DataFrame(
-            {
-                "doc_a": np.concatenate(out_a),
-                "doc_b": np.concatenate(out_b),
-            }
+    cand = (
+        ray.data.read_parquet(
+            os.path.join(path, "hashes"),
+            partition_filter=pf,
+            columns=["sh", "doc_id"],
         )
-        return df.drop_duplicates(["doc_a", "doc_b"]).astype("int64")
-
-    probe = new_hashes.map_batches(tag_side(1), batch_format="pandas").union(
-        reg_hashes.map_batches(tag_side(0), batch_format="pandas")
+        .map_batches(probe, batch_format="numpy")
+        .to_pandas()
     )
-    pairs = bucket_aggregate(
-        probe, cross_pairs, key="sh", buckets=coarse_buckets
-    ).materialize()  # consumed twice: id extraction + estimation
-    # same guard-before-select rule on the materialized pair list
-    if pairs.count() == 0:
-        return (
-            (empty, _stats(touched_hp, set())) if return_stats else empty
-        )
-    # candidate registry ids -> the dp partitions to open (candidate-
-    # bounded driver array, the keep_best/minhash contract)
-    ends = pairs.to_pandas()
-    reg_ids = np.unique(ends["doc_b"].to_numpy())
-    shared = np.intersect1d(ends["doc_a"].to_numpy(), reg_ids)
+    if len(cand) == 0:
+        return done(empty, touched_hp, set())
+    pairs = np.unique(
+        cand[["doc_a", "doc_b"]].to_numpy().astype(np.int64), axis=0
+    )
+    doc_a, doc_b = pairs[:, 0], pairs[:, 1]
+    reg_ids = np.unique(doc_b)
+    shared = np.intersect1d(doc_a, reg_ids)
     if len(shared):
         raise ValueError(
             "lsh_registry_query: incoming and registry doc ids must be "
             f"disjoint; {len(shared)} shared, e.g. {int(shared[0])}"
         )
+
+    # point lookup of the candidate blobs in this process: a Ray read here
+    # keeps one more worker resident for the rest of the session
     touched_dp = set(int(x) for x in np.unique(bucket_of(reg_ids, parts)))
-    pf2 = PathPartitionFilter.of(
-        lambda kv: "dp" in kv and int(kv["dp"]) in touched_dp,
-        style="hive",
-        base_dir=os.path.join(path, "sketches"),
-    )
-    reg_blobs = ray.data.read_parquet(
-        os.path.join(path, "sketches"),
-        partition_filter=pf2,
+    tbl = pads.dataset(
+        os.path.join(path, "sketches"), partitioning="hive"
+    ).to_table(
         columns=["doc_id", "sk"],
+        filter=pc.field("dp").isin(sorted(touched_dp))
+        & pc.field("doc_id").isin(reg_ids),
     )
-    est = bottomk_pair_estimates(
-        pairs,
-        nsk.union(reg_blobs),
-        k=k,
-        min_inter=min_inter,
-        coarse_buckets=coarse_buckets,
-    ).to_pandas()
-    if len(est) == 0:
-        return (
-            (empty, _stats(touched_hp, touched_dp))
-            if return_stats
-            else empty
+    got = tbl.column("doc_id").to_numpy().astype(np.int64)
+    by_id = np.argsort(got, kind="stable")
+    if not np.array_equal(got[by_id], reg_ids):
+        raise ValueError(
+            "lsh_registry_query: a candidate registry doc did not attach "
+            "exactly one sketch blob (missing or duplicate registry blobs)"
         )
-    keep = (
-        est["inter"].to_numpy() * np.int64(tden)
-        >= np.int64(tnum) * est["denom"].to_numpy()
+    reg_sk = tbl.column("sk").to_numpy(zero_copy_only=False)[by_id]
+    inter, denom = _union_bottomk(
+        _pad_blobs(nsk["sk"].to_numpy(), k)[np.searchsorted(new_ids, doc_a)],
+        _pad_blobs(reg_sk, k)[np.searchsorted(reg_ids, doc_b)],
+        k,
     )
-    out = est.loc[keep].rename(
-        columns={"doc_a": "doc_id", "doc_b": "reg_doc_id"}
+    keep = (inter >= min_inter) & (
+        inter * np.int64(tden) >= np.int64(tnum) * denom
     )
-    res = (
-        out[["doc_id", "reg_doc_id", "inter", "denom"]]
-        .sort_values(["doc_id", "reg_doc_id"], kind="mergesort")
-        .reset_index(drop=True)
-        .astype("int64")
+    res = pd.DataFrame(
+        {
+            c: pd.array(v[keep], dtype="int64")
+            for c, v in zip(cols, (doc_a, doc_b, inter, denom))
+        }
     )
-    return (res, _stats(touched_hp, touched_dp)) if return_stats else res
+    return done(res, touched_hp, touched_dp)

@@ -4228,17 +4228,82 @@ def test_bleu_overlap_vs_counter(ray_session):
     assert list(e["matched"]) == [0, 0] and list(e["total"]) == [0, 0]
 
 
-def test_lsh_registry_roundtrip_vs_bruteforce(ray_session):
+def _registry_sketch(t, k=16, sh=4):
+    """Scalar bottom-k shingle sketch (the lsh_registry contract)."""
     import re
-    import shutil
 
+    from searchengines_ray.stages.text import _M31
+
+    def wordhash(w):
+        h = 0
+        for c in w.encode():
+            h = (h * 131 + c) % _M31
+        return h
+
+    toks = re.findall(r"[0-9a-z]+", (t or "").lower())
+    if len(toks) < sh:
+        return []
+    whs = [wordhash(w) for w in toks]
+    gs = set()
+    for i in range(len(whs) - sh + 1):
+        a = 0
+        for x in whs[i: i + sh]:
+            a = (a * 1000003 + x) % _M31
+        gs.add(a)
+    return sorted(gs)[:k]
+
+
+def _registry_brute(reg_rows, new_rows, tnum=1, tden=2, k=16):
+    """Every (incoming, registry) pair sharing a sketch hash whose
+    union-bottom-k estimate passes ``inter * tden >= tnum * denom``."""
+    exp = []
+    for nr in new_rows:
+        sa = set(_registry_sketch(nr["text"], k))
+        for rr in reg_rows:
+            sb = set(_registry_sketch(rr["text"], k))
+            if not (sa & sb):
+                continue
+            u = sorted(sa | sb)
+            ku = min(k, len(u))
+            inter = sum(1 for h in u[:ku] if h in sa and h in sb)
+            if inter >= 1 and inter * tden >= tnum * ku:
+                exp.append((nr["doc_id"], rr["doc_id"], inter, ku))
+    return sorted(exp)
+
+
+def test_lsh_registry_roundtrip_vs_bruteforce(
+    tmp_path, monkeypatch, ray_session
+):
     import ray.data
 
+    from searchengines_ray.stages import dedup
     from searchengines_ray.stages.dedup import (
         lsh_registry_query,
         lsh_registry_write,
     )
-    from searchengines_ray.stages.text import _M31
+
+    def no_exchange(*a, **kw):
+        raise AssertionError("lsh_registry_query ran an exchange")
+
+    # the query is a pruned scan plus a point lookup: no shuffle may
+    # creep back onto this path
+    monkeypatch.setattr(dedup, "bucket_aggregate", no_exchange)
+
+    def run(reg_rows, new_rows, parts, name, **kw):
+        path = str(tmp_path / name)
+        lsh_registry_write(
+            ray.data.from_pandas(pd.DataFrame(reg_rows)).repartition(5),
+            path,
+            parts=parts,
+        )
+        out = lsh_registry_query(
+            ray.data.from_pandas(pd.DataFrame(new_rows)).repartition(3),
+            path,
+            **kw,
+        )
+        return list(
+            zip(out["doc_id"], out["reg_doc_id"], out["inter"], out["denom"])
+        )
 
     vocab = [f"tok{i}" for i in range(200)]
 
@@ -4257,60 +4322,36 @@ def test_lsh_registry_roundtrip_vs_bruteforce(ray_session):
         {"doc_id": 10003, "text": None},
         {"doc_id": 10004, "text": "a b"},  # too short for shingles
     ]
-    path = "/tmp/lsh_reg_pytest"
-    shutil.rmtree(path, ignore_errors=True)
-    try:
-        lsh_registry_write(
-            ray.data.from_pandas(pd.DataFrame(reg_rows)).repartition(5),
-            path,
-            parts=8,
-        )
-        out = lsh_registry_query(
-            ray.data.from_pandas(pd.DataFrame(new_rows)).repartition(3),
-            path,
-        )
-    finally:
-        shutil.rmtree(path, ignore_errors=True)
-
-    def wordhash(w):
-        h = 0
-        for c in w.encode():
-            h = (h * 131 + c) % _M31
-        return h
-
-    def sketch(t, k=16, sh=4):
-        toks = re.findall(r"[0-9a-z]+", (t or "").lower())
-        if len(toks) < sh:
-            return []
-        whs = [wordhash(w) for w in toks]
-        gs = set()
-        for i in range(len(whs) - sh + 1):
-            a = 0
-            for x in whs[i: i + sh]:
-                a = (a * 1000003 + x) % _M31
-            gs.add(a)
-        return sorted(gs)[:k]
-
-    exp = []
-    for nr in new_rows:
-        sa = set(sketch(nr["text"]))
-        if not sa:
-            continue
-        for rr in reg_rows:
-            sb = set(sketch(rr["text"]))
-            if not sb or not (sa & sb):
-                continue
-            u = sorted(sa | sb)
-            ku = min(16, len(u))
-            inter = sum(1 for h in u[:ku] if h in sa and h in sb)
-            if inter >= 1 and inter * 2 >= ku:
-                exp.append((nr["doc_id"], rr["doc_id"], inter, ku))
-    exp.sort()
-    got = list(
-        zip(out["doc_id"], out["reg_doc_id"], out["inter"], out["denom"])
-    )
-    assert got == exp
+    got = run(reg_rows, new_rows, 8, "reg")
+    assert got == _registry_brute(reg_rows, new_rows)
     assert (10000, 5, 16, 16) in got  # the exact dup scores 16/16
+
+    # many-to-many: every doc opens with the same shingle and is short
+    # enough (< 16 shingles) that it sits in every sketch, so one hash
+    # is shared by all incoming and all registry docs
+    r = np.random.RandomState(3)
+    small = ["aa", "bb", "cc", "dd", "ee", "ff"]
+
+    def short(n):
+        return "zz yy xx ww " + " ".join(r.choice(small, size=n))
+
+    reg_rows = [
+        {"doc_id": i, "text": short(r.randint(0, 8))} for i in range(12)
+    ]
+    new_rows = [
+        {"doc_id": 500 + i, "text": short(r.randint(0, 8))} for i in range(9)
+    ]
+    new_rows.append({"doc_id": 600, "text": reg_rows[4]["text"]})
+    sks = [set(_registry_sketch(x["text"])) for x in reg_rows + new_rows]
+    assert all(len(x) < 16 for x in sks)
+    common = set.intersection(*sks)
+    assert common  # shared by all 12 registry and 10 incoming docs
+    exp = _registry_brute(reg_rows, new_rows, tnum=1, tden=3)
+    assert (600, 4) in {(a, b) for a, b, _, _ in exp}
+    assert 0 < len(exp) < len(reg_rows) * len(new_rows)
+    for parts in (1, 8):
+        got = run(reg_rows, new_rows, parts, f"m2m{parts}", tnum=1, tden=3)
+        assert got == exp, parts
 
 
 def test_anomaly_hours_vs_bruteforce(ray_session):
@@ -4378,9 +4419,7 @@ def test_anomaly_hours_vs_bruteforce(ray_session):
     assert len(e) == 0 and list(e.columns) == ["event_type", "hour", "cnt"]
 
 
-def test_lsh_registry_empty_incoming(ray_session):
-    import shutil
-
+def test_lsh_registry_empty_incoming(tmp_path, ray_session):
     import ray.data
 
     from searchengines_ray.stages.dedup import (
@@ -4399,15 +4438,11 @@ def test_lsh_registry_empty_incoming(ray_session):
     new = pd.DataFrame(
         {"doc_id": [1000, 1001], "text": [None, "a b"]}
     )
-    path = "/tmp/lsh_reg_empty_pytest"
-    shutil.rmtree(path, ignore_errors=True)
-    try:
-        lsh_registry_write(ray.data.from_pandas(reg), path, parts=4)
-        out, stats = lsh_registry_query(
-            ray.data.from_pandas(new), path, return_stats=True
-        )
-    finally:
-        shutil.rmtree(path, ignore_errors=True)
+    path = str(tmp_path / "reg")
+    lsh_registry_write(ray.data.from_pandas(reg), path, parts=4)
+    out, stats = lsh_registry_query(
+        ray.data.from_pandas(new), path, return_stats=True
+    )
     assert len(out) == 0
     assert list(out.columns) == ["doc_id", "reg_doc_id", "inter", "denom"]
     assert stats["hash_parts_probed"] == 0
@@ -4430,6 +4465,52 @@ def test_lsh_registry_query_rejects_shared_ids(tmp_path, ray_session):
     new = pd.DataFrame({"doc_id": [3], "text": [texts[3]]})
     with pytest.raises(ValueError, match="disjoint"):
         lsh_registry_query(ray.data.from_pandas(new), path)
+
+
+def test_lsh_registry_query_rejects_bad_blobs_and_ids(tmp_path, ray_session):
+    """The verify step attaches exactly one stored blob per candidate
+    registry doc, and incoming ids are unique: a duplicated or a lost
+    registry blob, or a repeated incoming id, raises."""
+    import os
+    import shutil
+
+    import ray.data
+
+    from searchengines_ray.stages.dedup import (
+        lsh_registry_query,
+        lsh_registry_write,
+    )
+    from searchengines_ray.stages.exchange import bucket_of
+
+    texts = [f"alpha beta gamma delta epsilon zeta eta {i}" for i in range(20)]
+    reg = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": range(20), "text": texts})
+    )
+    new = pd.DataFrame({"doc_id": [100], "text": [texts[3]]})
+    # reg doc 3 is a candidate of incoming doc 100 (identical text)
+    dp = int(bucket_of(np.array([3], dtype=np.int64), 4)[0])
+
+    dup = str(tmp_path / "dup")
+    lsh_registry_write(reg, dup, parts=4)
+    part = os.path.join(dup, "sketches", f"dp={dp}")
+    for f in os.listdir(part):
+        shutil.copy(os.path.join(part, f), os.path.join(part, "copy_" + f))
+    with pytest.raises(ValueError, match="exactly one"):
+        lsh_registry_query(ray.data.from_pandas(new), dup)
+
+    lost = str(tmp_path / "lost")
+    lsh_registry_write(reg, lost, parts=4)
+    shutil.rmtree(os.path.join(lost, "sketches", f"dp={dp}"))
+    with pytest.raises(ValueError, match="exactly one"):
+        lsh_registry_query(ray.data.from_pandas(new), lost)
+
+    ok = str(tmp_path / "ok")
+    lsh_registry_write(reg, ok, parts=4)
+    out = lsh_registry_query(ray.data.from_pandas(new), ok)
+    assert (100, 3, 5, 5) in set(out.itertuples(index=False, name=None))
+    twice = pd.DataFrame({"doc_id": [100, 100], "text": [texts[3], texts[5]]})
+    with pytest.raises(ValueError, match="unique"):
+        lsh_registry_query(ray.data.from_pandas(twice), ok)
 
 
 def test_bottomk_pair_estimates_rejects_unattached_endpoint(ray_session):
