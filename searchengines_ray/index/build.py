@@ -177,7 +177,14 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0, codec):
             field_cols[extra] = pc.fill_null(batch.column(extra), "")
 
     doclens = {f: np.zeros(n, dtype=np.int64) for f in FIELDS}
-    cols = {name: [] for name in POSTINGS_SCHEMA.names}
+    # every field's posting lists, concatenated in (field, term) order:
+    # per list its field and term, per posting its doc, tf and field
+    # length, the flat positions, and each list's first posting
+    post = {
+        k: []
+        for k in ("field", "term", "docs", "tfs", "doclens", "positions",
+                  "starts")
+    }
     n_postings = 0
     fwd_chunks = []  # (field, offsets, flat term strings) when keep_forward
 
@@ -188,59 +195,63 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0, codec):
         doclens[fname] = dl
         if len(sid) == 0:
             continue
-        # group the token stream into postings: sort by (term, doc, pos)
-        order = np.lexsort((pos, parent, sid))
-        s_arr, d_arr, p_arr = sid[order], parent[order], pos[order]
-        first = np.ones(len(s_arr), dtype=bool)
-        first[1:] = (s_arr[1:] != s_arr[:-1]) | (d_arr[1:] != d_arr[:-1])
+        # group the token stream into postings: sort by (lexicographic
+        # term rank, doc, pos), so the lists come out in term order
+        # (the deterministic layout) with no sort over terms in Python
+        vocab_np = np.asarray(vocab, dtype=object)
+        by_rank = np.argsort(np.asarray(vocab))
+        rank = np.empty(len(vocab), dtype=np.int64)
+        rank[by_rank] = np.arange(len(vocab))
+        r_arr = rank[sid]
+        order = np.lexsort((pos, parent, r_arr))
+        r_arr, d_arr, p_arr = r_arr[order], parent[order], pos[order]
+        first = np.ones(len(r_arr), dtype=bool)
+        first[1:] = (r_arr[1:] != r_arr[:-1]) | (d_arr[1:] != d_arr[:-1])
         run_start = np.nonzero(first)[0]
-        tf_runs = np.diff(np.append(run_start, len(s_arr)))
+        tf_runs = np.diff(np.append(run_start, len(r_arr)))
         run_docs = d_arr[run_start]
-        run_sids = s_arr[run_start]
-        tfirst = np.ones(len(run_sids), dtype=bool)
-        tfirst[1:] = run_sids[1:] != run_sids[:-1]
+        run_ranks = r_arr[run_start]
+        tfirst = np.ones(len(run_ranks), dtype=bool)
+        tfirst[1:] = run_ranks[1:] != run_ranks[:-1]
         term_start = np.nonzero(tfirst)[0]
-        term_end = np.append(term_start[1:], len(run_sids))
-        term_sids = run_sids[term_start]
-        # flat position offsets per run
-        pos_start = run_start
-        # iterate terms in lexicographic order (deterministic layout)
-        torder = sorted(
-            range(len(term_sids)), key=lambda i: vocab[term_sids[i]]
-        )
-        dl_f = dl
-        for ti in torder:
-            a, b = term_start[ti], term_end[ti]
-            docs_a = run_docs[a:b].astype(np.uint64)
-            tfs_a = tf_runs[a:b].astype(np.uint64)
-            flat_pos = p_arr[run_start[a] : run_start[b] if b < len(run_start) else len(p_arr)]
-            n_postings += len(docs_a)
-            cols["field"].append(fname)
-            cols["term"].append(vocab[term_sids[ti]])
-            cols["df"].append(len(docs_a))
-            cols["ctf"].append(int(tfs_a.sum()))
-            cols["docs"].append(encode.encode_doc_ids(docs_a, codec))
-            cols["tfs"].append(encode.encode_values(tfs_a, codec))
-            cols["positions"].append(
-                encode.encode_values(flat_pos.astype(np.uint64), codec)
-            )
-            bmd, bmt, bml = encode.block_maxes(
-                docs_a, tfs_a, dl_f[docs_a.astype(np.int64)]
-            )
-            cols["bm_max_doc"].append(bmd)
-            cols["bm_max_tf"].append(bmt)
-            cols["bm_min_dl"].append(bml)
+        post["field"].append(np.full(len(term_start), fname, dtype=object))
+        post["term"].append(vocab_np[by_rank[run_ranks[term_start]]])
+        post["docs"].append(run_docs)
+        post["tfs"].append(tf_runs)
+        post["doclens"].append(dl[run_docs])
+        post["positions"].append(p_arr)
+        post["starts"].append(term_start + n_postings)
+        n_postings += len(run_docs)
         if keep_forward:
             # reconstruct per-doc token lists ('' marks stopword slots)
             total = int(dl.sum())
             starts = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(dl, out=starts[1:])
             flat_full = np.full(total, "", dtype=object)
-            vocab_np = np.asarray(vocab, dtype=object)
             flat_full[starts[parent] + pos] = vocab_np[sid]
             fwd_chunks.append((fname, starts, flat_full))
 
-    postings_tbl = pa.Table.from_pydict(cols, schema=POSTINGS_SCHEMA)
+    # every field's lists in one encode call per column
+    post["starts"].append(np.array([n_postings], dtype=np.int64))
+
+    def cat(key, dtype=np.int64):
+        return np.concatenate(post[key]) if post[key] else np.empty(0, dtype)
+
+    postings_tbl = pa.table(
+        {
+            "field": pa.array(cat("field", object), pa.string()),
+            "term": pa.array(cat("term", object), pa.string()),
+            **encode.encode_postings(
+                docs=cat("docs"),
+                tfs=cat("tfs"),
+                positions=cat("positions"),
+                doclens=cat("doclens"),
+                starts=cat("starts"),
+                codec=codec,
+            ),
+        },
+        schema=POSTINGS_SCHEMA,
+    )
 
     docmeta_cols = {
         "doc_id": pa.array(doc_ids, pa.int64()),

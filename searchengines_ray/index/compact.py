@@ -250,11 +250,16 @@ def _merge_group_inner(
     segs_np = inv["seg"].to_numpy()
     rows_np = inv["row"].to_numpy()
 
-    cols: dict[str, list] = {n: [] for n in POSTINGS_SCHEMA.names}
+    # merged lists, concatenated in layout order, for one encode call
+    # per column (encode.encode_postings owns the column layout)
+    post = {
+        k: []
+        for k in ("field", "term", "docs", "tfs", "doclens", "positions")
+    }
+    starts = [0]
     docs_cols = [t.column("docs") for t in tbls]
     tfs_cols = [t.column("tfs") for t in tbls]
     pos_cols = [t.column("positions") for t in tbls]
-    n_postings = 0
     for gi in range(len(bounds) - 1):
         a, b = bounds[gi], bounds[gi + 1]
         fname = fld[a]
@@ -278,32 +283,40 @@ def _merge_group_inner(
         if len(docs) == 0:
             continue  # every posting of this term was tombstoned
         tfs = np.concatenate(parts_t).astype(np.int64)
-        flat_pos = np.concatenate(parts_p)
         order = np.argsort(docs, kind="stable")
-        docs, tfs_o = docs[order], tfs[order]
-        flat_pos = _permute_position_blocks(flat_pos, tfs, order)
-        n_postings += len(docs)
-        cols["field"].append(fname)
-        cols["term"].append(trm[a])
-        cols["df"].append(len(docs))
-        cols["ctf"].append(int(tfs_o.sum()))
-        cols["docs"].append(
-            encode.encode_doc_ids(docs.astype(np.uint64), out_codec)
+        post["field"].append(fname)
+        post["term"].append(trm[a])
+        post["docs"].append(docs[order])
+        post["tfs"].append(tfs[order])
+        post["doclens"].append(doclen[fname][docs[order]])
+        post["positions"].append(
+            _permute_position_blocks(np.concatenate(parts_p), tfs, order)
         )
-        cols["tfs"].append(
-            encode.encode_values(tfs_o.astype(np.uint64), out_codec)
-        )
-        cols["positions"].append(
-            encode.encode_values(flat_pos.astype(np.uint64), out_codec)
-        )
-        bmd, bmt, bml = encode.block_maxes(
-            docs.astype(np.uint64), tfs_o.astype(np.uint64), doclen[fname][docs]
-        )
-        cols["bm_max_doc"].append(bmd)
-        cols["bm_max_tf"].append(bmt)
-        cols["bm_min_dl"].append(bml)
+        starts.append(starts[-1] + len(docs))
+    n_postings = starts[-1]
 
-    postings_tbl = pa.Table.from_pydict(cols, schema=POSTINGS_SCHEMA)
+    def cat(key):
+        return (
+            np.concatenate(post[key])
+            if post[key]
+            else np.empty(0, dtype=np.int64)
+        )
+
+    postings_tbl = pa.table(
+        {
+            "field": pa.array(post["field"], pa.string()),
+            "term": pa.array(post["term"], pa.string()),
+            **encode.encode_postings(
+                docs=cat("docs"),
+                tfs=cat("tfs"),
+                positions=cat("positions"),
+                doclens=cat("doclens"),
+                starts=np.asarray(starts, dtype=np.int64),
+                codec=out_codec,
+            ),
+        },
+        schema=POSTINGS_SCHEMA,
+    )
 
     tmp_dir = seg_dir + f".tmp-{os.getpid()}"
     os.makedirs(tmp_dir, exist_ok=True)

@@ -42,6 +42,17 @@ serve correctly):
 ``encode_values`` uses the same codec machinery but absolute values
 (tfs, flat positions — no delta), base unused/zero.
 
+``encode_lists`` is the segmented entry point: a concatenated value array
+plus its list offsets in, one Arrow ``binary`` row per list out, each row
+byte-identical to encoding that list alone.  ``bw`` encodes every list in
+one numpy pass (block ids from the list offsets, widths from one
+``maximum.reduceat``, headers and width-grouped bodies scattered into one
+buffer); ``encode_doc_ids``/``encode_values`` are its one-list case.
+``vb``/``pfor``/``ef`` run their per-list kernels behind it.
+``encode_postings`` builds every encoded and block-max column of a
+segment's postings table from one call each — the one owner of that
+layout, for the segment writer and compaction alike.
+
 Block-max metadata for block-max WAND (computed at build time WITHOUT a
 second global pass — the bound ``tf/(tf+k1((1-b)+b*dl/avg))`` is monotone
 increasing in tf and decreasing in doclen, so per-block ``max_tf`` and
@@ -54,51 +65,100 @@ query time):
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK = 128
 _HEADER = np.dtype([("base", "<u8"), ("count", "<u2"), ("width", "u1")])
 
 
-def _pack(vals: np.ndarray, width: int) -> bytes:
-    """Pack uint64 values into `width`-byte little-endian integers."""
-    if width == 8:
-        return vals.astype("<u8").tobytes()
-    if width == 4:
-        return vals.astype("<u4").tobytes()
-    if width == 2:
-        return vals.astype("<u2").tobytes()
-    return vals.astype("u1").tobytes()
+def _block_geometry(starts: np.ndarray):
+    """Blocks of 128 over concatenated lists with offsets ``starts``
+    (n_lists + 1 entries; a block never spans two lists).
+
+    Returns ``(bstart, bcount, list_blocks)``: each block's first value
+    index and value count, and each list's block offsets (n_lists + 1)."""
+    lens = np.diff(starts)
+    nblk = (lens + BLOCK - 1) // BLOCK
+    list_blocks = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(nblk, out=list_blocks[1:])
+    owner = np.repeat(np.arange(len(lens), dtype=np.int64), nblk)
+    within = np.arange(list_blocks[-1], dtype=np.int64) - list_blocks[owner]
+    bstart = starts[owner] + BLOCK * within
+    bcount = np.minimum(starts[owner + 1] - bstart, BLOCK)
+    return bstart, bcount, list_blocks
 
 
-def _width_for(maxval: int) -> int:
-    if maxval < 1 << 8:
-        return 1
-    if maxval < 1 << 16:
-        return 2
-    if maxval < 1 << 32:
-        return 4
-    return 8
+def _bw_encode_lists(
+    vals: np.ndarray, starts: np.ndarray, delta: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bw`` over every list at once -> (uint8 data, int64 byte offsets
+    per list).  Block widths come from one ``maximum.reduceat``; headers
+    and width-grouped bodies are scattered into one buffer by per-value
+    offsets (one scatter per byte of width, never per-byte index
+    arrays)."""
+    bstart, bcount, list_blocks = _block_geometry(starts)
+    nblk = len(bstart)
+    if delta:
+        body = np.empty_like(vals)
+        body[1:] = vals[1:] - vals[:-1]  # list seams are block starts
+        body[bstart] = 0  # a block's first value rides in its header
+        base = vals[bstart]
+        nbody = bcount - 1
+    else:
+        body = vals
+        base = 0
+        nbody = bcount
+    bmax = (
+        np.maximum.reduceat(body, bstart)
+        if nblk
+        else np.empty(0, dtype=np.uint64)
+    )
+    width = np.select(
+        [bmax < np.uint64(1 << 8), bmax < np.uint64(1 << 16),
+         bmax < np.uint64(1 << 32)],
+        [1, 2, 4],
+        8,
+    ).astype(np.int64)
+    boff = np.zeros(nblk + 1, dtype=np.int64)
+    np.cumsum(_HEADER.itemsize + nbody * width, out=boff[1:])
+    out = np.empty(int(boff[-1]), dtype=np.uint8)
+
+    hdr = np.zeros(nblk, dtype=_HEADER)
+    hdr["base"] = base
+    hdr["count"] = bcount
+    hdr["width"] = width
+    hbytes = hdr.view(np.uint8).reshape(nblk, _HEADER.itemsize)
+    for k in range(_HEADER.itemsize):
+        out[boff[:-1] + k] = hbytes[:, k]
+
+    # per value: its slot in its block's body, then its byte offset in
+    # ``out`` (width 0 marks a header-held first value)
+    blk = np.repeat(np.arange(nblk, dtype=np.int64), bcount)
+    dest = np.arange(len(vals), dtype=np.int64) - bstart[blk]
+    if delta:
+        dest -= 1
+    vwidth = width.astype(np.uint8)[blk]
+    vwidth[dest < 0] = 0
+    dest *= vwidth
+    dest += (boff[:-1] + _HEADER.itemsize)[blk]
+    del blk
+    for w in (1, 2, 4, 8):
+        idx = np.flatnonzero(vwidth == w)
+        if not len(idx):
+            continue
+        vb = body[idx].astype(f"<u{w}").view(np.uint8).reshape(-1, w)
+        d = dest[idx]
+        for k in range(w):
+            out[d + k] = vb[:, k]
+    return out, boff[list_blocks]
 
 
-def _encode_blocks(arr: np.ndarray, delta: bool) -> bytes:
-    out = []
-    n = len(arr)
-    for start in range(0, n, BLOCK):
-        blk = arr[start : start + BLOCK]
-        if delta:
-            base = int(blk[0])
-            body = np.diff(blk)
-        else:
-            base = 0
-            body = blk
-        width = _width_for(int(body.max()) if len(body) else 0)
-        hdr = np.zeros(1, dtype=_HEADER)
-        hdr["base"] = base
-        hdr["count"] = len(blk)
-        hdr["width"] = width
-        out.append(hdr.tobytes())
-        out.append(_pack(body, width))
-    return b"".join(out)
+def _bw_encode(arr: np.ndarray, delta: bool) -> bytes:
+    """One-list case of :func:`_bw_encode_lists`."""
+    out, _ = _bw_encode_lists(
+        arr, np.array([0, len(arr)], dtype=np.int64), delta
+    )
+    return out.tobytes()
 
 
 def _decode_blocks(buf: bytes, delta: bool) -> np.ndarray:
@@ -414,7 +474,7 @@ def _ef_decode(buf: bytes, delta: bool) -> np.ndarray:
 CODECS = ("bw", "vb", "pfor", "ef")
 
 _ENC = {
-    "bw": _encode_blocks,
+    "bw": _bw_encode,
     "vb": _vb_encode,
     "pfor": _pfor_encode,
     "ef": _ef_encode,
@@ -445,14 +505,113 @@ def decode_values(buf: bytes, codec: str = "bw") -> np.ndarray:
     return _DEC[codec](buf, False)
 
 
+def _block_maxes_lists(doc_ids, tfs, doclens, starts):
+    """Per-block (max_docid, max_tf, min_doclen) over concatenated lists,
+    plus each list's block offsets."""
+    bstart, bcount, list_blocks = _block_geometry(starts)
+    if not len(bstart):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, list_blocks
+    return (
+        np.asarray(doc_ids)[bstart + bcount - 1],
+        np.maximum.reduceat(tfs, bstart),
+        np.minimum.reduceat(doclens, bstart),
+        list_blocks,
+    )
+
+
 def block_maxes(
     doc_ids: np.ndarray, tfs: np.ndarray, doclens: np.ndarray
 ) -> tuple[list[int], list[int], list[int]]:
     """Per-block (max_docid, max_tf, min_doclen) for block-max WAND."""
-    max_doc, max_tf, min_dl = [], [], []
-    for start in range(0, len(doc_ids), BLOCK):
-        end = start + BLOCK
-        max_doc.append(int(doc_ids[start:end][-1]))
-        max_tf.append(int(tfs[start:end].max()))
-        min_dl.append(int(doclens[start:end].min()))
-    return max_doc, max_tf, min_dl
+    starts = np.array([0, len(doc_ids)], dtype=np.int64)
+    md, mt, ml, _ = _block_maxes_lists(doc_ids, tfs, doclens, starts)
+    return md.tolist(), mt.tolist(), ml.tolist()
+
+
+_MAX_BINARY_BYTES = 2**31 - 1  # what int32 binary-column offsets address
+
+
+def _binary_offsets(offsets: np.ndarray) -> np.ndarray:
+    """int64 byte offsets -> the int32 offsets of an Arrow ``binary``
+    column.  Past 2^31-1 bytes int32 would wrap silently, so raise."""
+    total = int(offsets[-1])
+    if total > _MAX_BINARY_BYTES:
+        raise ValueError(
+            f"a postings column holds {total} bytes, over the "
+            f"{_MAX_BINARY_BYTES}-byte limit of one Arrow binary column; "
+            "lower docs_per_segment"
+        )
+    return offsets.astype(np.int32)
+
+
+def encode_lists(
+    values: np.ndarray, starts: np.ndarray, codec: str = "bw",
+    delta: bool = False,
+) -> pa.Array:
+    """Encode every list of a concatenated value array at once.
+
+    ``starts`` holds the n_lists + 1 list offsets into ``values``; list i
+    encodes exactly as ``encode_doc_ids`` (``delta``) or ``encode_values``
+    would encode ``values[starts[i]:starts[i+1]]``.  Returns an Arrow
+    ``binary`` array with one row per list.  ``bw`` runs as one numpy
+    pass over all lists; ``vb``/``pfor``/``ef`` call their per-list
+    kernels."""
+    vals = np.asarray(values, dtype=np.uint64)
+    starts = np.asarray(starts, dtype=np.int64)
+    if codec == "bw":
+        data, offsets = _bw_encode_lists(vals, starts, delta)
+    else:
+        enc = _ENC[codec]
+        bufs = [
+            enc(vals[a:b], delta) for a, b in zip(starts[:-1], starts[1:])
+        ]
+        data = np.frombuffer(b"".join(bufs), dtype=np.uint8)
+        offsets = np.zeros(len(bufs) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in bufs], out=offsets[1:])
+    return pa.Array.from_buffers(
+        pa.binary(),
+        len(starts) - 1,
+        [None, pa.py_buffer(_binary_offsets(offsets)), pa.py_buffer(data)],
+    )
+
+
+def _int32_lists(values: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    return pa.ListArray.from_arrays(
+        pa.array(offsets.astype(np.int32)),
+        pa.array(values.astype(np.int32)),
+    )
+
+
+def encode_postings(
+    docs: np.ndarray,
+    tfs: np.ndarray,
+    positions: np.ndarray,
+    doclens: np.ndarray,
+    starts: np.ndarray,
+    codec: str = "bw",
+) -> dict[str, pa.Array]:
+    """Every posting list of a segment -> its postings-table columns.
+
+    The one owner of the postings-column layout, for the build and for
+    compaction alike.  Per posting: local doc index (ascending within a
+    list), tf and the doc's field length; ``positions`` are the flat
+    positions of all postings in order (tf of them per posting);
+    ``starts`` holds the n_lists + 1 list offsets into ``docs``.
+    Returns the ``df``, ``ctf``, ``docs``, ``tfs``, ``positions`` and
+    ``bm_*`` columns, one row per list."""
+    starts = np.asarray(starts, dtype=np.int64)
+    tf_sum = np.zeros(len(tfs) + 1, dtype=np.int64)
+    np.cumsum(tfs, dtype=np.int64, out=tf_sum[1:])
+    pos_starts = tf_sum[starts]
+    md, mt, ml, list_blocks = _block_maxes_lists(docs, tfs, doclens, starts)
+    return {
+        "df": pa.array(np.diff(starts), pa.int64()),
+        "ctf": pa.array(np.diff(pos_starts), pa.int64()),
+        "docs": encode_lists(docs, starts, codec, delta=True),
+        "tfs": encode_lists(tfs, starts, codec),
+        "positions": encode_lists(positions, pos_starts, codec),
+        "bm_max_doc": _int32_lists(md, list_blocks),
+        "bm_max_tf": _int32_lists(mt, list_blocks),
+        "bm_min_dl": _int32_lists(ml, list_blocks),
+    }

@@ -14,11 +14,31 @@ import os
 from typing import Optional
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis import FIELDS
 from . import encode
 from .build import SEGMENT_DIR, STATS_FILE, TERMSTATS_DIR
+
+
+_LIST_COLS = ("docs", "tfs", "positions", "bm_max_doc", "bm_max_tf",
+              "bm_min_dl")
+
+
+def _row_views(col) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, flat values) numpy views of a ``binary`` or
+    ``list<int32>`` column: row i is ``values[offsets[i]:offsets[i + 1]]``
+    (uint8 bytes for binary, int64 for lists)."""
+    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    if pa.types.is_binary(arr.type):
+        _, offsets, data = arr.buffers()
+        off = np.frombuffer(offsets, dtype=np.int32)
+        return (
+            off[arr.offset : arr.offset + len(arr) + 1],
+            np.frombuffer(data or b"", dtype=np.uint8),
+        )
+    return arr.offsets.to_numpy(), arr.values.to_numpy().astype(np.int64)
 
 
 class PostingList:
@@ -80,6 +100,9 @@ class Segment:
         }
         self._df = tbl.column("df").to_numpy()
         self._ctf = tbl.column("ctf").to_numpy()
+        # a posting-list decode slices these views: no per-row Arrow
+        # scalar round trip
+        self._views = {c: _row_views(tbl.column(c)) for c in _LIST_COLS}
         self._cache: dict[tuple[str, str], Optional[PostingList]] = {}
         self._cache_cap = decode_cache
         self._fwd = None
@@ -100,6 +123,10 @@ class Segment:
         mask = np.isin(self.doc_ids, tomb_ids)
         self.dead = mask if mask.any() else None
 
+    def _row(self, col: str, row: int) -> np.ndarray:
+        off, vals = self._views[col]
+        return vals[off[row] : off[row + 1]]
+
     def postings(self, field: str, term: str) -> Optional[PostingList]:
         key = (field, term)
         if key in self._cache:
@@ -108,20 +135,13 @@ class Segment:
         out = None
         if row is not None:
             out = PostingList(
-                encode.decode_doc_ids(
-                    self._tbl.column("docs")[row].as_py(), self.codec
-                ).astype(np.int64),
-                encode.decode_values(
-                    self._tbl.column("tfs")[row].as_py(), self.codec
-                ).astype(np.int64),
-                encode.decode_values(
-                    self._tbl.column("positions")[row].as_py(), self.codec
-                ).astype(np.int32),
-                bm=(
-                    np.asarray(self._tbl.column("bm_max_doc")[row].as_py()),
-                    np.asarray(self._tbl.column("bm_max_tf")[row].as_py()),
-                    np.asarray(self._tbl.column("bm_min_dl")[row].as_py()),
-                ),
+                encode.decode_doc_ids(self._row("docs", row), self.codec)
+                .astype(np.int64),
+                encode.decode_values(self._row("tfs", row), self.codec)
+                .astype(np.int64),
+                encode.decode_values(self._row("positions", row), self.codec)
+                .astype(np.int32),
+                bm=tuple(self._row(c, row) for c in _LIST_COLS[3:]),
             )
         if len(self._cache) >= self._cache_cap:
             self._cache.clear()

@@ -170,3 +170,200 @@ def test_incremental_append_inherits_codec(codec_indexes, ray_session):
         with open(os.path.join(d, "segments", seg, "MANIFEST.json")) as f:
             codecs.add(json.load(f)["codec"])
     assert codecs == {"vb"}
+
+
+# ------------------------------------------- byte-identity vs scalar code
+#
+# The segment writer and compaction encode every list of a column in one
+# pass (encode.encode_lists / encode_postings).  The scalar code below is
+# what they replaced: the per-block ``bw`` encoder and the per-term writer
+# loop.  The on-disk bytes must not move.
+
+_BW_HEADER = np.dtype([("base", "<u8"), ("count", "<u2"), ("width", "u1")])
+
+
+def _scalar_bw(arr: np.ndarray, delta: bool) -> bytes:
+    """Per-block ``bw`` encoder: one header and one packed body per block."""
+    out = []
+    for start in range(0, len(arr), encode.BLOCK):
+        blk = arr[start : start + encode.BLOCK]
+        body = np.diff(blk) if delta else blk
+        top = int(body.max()) if len(body) else 0
+        width = next(w for w in (1, 2, 4, 8) if w == 8 or top < 1 << (8 * w))
+        hdr = np.zeros(1, dtype=_BW_HEADER)
+        hdr["base"] = int(blk[0]) if delta else 0
+        hdr["count"] = len(blk)
+        hdr["width"] = width
+        out.append(hdr.tobytes())
+        out.append(body.astype(f"<u{width}").tobytes())
+    return b"".join(out)
+
+
+def _scalar_block_maxes(docs, tfs, doclens):
+    max_doc, max_tf, min_dl = [], [], []
+    for start in range(0, len(docs), encode.BLOCK):
+        end = start + encode.BLOCK
+        max_doc.append(int(docs[start:end][-1]))
+        max_tf.append(int(tfs[start:end].max()))
+        min_dl.append(int(doclens[start:end].min()))
+    return max_doc, max_tf, min_dl
+
+
+def _per_list(codec: str, delta: bool):
+    if codec == "bw":
+        return lambda arr: _scalar_bw(arr, delta)
+    enc = encode.encode_doc_ids if delta else encode.encode_values
+    return lambda arr: enc(arr, codec)
+
+
+def _reference_postings(batch, codec: str):
+    """The per-term writer loop: terms sorted in Python, one encode call
+    per column per (field, term) list."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from searchengines_ray.analysis import tokenize_arrow_batch
+    from searchengines_ray.index.build import POSTINGS_SCHEMA, doc_id_from_url
+
+    ids = [doc_id_from_url(u) for u in batch.column("url").to_pylist()]
+    batch = batch.append_column("doc_id", pa.array(ids, pa.int64()))
+    batch = batch.take(pc.sort_indices(batch.column("doc_id")))
+    text = pc.fill_null(batch.column("text"), "")
+    field_cols = {
+        "body": text,
+        "title": pc.list_element(
+            pc.split_pattern(text, pattern="\n", max_splits=1), 0
+        ),
+        "url": batch.column("url"),
+    }
+    for extra in ("keywords", "inlink"):
+        if extra in batch.column_names:
+            field_cols[extra] = pc.fill_null(batch.column(extra), "")
+    enc_docs, enc_vals = _per_list(codec, True), _per_list(codec, False)
+    cols = {name: [] for name in POSTINGS_SCHEMA.names}
+    for fname in sorted(field_cols):
+        parent, pos, sid, dl, vocab = tokenize_arrow_batch(field_cols[fname])
+        if len(sid) == 0:
+            continue
+        order = np.lexsort((pos, parent, sid))
+        s_arr, d_arr, p_arr = sid[order], parent[order], pos[order]
+        first = np.ones(len(s_arr), dtype=bool)
+        first[1:] = (s_arr[1:] != s_arr[:-1]) | (d_arr[1:] != d_arr[:-1])
+        run_start = np.nonzero(first)[0]
+        run_end = np.append(run_start[1:], len(s_arr))
+        run_sids = s_arr[run_start]
+        for t in sorted(set(run_sids.tolist()), key=lambda i: vocab[i]):
+            runs = np.nonzero(run_sids == t)[0]
+            docs = d_arr[run_start[runs]].astype(np.uint64)
+            tfs = (run_end[runs] - run_start[runs]).astype(np.uint64)
+            flat = p_arr[run_start[runs[0]] : run_end[runs[-1]]]
+            cols["field"].append(fname)
+            cols["term"].append(vocab[t])
+            cols["df"].append(len(docs))
+            cols["ctf"].append(int(tfs.sum()))
+            cols["docs"].append(enc_docs(docs))
+            cols["tfs"].append(enc_vals(tfs))
+            cols["positions"].append(enc_vals(flat.astype(np.uint64)))
+            bmd, bmt, bml = _scalar_block_maxes(
+                docs, tfs, dl[docs.astype(np.int64)]
+            )
+            cols["bm_max_doc"].append(bmd)
+            cols["bm_max_tf"].append(bmt)
+            cols["bm_min_dl"].append(bml)
+    return pa.Table.from_pydict(cols, schema=POSTINGS_SCHEMA)
+
+
+def test_bw_one_list_matches_scalar_reference():
+    for arr in _fuzz_arrays():
+        assert encode.encode_values(arr, "bw") == _scalar_bw(arr, False)
+        ids = np.cumsum(arr % np.uint64(2**40) + np.uint64(1))
+        assert encode.encode_doc_ids(ids, "bw") == _scalar_bw(ids, True)
+
+
+def _fuzz_lists(rng, delta: bool) -> list[np.ndarray]:
+    """Lists of 1/127/128/129/1000 values (plus an empty one) whose
+    values or gaps need 1, 2, 4 and 8 bytes, up to 2^63, in shuffled
+    order so blocks of every width interleave in one buffer."""
+    lists = [np.empty(0, dtype=np.uint64)]
+    for n in (1, 127, 128, 129, 1000):
+        for top in (2**8, 2**16, 2**32, 2**63):
+            if delta:  # gaps below top, and the last value below 2^63
+                gaps = rng.integers(0, min(top, 2**63 // n), n, dtype=np.uint64)
+                lists.append(np.cumsum(gaps, dtype=np.uint64))
+            else:
+                lists.append(rng.integers(0, top, n, dtype=np.uint64))
+    lists.append(np.full(129, 2**63, dtype=np.uint64))
+    return [lists[i] for i in rng.permutation(len(lists))]
+
+
+@pytest.mark.parametrize("codec", encode.CODECS)
+@pytest.mark.parametrize("delta", [True, False])
+def test_encode_lists_matches_per_list_encoding(codec, delta):
+    rng = np.random.default_rng(20261017)
+    enc = encode.encode_doc_ids if delta else encode.encode_values
+    for _ in range(3):
+        lists = _fuzz_lists(rng, delta)
+        starts = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([len(v) for v in lists], out=starts[1:])
+        got = encode.encode_lists(np.concatenate(lists), starts, codec, delta)
+        want = [enc(v, codec) for v in lists]
+        assert got.to_pylist() == want
+        if codec == "bw":
+            assert want == [_scalar_bw(v, delta) for v in lists]
+
+
+def test_binary_offsets_guard_int32_overflow():
+    fits = np.array([0, 7, 2**31 - 1], dtype=np.int64)
+    assert encode._binary_offsets(fits).tolist() == fits.tolist()
+    with pytest.raises(ValueError, match="docs_per_segment"):
+        encode._binary_offsets(np.array([0, 2**30, 2**31], dtype=np.int64))
+
+
+def _segment_batches():
+    import pyarrow as pa
+
+    tbl = synth_pages(n=300, seed=29, vocab=150, dup_frac=0.0)
+    text = tbl.column("text").to_pylist()
+    # a short first line: title differs from body
+    lined = [" ".join(t.split(" ")[:3]) + "\n" + t for t in text]
+    kw = [None if i % 7 == 0 else f"w{i % 11:04d} kw{i % 5}" for i in range(300)]
+    inl = ["" if i % 5 == 0 else f"link w{i % 13:04d} the" for i in range(300)]
+    rich = pa.table(
+        {
+            "url": tbl.column("url"),
+            "text": pa.array(lined),
+            "keywords": pa.array(kw, pa.string()),
+            "inlink": pa.array(inl, pa.string()),
+        }
+    )
+    no_title = pa.table(
+        {
+            "url": tbl.column("url").slice(0, 80),
+            "text": pa.array(["\n" + t for t in text[:80]]),
+        }
+    )
+    return {
+        "keywords_inlink": rich,
+        "one_doc": rich.slice(5, 1),
+        "empty_title": no_title,
+    }
+
+
+@pytest.mark.parametrize("codec", encode.CODECS)
+def test_write_segment_postings_match_per_term_reference(codec, tmp_path):
+    import pyarrow.parquet as pq
+
+    from searchengines_ray.index.build import write_segment
+
+    for case, batch in _segment_batches().items():
+        out = str(tmp_path / f"{codec}-{case}")
+        m = write_segment(batch, out, codec=codec)
+        seg = os.path.join(out, "segments", m.column("segment")[0].as_py())
+        got = pq.read_table(os.path.join(seg, "postings.parquet"))
+        want = _reference_postings(batch, codec)
+        assert got.equals(want), (codec, case)
+        assert m.column("n_postings")[0].as_py() == sum(
+            want.column("df").to_pylist()
+        )
+        if case == "empty_title":
+            assert "title" not in set(got.column("field").to_pylist())
