@@ -51,7 +51,7 @@ STRUCTURED_QUERIES = [
 
 def _index_for(sf_dir: str, simple: bool) -> str:
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|{simple}|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|{simple}|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "stats.json")):
@@ -174,7 +174,7 @@ def _q_bm25_topk_merged(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.shard import list_segments
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|merged|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|merged|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "stats.json")):
@@ -204,7 +204,7 @@ def _q_bm25_topk_pfor(sf_dir: str) -> pd.DataFrame:
     proves the codec is a storage property only — it must match the SAME
     SQL oracle as bm25_topk_simple."""
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|pfor|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|pfor|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "stats.json")):
@@ -215,7 +215,6 @@ def _q_bm25_topk_pfor(sf_dir: str) -> pd.DataFrame:
             config=SIMPLE_ANALYZER,
             docs_per_segment=512,
             dedup=False,
-            termstats=False,  # dfs-phase global stats: the scale path
             codec="pfor",
         )
     eng = SearchEngine(out, config=SIMPLE_ANALYZER, num_searchers=0)
@@ -230,7 +229,7 @@ def _q_bm25_topk_ef(sf_dir: str) -> pd.DataFrame:
     the pinned codec-independence contract (tests/test_codecs.py); must
     match the SAME SQL oracle as bm25_topk_simple."""
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|ef|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|ef|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "stats.json")):
@@ -241,7 +240,6 @@ def _q_bm25_topk_ef(sf_dir: str) -> pd.DataFrame:
             config=SIMPLE_ANALYZER,
             docs_per_segment=512,
             dedup=False,
-            termstats=False,
             codec="ef",
         )
     eng = SearchEngine(out, config=SIMPLE_ANALYZER, num_searchers=0)
@@ -276,7 +274,7 @@ def _q_bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.compact import delete_docs
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|tomb|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|tomb|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "DONE")):
@@ -290,7 +288,6 @@ def _q_bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
             config=SIMPLE_ANALYZER,
             docs_per_segment=512,
             dedup=False,
-            termstats=False,
         )
         delete_docs(out, _deleted_ids(sf_dir))
         open(os.path.join(out, "DONE"), "w").close()
@@ -308,7 +305,7 @@ def _q_bm25_topk_purged(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.compact import delete_docs, purge_deleted
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|purge|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|purge|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "DONE")):
@@ -322,7 +319,6 @@ def _q_bm25_topk_purged(sf_dir: str) -> pd.DataFrame:
             config=SIMPLE_ANALYZER,
             docs_per_segment=512,
             dedup=False,
-            termstats=False,
         )
         delete_docs(out, _deleted_ids(sf_dir))
         purge_deleted(out)
@@ -335,13 +331,13 @@ def _q_bm25_topk_incremental(sf_dir: str) -> pd.DataFrame:
     """BM25 top-20 served from an INCREMENTALLY built index: half the
     corpus (even doc_ids) via build_index, the other half appended later
     via update_index (index/build.py — append-only segments, distributed
-    manifest re-sum, termstats rebuild).  Must match the SAME SQL oracle
-    as bm25_topk_simple: incremental add is exactly equivalent to a
-    one-shot build by construction."""
+    manifest re-sum; global df/ctf summed from the segments).  Must match
+    the SAME SQL oracle as bm25_topk_simple: incremental add is exactly
+    equivalent to a one-shot build by construction."""
     from searchengines_ray.index.build import update_index
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|incr|v7".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|incr|v8".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "DONE")):
@@ -2562,7 +2558,7 @@ def _q_ltr_features_simple(sf_dir: str) -> pd.DataFrame:
     body, f6 Indri body, f7 match count, f18 title cosine with the
     unsquare-rooted doc magnitude quirk, f20 body rarest-Zipf) are all
     SQL-expressible, so the whole real feature code path (term vectors,
-    termstats point lookups, per-field stats) gets a hard DuckDB check."""
+    global df/ctf, per-field stats) gets a hard DuckDB check."""
     from searchengines_ray.analysis import tokenize
     from searchengines_ray.pipelines.ltr import extract_features
 

@@ -88,15 +88,12 @@ def run_bench(num_cpus: int, sf_dir: str, repl: int, build_only: bool = False) -
     timings: dict[str, float] = {}
 
     # input prep (synthesis + object-store materialization) is untimed; the
-    # timed section is tokenize -> segment write -> termstats aggregation
+    # timed section is tokenize -> segment write -> stats sum
     pages = _replicated_pages(sf_dir, repl)
 
     t0 = time.perf_counter()
     dps = int(os.environ.get("GRAFT_DOCS_PER_SEGMENT", "2000"))
-    ts = os.environ.get("GRAFT_TERMSTATS", "1") == "1"
-    stats = build_index(
-        pages, out_dir, docs_per_segment=dps, dedup=False, termstats=ts
-    )
+    stats = build_index(pages, out_dir, docs_per_segment=dps, dedup=False)
     timings["index_build"] = time.perf_counter() - t0
     n_docs = stats["n_docs"]
 
@@ -399,7 +396,7 @@ def run_query_probe(num_cpus: int, sf_dir: str) -> dict:
     if not os.path.exists(os.path.join(out_dir, "stats.json")):
         pages = _replicated_pages(sf_dir, 1500)
         t0 = time.perf_counter()
-        build_index(pages, out_dir, docs_per_segment=50000, termstats=False)
+        build_index(pages, out_dir, docs_per_segment=50000)
         t["build"] = round(time.perf_counter() - t0, 2)
     queries = [
         (f"q{i}", q)
@@ -455,9 +452,6 @@ def run_scaling(sf_dir: str, repl: int) -> dict:
             GRAFT_DOCS_PER_SEGMENT=os.environ.get(
                 "GRAFT_DOCS_PER_SEGMENT", "8000"
             ),
-            # scale design: no merged vocabulary table — global df/ctf come
-            # from the query-time dfs phase (shard-local dictionary sums)
-            GRAFT_TERMSTATS=os.environ.get("GRAFT_TERMSTATS", "0"),
         )
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],

@@ -47,9 +47,6 @@ def main(argv=None) -> None:
                    help="url-dedup shuffle before the build")
     p.add_argument("--codec", default="bw", choices=("bw", "vb", "pfor"),
                    help="posting compression codec")
-    p.add_argument("--no-termstats", action="store_true",
-                   help="scale design: skip the merged vocabulary table "
-                        "(global df/ctf come from the query-time dfs phase)")
     p.add_argument("--query-file", default=None,
                    help="qid:querytext lines to run after the build")
     p.add_argument("--model", default="bm25",
@@ -113,7 +110,6 @@ def main(argv=None) -> None:
         args.out,
         docs_per_segment=args.docs_per_segment,
         dedup=args.dedup,
-        termstats=not args.no_termstats,
         codec=args.codec,
     )
     build_s = time.perf_counter() - t0

@@ -3,7 +3,7 @@
 ``python -m searchengines_ray.cli <cmd>``:
 
 - ``build --pages <parquet> --out <index_dir> [--dedup] [--forward]
-  [--simple] [--docs-per-segment N] [--no-termstats]`` — SPIMI index build.
+  [--simple] [--docs-per-segment N]`` — SPIMI index build.
 - ``run --param <file> --index <dir>`` — execute a reference-style param
   file (Flow A/B/C: retrieval, PRF, LTR, diversity) -> trec output
   (the ``QryEval.main`` analog, ``/root/reference/QryEval/QryEval.java:45-92``).
@@ -60,7 +60,6 @@ def cmd_build(args) -> None:
         docs_per_segment=args.docs_per_segment,
         dedup=args.dedup,
         keep_forward=args.forward,
-        termstats=not args.no_termstats,
         codec=args.codec,
     )
     print(
@@ -270,7 +269,6 @@ def main(argv=None) -> None:
     b.add_argument("--dedup", action="store_true")
     b.add_argument("--forward", action="store_true")
     b.add_argument("--simple", action="store_true")
-    b.add_argument("--no-termstats", action="store_true")
     b.add_argument("--docs-per-segment", type=int, default=2000)
     b.add_argument(
         "--codec",

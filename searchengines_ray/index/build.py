@@ -15,13 +15,14 @@ Architecture — document-sharded SPIMI (scale rationale):
   task that read it, **posting construction needs no corpus-wide shuffle at
   all** — the classic SPIMI insight.  At 10^12 docs this is the difference
   between a node-local write and an all-to-all exchange of the entire corpus.
-- The only wide operations are (a) optional url-dedup (hash shuffle keyed on
+- The only wide operation is optional url-dedup (hash shuffle keyed on
   ``url`` — unavoidable, done on pruned columns with an in-batch partial
-  dedup first) and (b) global term-stats aggregation, which runs over the
-  *vocabulary-sized* per-segment (field,term,df,ctf) partials, not the
-  corpus: a pre-aggregated ``groupby().sum()`` — the "combiner before
-  shuffle" pattern.  Term skew (stopword-heavy terms) therefore never ships
-  positions anywhere; a hot term contributes one 4-int row per segment.
+  dedup first).  Global term statistics need none: every segment's
+  ``postings.parquet`` carries its own (field, term, df, ctf) columns, and
+  global df/ctf are their sum, taken when they are read
+  (``shard.load_termstats``) or by the query-time dfs phase.  A build or
+  an append therefore writes its segments and ``stats.json``, nothing
+  else: an append writes O(batch) bytes.
 - Segments are written atomically (tmp dir + rename) with a per-segment
   ``MANIFEST.json`` carrying lineage (content hash of member urls), row
   counts, bytes and wall time; a rerun that produces an already-manifested
@@ -57,9 +58,6 @@ from . import encode
 
 STATS_FILE = "stats.json"
 SEGMENT_DIR = "segments"
-TERMSTATS_DIR = "termstats"
-TERMSTATS_BUCKETS = 64  # hive partition key: bucket_of(term, B)
-MANIFEST_DIR = "manifests"
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -388,13 +386,8 @@ def build_index(
     frame-of-reference, ``ef`` Elias-Fano); serving results are
     codec-independent by contract (pinned in tests).
 
-    ``termstats=False`` skips the merged global (field,term)->(df,ctf)
-    table: the query engine then computes exact global stats at query time
-    by summing shard-local dictionaries in the scatter phase (the
-    ES/Solr ``dfs_query_then_fetch`` design).  At web scale the unique-token
-    tail (urls!) makes the merged vocabulary table corpus-sized, so the
-    dfs phase IS the scale path; the table remains worthwhile for
-    SQL-auditable stats dumps and repeated offline lookups.
+    ``termstats`` is accepted and ignored: global df/ctf are the sum of
+    the segments' own columns, so no merged table is written.
     """
     import ray.data
 
@@ -465,11 +458,6 @@ def build_index(
     }
     with open(os.path.join(out_dir, STATS_FILE), "w") as f:
         json.dump(stats, f, indent=1)
-
-    if termstats:
-        from .shard import list_segments
-
-        _build_termstats(out_dir, list_segments(out_dir))
     return stats
 
 
@@ -541,17 +529,15 @@ def update_index(
     docs_per_segment: int = 2000,
     dedup: bool = False,
     keep_forward: bool = False,
-    termstats: bool = True,
 ) -> dict:
     """Incrementally add pages to an EXISTING index: new docs land as new
     segments (the SPIMI layout is append-only — nothing existing is
-    rewritten), then global stats are recomputed over all manifests and
-    the vocabulary-sized termstats table is rebuilt.  Re-adding a batch
+    rewritten), then global stats are recomputed over all manifests.
+    Nothing else is written (global df/ctf are summed from the segments
+    when read), so an append writes O(batch) bytes.  Re-adding a batch
     whose segment already exists is a no-op (content-hash resume), so
     updates are idempotent.  The analyzer config must match the original
     build (stats.json records it; a mismatch raises)."""
-    from .shard import list_segments
-
     with open(os.path.join(out_dir, STATS_FILE)) as f:
         prev = json.load(f)
     want = {
@@ -636,56 +622,4 @@ def update_index(
         fn, batch_format="pyarrow", batch_size=docs_per_segment
     ).materialize()
 
-    stats = recompute_stats(out_dir)
-    if termstats:
-        import shutil
-
-        ts_dir = os.path.join(out_dir, TERMSTATS_DIR)
-        shutil.rmtree(ts_dir, ignore_errors=True)
-        _build_termstats(out_dir, list_segments(out_dir))
-    return stats
-
-
-def _build_termstats(out_dir: str, segments: list[str]) -> None:
-    """Global (field,term) -> (df,ctf): vocabulary-sized groupby over
-    per-segment partials (pre-aggregated; the shuffle never touches
-    positions).  Written HIVE-PARTITIONED by ``bucket = bucket_of(term, B)``:
-    a query-time point lookup hashes its terms and reads ONLY those bucket
-    directories — O(query terms) partition pruning with NO global sort
-    (the round-1 term-sorted layout paid a full sample+range-shuffle sort
-    for equivalent row-group pruning; measured ~2x termstats wall)."""
-    import ray.data
-
-    from ..stages.exchange import bucket_aggregate, bucket_of
-
-    paths = [
-        os.path.join(out_dir, SEGMENT_DIR, s, "postings.parquet")
-        for s in segments
-    ]
-    # materialize() before the groupby is deliberate: the shuffle runs a
-    # SAMPLING pass first, and with a lazy upstream that pass re-executes
-    # the whole multi-file read (measured 2.7x wall).  The materialized set
-    # is vocabulary-sized (bounded), never corpus-sized.
-    ds = ray.data.read_parquet(
-        paths, columns=["field", "term", "df", "ctf"]
-    ).materialize()
-
-    # bucket-hash exchange on the term, summed per bucket with a vectorized
-    # pandas groupby.  ~4x faster than ds.groupby(["field","term"]).sum(...)
-    # whose sort-based shuffle pays a string multi-key comparison per row
-    # (measured 23s -> 6s, 1.5M rows).  The bucket is also the on-disk
-    # partition, so it is recomputed for the written rows.
-    B = TERMSTATS_BUCKETS
-
-    def agg_group(df):
-        out = df.groupby(["field", "term"], as_index=False)[
-            ["df", "ctf"]
-        ].sum()
-        out["bucket"] = bucket_of(out["term"], B).astype(np.int32)
-        return out
-
-    agg = bucket_aggregate(
-        ds, agg_group, key="term", buckets=B, batch_format="pyarrow"
-    )
-    ts_dir = os.path.join(out_dir, TERMSTATS_DIR)
-    agg.write_parquet(ts_dir, partition_cols=["bucket"])
+    return recompute_stats(out_dir)

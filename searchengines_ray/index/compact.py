@@ -436,7 +436,7 @@ def drop_ids_from_segments(index_dir: str, ids: np.ndarray) -> None:
     serial driver scan of every docmeta would be a corpus-sized blocking
     pass) and untouched segments are left alone.  Shared by
     :func:`purge_deleted` and the update path's delete-then-re-add
-    handling.  Does NOT touch stats/termstats/tombstones — callers own
+    handling.  Does NOT touch stats/tombstones — callers own
     those."""
     import ray
     import ray.data
@@ -488,17 +488,14 @@ def drop_ids_from_segments(index_dir: str, ids: np.ndarray) -> None:
     ).map_batches(run, batch_format="pandas", batch_size=1).materialize()
 
 
-def purge_deleted(index_dir: str, termstats: bool = True) -> dict:
+def purge_deleted(index_dir: str) -> dict:
     """Physically remove tombstoned docs: every segment holding a dead
     doc is rewritten without it (one Ray task per segment — the
     compaction machinery with a drop set), global stats are recomputed
-    from the surviving manifests, the termstats table is rebuilt, and
-    the tombstones clear.  Post-purge the index is bit-identical to a
-    fresh build over the surviving corpus (pinned in tests).  Returns
-    the updated stats dict."""
-    import ray.data
-
-    from .build import recompute_stats, _build_termstats, TERMSTATS_DIR
+    from the surviving manifests, and the tombstones clear.  Post-purge
+    the index is bit-identical to a fresh build over the surviving corpus
+    (pinned in tests).  Returns the updated stats dict."""
+    from .build import recompute_stats
     from .shard import TOMBSTONES_DIR, load_tombstones
 
     tomb = load_tombstones(index_dir)
@@ -509,10 +506,6 @@ def purge_deleted(index_dir: str, termstats: bool = True) -> dict:
     repair_merges(index_dir)
     drop_ids_from_segments(index_dir, tomb)
     stats = recompute_stats(index_dir)
-    ts_dir = os.path.join(index_dir, TERMSTATS_DIR)
-    if termstats and os.path.isdir(ts_dir):
-        shutil.rmtree(ts_dir, ignore_errors=True)
-        _build_termstats(index_dir, list_segments(index_dir))
     shutil.rmtree(os.path.join(index_dir, TOMBSTONES_DIR), ignore_errors=True)
     return stats
 

@@ -19,7 +19,7 @@ import pyarrow.parquet as pq
 
 from ..analysis import FIELDS
 from . import encode
-from .build import SEGMENT_DIR, STATS_FILE, TERMSTATS_DIR
+from .build import SEGMENT_DIR, STATS_FILE
 
 
 _LIST_COLS = ("docs", "tfs", "positions", "bm_max_doc", "bm_max_tf",
@@ -250,42 +250,30 @@ def segment_dirs(index_dir: str) -> list[str]:
 
 
 def load_termstats(
-    index_dir: str, terms: Optional[list[tuple[str, str]]] = None
+    index_dir: str,
 ) -> dict[tuple[str, str], tuple[int, int]]:
-    """Global (field,term) -> (df, ctf).
-
-    With ``terms`` given, reads only the needed hash buckets (point-lookup
-    path: O(query terms), not O(vocabulary) — the scale path for serving).
-    Without, loads the full table (test/driver convenience at small scale).
-    """
-    import pyarrow.compute as pc
+    """Global (field, term) -> (df, ctf) over the whole vocabulary: the
+    sum of every segment's own ``df``/``ctf`` postings columns.  Each
+    segment is the partial count; nothing else stores global df/ctf.  The
+    read is vocabulary x segments, so serving at scale uses the query-time
+    dfs phase instead (``query/engine.py``)."""
     import pyarrow.dataset as pads
 
-    from ..stages.exchange import bucket_of
-    from .build import TERMSTATS_BUCKETS
-
-    ts_dir = os.path.join(index_dir, TERMSTATS_DIR)
-    dataset = pads.dataset(ts_dir, partitioning="hive")
-    if terms is not None:
-        # hive-bucketed layout (bucket = bucket_of(term, B)): partition
-        # pruning reads ONLY the query terms' bucket dirs — O(query terms)
-        tset = sorted({t for _, t in terms})
-        buckets = sorted(
-            int(b) for b in set(bucket_of(tset, TERMSTATS_BUCKETS))
+    paths = [
+        os.path.join(d, "postings.parquet") for d in segment_dirs(index_dir)
+    ]
+    if not paths:
+        return {}
+    tbl = (
+        pads.dataset(paths, format="parquet")
+        .to_table(columns=["field", "term", "df", "ctf"])
+        .group_by(["field", "term"])
+        .aggregate([("df", "sum"), ("ctf", "sum")])
+    )
+    col = {c: tbl.column(c).to_pylist() for c in tbl.column_names}
+    return dict(
+        zip(
+            zip(col["field"], col["term"]),
+            zip(col["df_sum"], col["ctf_sum"]),
         )
-        tbl = dataset.to_table(
-            columns=["field", "term", "df", "ctf"],
-            filter=pc.field("bucket").isin(buckets)
-            & pc.field("term").isin(tset),
-        )
-    else:
-        tbl = dataset.to_table(columns=["field", "term", "df", "ctf"])
-    out = {}
-    for f, t, df, ctf in zip(
-        tbl.column("field").to_pylist(),
-        tbl.column("term").to_pylist(),
-        tbl.column("df").to_pylist(),
-        tbl.column("ctf").to_pylist(),
-    ):
-        out[(f, t)] = (int(df), int(ctf))
-    return out
+    )

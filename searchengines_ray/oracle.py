@@ -197,6 +197,8 @@ def _bm25_leaf(iop: EvaluatedIop, idx: OracleIndex, m: BM25) -> dict:
     n = float(idx.n_docs)
     df = float(iop.df)
     field = iop.field
+    if idx.doc_count[field] == 0:
+        return {}  # no document has the field: the leaf matches nothing
     num_field = float(idx.doc_count[field])
     avg_len = float(idx.sum_field_len[field]) / num_field
     idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
@@ -210,6 +212,11 @@ def _bm25_leaf(iop: EvaluatedIop, idx: OracleIndex, m: BM25) -> dict:
 
 
 def _indri_pqc(iop: EvaluatedIop, idx: OracleIndex) -> float:
+    if idx.sum_field_len[iop.field] == 0:
+        raise ValueError(
+            f"Indri: field {iop.field!r} is empty in every document, "
+            "so its collection probability is undefined"
+        )
     ctf = float(iop.ctf)
     if ctf == 0.0:
         ctf = 0.5

@@ -160,7 +160,7 @@ def extract_features(
     """Features 1-20 for each (query, doc) pair.
 
     Term vectors come from the engine's doc-sharded forward index (one
-    scatter per field); term stats from global termstats point lookups.
+    scatter per field); term stats from the engine's global df/ctf.
     Parallelization note: across queries this is a groupby(qid).map_groups
     shape — at reference scale (<=43 queries x <=100 docs) the driver loop
     is the faster constant.

@@ -13,12 +13,12 @@ travels inline with the scatter and grows with the batch's query terms,
 never with the vocabulary):
 - corpus stats (N, docCount, sumFieldLen) from ``stats.json``;
 - per-term df/ctf for exactly the batch's (field, term) keys; keys absent
-  from the index are left out (readers default them).  The driver looks
-  them up in the termstats table, which it loads whole once for a small
-  index and reads by hash-bucket point lookups at
-  ``FULL_TERMSTATS_MAX_POSTINGS`` or more; with no table, a dfs phase sums
-  the actors' shard-local dictionary stats.  Point lookups and dfs results
-  are memoized across batches;
+  from the index are left out (readers default them).  Global df/ctf are
+  the sum of the segments' own postings columns; nothing else stores
+  them.  Below ``FULL_TERMSTATS_MAX_POSTINGS`` the driver sums the whole
+  vocabulary once (``load_termstats``); at or above it, a dfs phase sums
+  the actors' shard-local dictionary stats for the new keys only, memoized
+  across batches;
 - composite-Iop (#SYN/#NEAR/#WINDOW) derived df/ctf via a stats pass: every
   actor evaluates the derived lists over its segments and returns (df,ctf)
   partials, summed on the driver — matching the reference's whole-corpus
@@ -31,13 +31,11 @@ time in a single JVM — ``QryEval.java:1375-1419``).
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 import pandas as pd
 
 from ..analysis import AnalyzerConfig, DEFAULT_ANALYZER
-from ..index.build import TERMSTATS_DIR
 from ..index.shard import (
     Segment,
     load_stats,
@@ -55,8 +53,8 @@ from .exec import (
     segment_topk,
 )
 
-# below this many postings the driver loads the whole termstats table once;
-# at or above it, each new key is a parquet point lookup
+# below this many postings the driver sums every segment's df/ctf columns
+# once; at or above it, each new key goes through the dfs phase
 FULL_TERMSTATS_MAX_POSTINGS = 2_000_000
 
 
@@ -262,9 +260,6 @@ class SearchEngine:
         self.index_dir = index_dir
         self.config = config
         self.stats = load_stats(index_dir)
-        self._has_termstats = os.path.exists(
-            os.path.join(index_dir, TERMSTATS_DIR)
-        )
         self._termstats_cache: Optional[dict] = None
         # (field, term) -> (df, ctf), or None when absent; across batches
         self._term_memo: dict = {}
@@ -292,12 +287,12 @@ class SearchEngine:
 
     def _term_stats(self, keys: set) -> dict:
         """Global (field, term) -> (df, ctf) for exactly ``keys``; keys
-        absent from the index are left out on every path."""
+        absent from the index are left out on both paths."""
         if self._termstats_cache is None and (
-            self._has_termstats
-            and self.stats.get("n_postings", 0) < FULL_TERMSTATS_MAX_POSTINGS
+            self.stats.get("n_postings", 0) < FULL_TERMSTATS_MAX_POSTINGS
         ):
-            # small index: load once, reuse across query batches
+            # small index: sum the segments' columns once, reuse across
+            # query batches
             self._termstats_cache = load_termstats(self.index_dir)
         if self._termstats_cache is not None:
             table = self._termstats_cache
@@ -305,15 +300,9 @@ class SearchEngine:
 
         missing = sorted(k for k in keys if k not in self._term_memo)
         if missing:
-            if self._has_termstats:
-                # scale path: term-sorted parquet point lookups
-                got = load_termstats(self.index_dir, terms=missing)
-            else:
-                # no merged table: 'dfs phase' — sum shard-local dictionary
-                # stats across searchers (exact global df/ctf, one scatter)
-                got = _sum_partials(
-                    self._scatter("term_stats_partial", missing)
-                )
+            # 'dfs phase': sum the searchers' shard-local dictionary stats
+            # (exact global df/ctf, one scatter)
+            got = _sum_partials(self._scatter("term_stats_partial", missing))
             for k in missing:
                 self._term_memo[k] = got.get(k)  # None: absent, not re-read
         memo = self._term_memo

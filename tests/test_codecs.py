@@ -100,7 +100,6 @@ def codec_indexes(tmp_path_factory, ray_session):
             out,
             docs_per_segment=40,
             dedup=False,
-            termstats=False,
             codec=codec,
         )
         dirs[codec] = out
@@ -164,7 +163,7 @@ def test_incremental_append_inherits_codec(codec_indexes, ray_session):
             [f"https://synth.test/extra/{i:06d}" for i in range(extra.num_rows)]
         ),
     )
-    update_index(ray.data.from_arrow(extra), d, termstats=False)
+    update_index(ray.data.from_arrow(extra), d)
     codecs = set()
     for seg in list_segments(d):
         with open(os.path.join(d, "segments", seg, "MANIFEST.json")) as f:

@@ -96,15 +96,15 @@ def test_inprocess_engine_matches_oracle(corpus, model_i, monkeypatch):
 
     out, oidx, _ = corpus
     model = MODELS[model_i]
-    # first the whole termstats table, then parquet point lookups
-    for path in ("full", "point"):
-        if path == "point":
+    # first the whole summed vocabulary, then the dfs phase
+    for path in ("full", "dfs"):
+        if path == "dfs":
             monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", 0)
         eng = SearchEngine(out, num_searchers=0)
         res = eng.search_batch(
             [(str(i), q) for i, q in enumerate(QUERIES)], model, k=15
         )
-        assert (eng._termstats_cache is None) == (path == "point")
+        assert (eng._termstats_cache is None) == (path == "dfs")
         for i, q in enumerate(QUERIES):
             want = run_query(oidx, q, model, k=15)
             got = res[res.qid == str(i)]
@@ -160,26 +160,20 @@ def test_resume_skips_existing_segments(corpus, ray_session):
     assert stats2["n_segments"] == stats["n_segments"]
 
 
-def test_dfs_phase_without_termstats_table(corpus, tmp_path_factory, ray_session):
-    """termstats=False build: global df/ctf come from the query-time dfs
-    phase (shard-local dictionary sums) and must be EXACTLY equivalent."""
-    import ray.data
+def test_dfs_phase_without_termstats_table(corpus, ray_session, monkeypatch):
+    """With the full sum switched off, global df/ctf come from the
+    query-time dfs phase (shard-local dictionary sums, scattered to the
+    searcher actors) and must be EXACTLY equivalent."""
+    from searchengines_ray.query import engine as engine_mod
 
-    from searchengines_ray.models import Indri
-
-    tbl = synth_pages(n=240, seed=11, vocab=400)
-    out = str(tmp_path_factory.mktemp("index_nots"))
-    ds = ray.data.from_arrow(tbl.drop_columns(["html"]))
-    build_index(
-        ds, out, docs_per_segment=40, dedup=True, keep_forward=False,
-        termstats=False,
-    )
-    _, oidx, _ = corpus
+    monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", 0)
+    out, oidx, _ = corpus
     for model in (BM25(), Indri(mu=777.0, lam=0.3)):
-        eng = SearchEngine(out, num_searchers=0)
+        eng = SearchEngine(out, num_searchers=2)
         res = eng.search_batch(
             [(str(i), q) for i, q in enumerate(QUERIES)], model, k=15
         )
+        assert eng._termstats_cache is None
         for i, q in enumerate(QUERIES):
             want = run_query(oidx, q, model, k=15)
             got = res[res.qid == str(i)]
@@ -189,30 +183,20 @@ def test_dfs_phase_without_termstats_table(corpus, tmp_path_factory, ray_session
             assert got_rows == want, f"model={model.name} query={q!r}"
 
 
-def _stats_engines(out, tmp_path, monkeypatch):
+def _stats_engines(out, monkeypatch):
     """One engine per global-statistics path over the same index: the full
-    termstats table, parquet point lookups, and the dfs phase (a copy of the
-    index without its termstats table)."""
-    import shutil
-
-    from searchengines_ray.index.build import TERMSTATS_DIR
+    sum of the segments' columns, and the dfs phase (selected by a zero
+    full-sum limit)."""
     from searchengines_ray.query import engine as engine_mod
 
-    no_table = str(tmp_path / "no_termstats")
-    shutil.copytree(out, no_table)
-    shutil.rmtree(os.path.join(no_table, TERMSTATS_DIR))
     full = SearchEngine(out, num_searchers=0)
-    full.term_stats_for([])  # loads the whole table under the real limit
+    full.term_stats_for([])  # sums the whole vocabulary under the real limit
     monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", 0)
-    return {
-        "full": full,
-        "point": SearchEngine(out, num_searchers=0),
-        "dfs": SearchEngine(no_table, num_searchers=0),
-    }
+    return {"full": full, "dfs": SearchEngine(out, num_searchers=0)}
 
 
-def test_term_stats_paths_agree(corpus, tmp_path, monkeypatch):
-    """All three lookup paths return exactly the requested keys that the
+def test_term_stats_paths_agree(corpus, monkeypatch):
+    """Both lookup paths return exactly the requested keys that the
     index holds, with the oracle's df/ctf; an absent key is left out, and
     a key seen before (absent or not) is not looked up again. The
     GlobalStats sent with a search call covers that call's query keys
@@ -222,21 +206,22 @@ def test_term_stats_paths_agree(corpus, tmp_path, monkeypatch):
     from searchengines_ray.query.exec import iter_term_keys
 
     out, oidx, _ = corpus
-    engines = _stats_engines(out, tmp_path, monkeypatch)
+    engines = _stats_engines(out, monkeypatch)
     lookups = []
     real_load = engine_mod.load_termstats
     monkeypatch.setattr(
         engine_mod,
         "load_termstats",
-        lambda d, terms=None: lookups.append(terms) or real_load(d, terms),
+        lambda d: lookups.append(None) or real_load(d),
     )
-    dfs_local = engines["dfs"]._local
-    real_partial = dfs_local.term_stats_partial
-    monkeypatch.setattr(
-        dfs_local,
-        "term_stats_partial",
-        lambda keys: lookups.append(keys) or real_partial(keys),
-    )
+    for eng in engines.values():
+        local = eng._local
+        real_partial = local.term_stats_partial
+        monkeypatch.setattr(
+            local,
+            "term_stats_partial",
+            lambda keys, real=real_partial: lookups.append(keys) or real(keys),
+        )
 
     absent = ("body", "zzzznohit")
     first = [("body", "w0001"), ("body", "w0005"), ("title", "w0024"), absent]
@@ -268,7 +253,7 @@ def test_term_stats_paths_agree(corpus, tmp_path, monkeypatch):
                 iter_term_keys(tree, keys)
             shipped = eng.global_stats_for([tree]).term_stats
             assert len(shipped) <= len(keys) and set(shipped) <= keys, (name, q)
-    assert engines["point"]._termstats_cache is None
+    assert engines["dfs"]._termstats_cache is None
 
 
 def test_large_global_stats_via_object_store(corpus, ray_session):
@@ -469,8 +454,9 @@ def test_merge_segments_bit_identical(corpus, tmp_path, ray_session):
 
 def test_update_index_incremental(tmp_path_factory, ray_session):
     """Incremental add: half-then-half must equal a one-shot full build
-    EXACTLY (same stats, bit-equal ranked output incl. global df/ctf via
-    the rebuilt termstats), and must reject an analyzer mismatch."""
+    EXACTLY (same stats, bit-equal ranked output incl. global df/ctf
+    summed over old and new segments), and must reject an analyzer
+    mismatch."""
     import ray.data
 
     from searchengines_ray.analysis import AnalyzerConfig
@@ -508,7 +494,7 @@ def test_update_index_incremental(tmp_path_factory, ray_session):
     # idempotent: re-adding the same batch is a no-op
     stats_again = update_index(
         ray.data.from_arrow(half_b.drop_columns(["html"])),
-        inc_dir, docs_per_segment=30, termstats=False,
+        inc_dir, docs_per_segment=30,
     )
     assert stats_again["n_docs"] == tbl.num_rows
     assert stats_again["n_segments"] == stats_inc["n_segments"]
@@ -739,3 +725,167 @@ def test_delete_then_readd_undeletes(tmp_path_factory, ray_session):
     )
     assert back.url.tolist() == full.url.tolist()
     assert back.score.tolist() == full.score.tolist()
+
+
+def _oracle_of(tbl: pa.Table) -> OracleIndex:
+    from searchengines_ray.index.build import doc_id_from_url
+
+    return OracleIndex.build(
+        {"doc_id": doc_id_from_url(u), "url": u, "body": t}
+        for u, t in zip(
+            tbl.column("url").to_pylist(), tbl.column("text").to_pylist()
+        )
+    )
+
+
+def _oracle_term_stats(oidx: OracleIndex) -> dict:
+    return {
+        (f, t): (len(inv), sum(len(p) for _, p in inv))
+        for f, terms in oidx.postings.items()
+        for t, inv in terms.items()
+    }
+
+
+def test_load_termstats_sums_the_segments(corpus):
+    """Global df/ctf are the sum of the segments' own columns: equal to
+    the oracle's for every (field, term), terms held by one segment only
+    among them."""
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from searchengines_ray.index.shard import load_termstats, segment_dirs
+
+    out, oidx, _ = corpus
+    dirs = segment_dirs(out)
+    assert len(dirs) >= 3
+    want = _oracle_term_stats(oidx)
+    assert load_termstats(out) == want
+    held_by = Counter()
+    for d in dirs:
+        t = pq.read_table(f"{d}/postings.parquet", columns=["field", "term"])
+        held_by.update(
+            zip(t.column("field").to_pylist(), t.column("term").to_pylist())
+        )
+    assert set(held_by) == set(want)
+    assert 1 in held_by.values() and max(held_by.values()) == len(dirs)
+
+
+def _assert_current(index_dir, one_shot_dir, oidx, monkeypatch):
+    """``index_dir`` serves the oracle's global df/ctf and the same ranked
+    output as the oracle and a one-shot build, on both stats paths."""
+    from searchengines_ray.query import engine as engine_mod
+
+    want = _oracle_term_stats(oidx)
+    keys = sorted(want) + [("body", "zzzznohit")]
+    qs = [(str(i), q) for i, q in enumerate(QUERIES)]
+    one_shot = SearchEngine(one_shot_dir, num_searchers=0)
+    for limit in (engine_mod.FULL_TERMSTATS_MAX_POSTINGS, 0):
+        monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", limit)
+        eng = SearchEngine(index_dir, num_searchers=0)
+        assert eng.term_stats_for(keys) == want, limit
+        for m in (MODELS[0], MODELS[2]):
+            got = eng.search_batch(qs, m, k=15)
+            ref = one_shot.search_batch(qs, m, k=15)
+            assert got.url.tolist() == ref.url.tolist(), (limit, m.name)
+            assert got.score.tolist() == ref.score.tolist(), (limit, m.name)
+            for i, q in enumerate(QUERIES):
+                sub = got[got.qid == str(i)]
+                rows = list(
+                    zip(sub.doc_id.tolist(), sub.url.tolist(),
+                        sub.score.tolist())
+                )
+                assert rows == run_query(oidx, q, m, k=15), (limit, m.name, q)
+
+
+def test_global_stats_current_after_append_purge_and_readd(
+    tmp_path_factory, ray_session, monkeypatch
+):
+    """Global df/ctf can never go stale, because nothing but the segments
+    stores them: after an append, after a delete + purge, and after an
+    update that re-adds tombstoned docs, the index matches the oracle and
+    a one-shot build of the same documents."""
+    import ray.data
+
+    from searchengines_ray.index.build import doc_id_from_url, update_index
+    from searchengines_ray.index.compact import delete_docs, purge_deleted
+    from searchengines_ray.index.shard import load_tombstones
+
+    tbl = synth_pages(n=160, seed=61, vocab=250, dup_frac=0.0).drop_columns(
+        ["html"]
+    )
+    ids = np.asarray(
+        [doc_id_from_url(u) for u in tbl.column("url").to_pylist()]
+    )
+
+    def build(t, name):
+        d = str(tmp_path_factory.mktemp(name))
+        build_index(ray.data.from_arrow(t), d, docs_per_segment=30)
+        return d
+
+    # append: half built, half added
+    d = build(tbl.slice(0, 90), "stale_inc")
+    update_index(ray.data.from_arrow(tbl.slice(90)), d, docs_per_segment=30)
+    _assert_current(d, build(tbl, "stale_full"), _oracle_of(tbl), monkeypatch)
+
+    # delete + purge: equal to the survivors
+    dead = np.sort(ids[::4])
+    delete_docs(d, dead)
+    purge_deleted(d)
+    survivors = tbl.filter(pa.array(~np.isin(ids, dead)))
+    surv_dir = build(survivors, "stale_surv")
+    surv_oracle = _oracle_of(survivors)
+    _assert_current(d, surv_dir, surv_oracle, monkeypatch)
+
+    # tombstone some survivors, then re-add them: still the survivors
+    sids = ids[~np.isin(ids, dead)]
+    back = np.isin(ids, sids[::5])
+    delete_docs(d, ids[back])
+    update_index(
+        ray.data.from_arrow(tbl.filter(pa.array(back))), d,
+        docs_per_segment=30,
+    )
+    assert len(load_tombstones(d)) == 0
+    _assert_current(d, surv_dir, surv_oracle, monkeypatch)
+
+
+def test_append_writes_only_its_segments(tmp_path_factory, ray_session):
+    """An append is O(batch) on disk: it adds its own segment directories
+    and rewrites stats.json; every file already in the index keeps its
+    bytes and mtime, and no merged term-statistics table appears."""
+    import ray.data
+
+    from searchengines_ray.index.build import update_index
+    from searchengines_ray.index.shard import list_segments
+
+    tbl = synth_pages(n=200, seed=67, vocab=200, dup_frac=0.0).drop_columns(
+        ["html"]
+    )
+    d = str(tmp_path_factory.mktemp("idx_append"))
+    build_index(ray.data.from_arrow(tbl.slice(0, 180)), d, docs_per_segment=30)
+    segs = list_segments(d)
+    assert len(segs) == 6
+
+    def snapshot():
+        out = {}
+        for root, _, files in os.walk(d):
+            for name in files:
+                p = os.path.join(root, name)
+                with open(p, "rb") as f:
+                    out[os.path.relpath(p, d)] = (
+                        f.read(), os.stat(p).st_mtime_ns
+                    )
+        return out
+
+    before = snapshot()
+    update_index(ray.data.from_arrow(tbl.slice(180)), d, docs_per_segment=30)
+    after = snapshot()
+    new_segs = sorted(set(list_segments(d)) - set(segs))
+    assert len(new_segs) == 1 and set(segs) <= set(list_segments(d))
+    assert sorted(os.listdir(d)) == sorted(["segments", "stats.json"])
+    added = set(after) - set(before)
+    assert added and all(
+        p.split(os.sep)[:2] == ["segments", new_segs[0]] for p in added
+    )
+    changed = {p for p in before if after.get(p) != before[p]}
+    assert changed == {"stats.json"}

@@ -1,7 +1,6 @@
 """The bucket-hash exchange (stages/exchange.py): the one shuffle-key hash
 and the combiner + bucket + per-bucket finalize primitive."""
 
-import os
 import zlib
 
 import numpy as np
@@ -40,40 +39,6 @@ def test_bucket_of_ints_is_uint64_knuth(n):
 def test_bucket_of_empty():
     assert bucket_of(np.empty(0, np.int64), 8).tolist() == []
     assert bucket_of(pa.array([], pa.string()), 8).tolist() == []
-
-
-def test_termstats_writer_and_reader_share_the_bucket(tmp_path, ray_session):
-    """Every term's termstats row lives in the hive partition
-    ``bucket_of(term, TERMSTATS_BUCKETS)``, and the point lookup, which
-    reads only those partitions, finds every term with the full-table
-    value."""
-    import pyarrow.dataset as pads
-    import ray.data
-
-    from searchengines_ray.index.build import (
-        TERMSTATS_BUCKETS,
-        TERMSTATS_DIR,
-        build_index,
-    )
-    from searchengines_ray.index.shard import load_termstats
-    from searchengines_ray.sources.pages import synth_pages
-
-    assert TERMSTATS_BUCKETS == 64
-    tbl = synth_pages(n=60, seed=5, vocab=120)
-    out = str(tmp_path / "idx")
-    build_index(ray.data.from_arrow(tbl.drop_columns(["html"])), out,
-                docs_per_segment=20)
-    t = pads.dataset(
-        os.path.join(out, TERMSTATS_DIR), partitioning="hive"
-    ).to_table()
-    terms = t.column("term").to_pylist()
-    assert len(terms) > 100
-    assert t.column("bucket").to_pylist() == bucket_of(
-        terms, TERMSTATS_BUCKETS
-    ).tolist()
-    full = load_termstats(out)
-    keys = sorted(full)
-    assert load_termstats(out, keys) == full
 
 
 def _rows(ds) -> list:

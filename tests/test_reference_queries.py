@@ -15,6 +15,7 @@ tests check real queries even where the reference checkout is absent."""
 import glob
 import os
 
+import pyarrow as pa
 import pytest
 
 from searchengines_ray.analysis import FIELDS
@@ -75,53 +76,71 @@ def test_every_reference_query_parses():
     assert ops == OPS and fields == set(FIELDS)
 
 
-@pytest.fixture(scope="module")
-def engine_and_oracle(tmp_path_factory, ray_session):
-    import ray.data
+ENGLISH = [
+    "internet phone service providers offer high speed access",
+    "the east ridge high school credit report",
+    "free annual credit report and phone service",
+]
 
-    # corpus containing some English so a few reference terms actually hit
-    tbl = synth_pages(n=120, seed=41, vocab=150)
-    import pyarrow as pa
 
-    english = [
-        "internet phone service providers offer high speed access",
-        "the east ridge high school credit report",
-        "free annual credit report and phone service",
-    ]
-    urls = [f"https://en.synth.test/e/{i}" for i in range(len(english))]
-    # the English docs also fill the keywords and inlink fields, so queries
-    # on every field can score (BM25/Indri need a non-empty field)
-    keywords = ["phone service", "credit report", "internet access"]
-    inlink = ["service providers", "high school", "annual credit"]
+def _pages(seed: int, **extra_cols) -> pa.Table:
+    """Synthetic pages plus the English docs, so a few reference terms
+    actually hit; ``extra_cols`` are field columns (keywords, inlink) the
+    English docs carry and the synthetic pages leave empty."""
+    tbl = synth_pages(n=120, seed=seed, vocab=150)
     extra = pa.table(
         {
-            "url": pa.array(urls),
-            "warc_ts": pa.array([1] * len(english), pa.timestamp("us")),
-            "html": pa.array([t.encode() for t in english], pa.binary()),
-            "text": pa.array(english),
-            "lang": pa.array(["en"] * len(english)),
-            "keywords": pa.array(keywords),
-            "inlink": pa.array(inlink),
+            "url": [
+                f"https://en.synth.test/e/{i}" for i in range(len(ENGLISH))
+            ],
+            "warc_ts": pa.array([1] * len(ENGLISH), pa.timestamp("us")),
+            "html": pa.array([t.encode() for t in ENGLISH], pa.binary()),
+            "text": ENGLISH,
+            "lang": ["en"] * len(ENGLISH),
+            **extra_cols,
         }
     )
-    for col in ("keywords", "inlink"):
+    for col in extra_cols:
         tbl = tbl.append_column(col, pa.array([""] * len(tbl)))
-    tbl = pa.concat_tables([tbl, extra])
+    return pa.concat_tables([tbl, extra])
+
+
+def _engine_and_oracle(tmp_path_factory, tbl: pa.Table):
+    import ray.data
+
     out = str(tmp_path_factory.mktemp("refq"))
     ds = ray.data.from_arrow(tbl.drop_columns(["html"]))
     build_index(ds, out, docs_per_segment=40, dedup=True)
-    df = dedup_pages_pandas(tbl)
+    cols = [c for c in ("keywords", "inlink") if c in tbl.column_names]
     docs = [
         {
             "doc_id": doc_id_from_url(r.url),
             "url": r.url,
             "body": r.text,
-            "keywords": r.keywords,
-            "inlink": r.inlink,
+            **{c: getattr(r, c) for c in cols},
         }
-        for r in df.itertuples()
+        for r in dedup_pages_pandas(tbl).itertuples()
     ]
     return SearchEngine(out), OracleIndex.build(docs)
+
+
+@pytest.fixture(scope="module")
+def engine_and_oracle(tmp_path_factory, ray_session):
+    # the English docs also fill the keywords and inlink fields, so queries
+    # on every field can score under Indri too
+    tbl = _pages(
+        41,
+        keywords=["phone service", "credit report", "internet access"],
+        inlink=["service providers", "high school", "annual credit"],
+    )
+    return _engine_and_oracle(tmp_path_factory, tbl)
+
+
+def _rows(res, qid) -> list:
+    got = res[res.qid == qid]
+    return list(
+        zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
+    )
 
 
 def test_reference_queries_engine_matches_oracle(engine_and_oracle):
@@ -133,8 +152,45 @@ def test_reference_queries_engine_matches_oracle(engine_and_oracle):
         )
         for i, (_, text) in enumerate(queries):
             want = run_query(oidx, text, model, k=10)
-            got = res[res.qid == str(i)]
-            got_rows = list(
-                zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
-            )
-            assert got_rows == want, (model.name, text)
+            assert _rows(res, str(i)) == want, (model.name, text)
+
+
+def _on_fields(node, fields) -> bool:
+    if node.op == "term":
+        return node.field in fields
+    return any(_on_fields(a, fields) for a in node.args)
+
+
+def test_field_no_document_has(tmp_path_factory, ray_session):
+    """Over a corpus where no document has keywords or inlink text, a BM25
+    leaf on either field matches nothing, engine and oracle alike; under
+    Indri the leaf has no collection probability, and both sides raise
+    the same ValueError naming the field."""
+    eng, oidx = _engine_and_oracle(tmp_path_factory, _pages(43))
+    empty = {"keywords", "inlink"}
+    for f in empty:
+        assert eng.stats["doc_count"][f] == oidx.doc_count[f] == 0
+    queries = [t for _, t in _read_queries([FIXTURE_QRY])]
+    batch = [(str(i), t) for i, t in enumerate(queries)]
+    for use_wand in (False, True):
+        res = eng.search_batch(batch, BM25(), k=10, use_wand=use_wand)
+        for i, text in enumerate(queries):
+            want = run_query(oidx, text, BM25(), k=10)
+            assert _rows(res, str(i)) == want, (use_wand, text)
+
+    indri = Indri(mu=900.0, lam=0.4)
+    raised = 0
+    for text in queries:
+        tree = parse_query(text, indri.default_op)
+        if tree is None or not _on_fields(tree, empty):
+            res = eng.search_batch([("q", text)], indri, k=10)
+            assert _rows(res, "q") == run_query(oidx, text, indri, k=10)
+            continue
+        with pytest.raises(ValueError) as want:
+            run_query(oidx, text, indri, k=10)
+        with pytest.raises(ValueError) as got:
+            eng.search_batch([("q", text)], indri, k=10)
+        assert str(got.value) == str(want.value), text
+        assert any(repr(f) in str(got.value) for f in empty), text
+        raised += 1
+    assert raised >= 2
