@@ -121,8 +121,8 @@ def cmd_inspect(args) -> None:
     if args.list == "docids":
         for d in segment_dirs(args.index):
             seg = Segment(d)
-            for i, u in enumerate(seg.urls):
-                print(f"{int(seg.doc_ids[i])}\t{u}")
+            for doc_id, u in zip(seg.doc_ids.tolist(), seg.urls.to_pylist()):
+                print(f"{doc_id}\t{u}")
         return
     if args.list == "terms":
         # listTermDictionary parity (InspectIndex.java:526-566): term,
@@ -140,9 +140,10 @@ def cmd_inspect(args) -> None:
         found = False
         for d in segment_dirs(args.index):
             seg = Segment(d)
+            urls = seg.urls.to_pylist()
             hits = [
                 i
-                for i, u in enumerate(seg.urls)
+                for i, u in enumerate(urls)
                 if u == want or str(int(seg.doc_ids[i])) == want
             ]
             for i in hits:
@@ -152,7 +153,7 @@ def cmd_inspect(args) -> None:
                 for (fd, ff), ts in sorted(fwd.items()):
                     if fd != doc_id or (fields and ff not in fields):
                         continue
-                    print(f"# {seg.urls[i]} field={ff} len={len(ts)}")
+                    print(f"# {urls[i]} field={ff} len={len(ts)}")
                     for pos, t in enumerate(ts):
                         print(f"{pos}\t{t if t else '<stopword>'}")
         if not found:
@@ -173,9 +174,10 @@ def cmd_inspect(args) -> None:
             total_ctf += ctf
             if args.postings and df:
                 pl = seg.postings(field, args.term)
+                urls = seg.urls.take(pl.docs).to_pylist()
                 for i in range(len(pl.docs)):
                     print(
-                        f"{seg.name}\t{seg.urls[pl.docs[i]]}\t"
+                        f"{seg.name}\t{urls[i]}\t"
                         f"tf={pl.tfs[i]}\tpos={pl.pos_of(i).tolist()}"
                     )
         print(f"{field}:{args.term}\tdf={total_df}\tctf={total_ctf}")
@@ -183,7 +185,9 @@ def cmd_inspect(args) -> None:
     if args.doc:
         for d in segment_dirs(args.index):
             seg = Segment(d)
-            hits = [i for i, u in enumerate(seg.urls) if u == args.doc]
+            hits = [
+                i for i, u in enumerate(seg.urls.to_pylist()) if u == args.doc
+            ]
             for i in hits:
                 lens = {f: int(seg.doclen[f][i]) for f in seg.doclen}
                 print(

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .shard import Segment, segment_dirs
@@ -65,8 +65,9 @@ def postings_dump(
             ctf += c
             if d:
                 pl = seg.postings(field, term)
-                for i in range(len(pl.docs)):
-                    hits.append((seg.urls[pl.docs[i]], int(pl.tfs[i])))
+                hits.extend(
+                    zip(seg.urls.take(pl.docs).to_pylist(), pl.tfs.tolist())
+                )
         if not df:
             continue
         hits.sort(key=lambda x: x[0])
@@ -86,10 +87,10 @@ def term_vector(
     rows = []
     for d in segment_dirs(index_dir):
         seg = Segment(d)
-        hit = np.nonzero(seg.urls == url)[0]
-        if not len(hit):
+        hit = pc.index(seg.urls, url).as_py()
+        if hit < 0:
             continue
-        doc_id = int(seg.doc_ids[hit[0]])
+        doc_id = int(seg.doc_ids[hit])
         for (fd, ff), ts in sorted(seg.forward().items()):
             if fd != doc_id or (field and ff != field):
                 continue

@@ -82,7 +82,12 @@ class Segment:
             os.path.join(seg_dir, "docmeta.parquet"), memory_map=True
         )
         self.doc_ids = dm.column("doc_id").to_numpy()
-        self.urls = np.asarray(dm.column("url").to_pylist(), dtype=object)
+        # the docmeta url column as one Arrow string array: local doc i
+        # has url ``urls[i]``
+        url = dm.column("url")
+        self.urls = (
+            url.chunk(0) if url.num_chunks == 1 else url.combine_chunks()
+        )
         self.doclen = {
             f: dm.column(f"len_{f}").to_numpy().astype(np.float64)
             for f in FIELDS

@@ -4,8 +4,19 @@ The Ray analog of the reference's static ``Idx.INDEXREADER``
 (``/root/reference/QryEval/Idx.java:32``): each :class:`SegmentSearcher`
 actor memory-maps its assigned segments ONCE in ``__init__`` (never per
 query) and serves per-segment top-k; the driver scatters parsed query trees
-to all actors and merges the per-shard heaps under the (score desc, url asc)
+to all actors and merges their top-k sets under the (score desc, url asc)
 key — the scatter/gather architecture of SURVEY.md §3.4.
+
+Hits travel as columns, never as per-row tuples:
+- a segment's scorer returns ``(local docs, scores)`` arrays
+  (:func:`~.exec.segment_topk`, :func:`~.wand.bm25_wand_topk`);
+- a searcher holds one url column, one doc_id array and one integer url
+  rank over all of its segments, keeps each query's top-k set with ties
+  at the boundary broken on that rank, and returns ONE :class:`Hits` per
+  batch (per-query counts, ``doc_id``, ``url``, ``score``);
+- the driver concatenates the searchers' columns, makes one stable Arrow
+  sort by (query, score desc, url asc) — the only url-string comparison —
+  and builds the DataFrame from columns.
 
 Global statistics flow (the driver builds one :class:`GlobalStats` per
 batch and passes it as an argument of each actor's scoring call, so it
@@ -31,9 +42,12 @@ time in a single JVM — ``QryEval.java:1375-1419``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..analysis import AnalyzerConfig, DEFAULT_ANALYZER
 from ..index.shard import (
@@ -45,17 +59,39 @@ from ..index.shard import (
 )
 from ..models import RetrievalModel
 from ..parser import Node, parse_query
+from . import wand
 from .exec import (
+    _EMPTY_F64,
+    _EMPTY_I64,
     GlobalStats,
     collect_iop_stats,
     eval_sop,
     iter_term_keys,
     segment_topk,
+    topk_set,
 )
 
 # below this many postings the driver sums every segment's df/ctf columns
 # once; at or above it, each new key goes through the dfs phase
 FULL_TERMSTATS_MAX_POSTINGS = 2_000_000
+
+# the gather's one ordering of a batch's hits
+_SORT_COLS = ["qi", "score", "url"]
+_SORT_KEYS = [
+    ("qi", "ascending"),
+    ("score", "descending"),
+    ("url", "ascending"),
+]
+
+
+class Hits(NamedTuple):
+    """A query batch's hits as columns: query i owns the next ``counts[i]``
+    rows, in query order."""
+
+    counts: np.ndarray  # int64, one per query
+    doc_id: np.ndarray  # int64
+    url: pa.Array  # string
+    score: np.ndarray  # float64
 
 
 def bag_of_words_terms(node: Node):
@@ -102,6 +138,21 @@ class LocalSearcher:
         self.stats = load_stats(index_dir)
         dirs = list(seg_dirs) if seg_dirs is not None else segment_dirs(index_dir)
         self.segments = [Segment(d) for d in dirs]
+        # searcher-wide doc rows: segment i holds rows base[i]:base[i + 1].
+        # One url column, one doc_id array and one url rank (position in
+        # url order) over all of them; hits travel as row indices until
+        # search_trees gathers their columns
+        self._base = np.cumsum([0] + [s.n_docs for s in self.segments])
+        self._urls = pa.chunked_array(
+            [s.urls for s in self.segments], type=pa.string()
+        ).combine_chunks()
+        self._doc_ids = np.concatenate(
+            [_EMPTY_I64] + [s.doc_ids for s in self.segments]
+        ).astype(np.int64)
+        self._url_rank = np.empty(len(self._urls), dtype=np.int64)
+        self._url_rank[pc.sort_indices(self._urls).to_numpy()] = np.arange(
+            len(self._urls)
+        )
         tomb = load_tombstones(index_dir)
         if len(tomb):
             for seg in self.segments:
@@ -190,8 +241,10 @@ class LocalSearcher:
         k: Optional[int],
         use_wand: bool = False,
         token=None,
-    ) -> list[list[tuple[int, str, float]]]:
-        """Per-query partial top-k over THIS searcher's segments.
+    ) -> Hits:
+        """Per-query partial top-k over THIS searcher's segments, as the
+        columns of one :class:`Hits` for the whole batch (each query's top-k
+        set, unordered — the gather orders it).
 
         ``use_wand=True`` routes BM25 bag-of-words queries through
         document-at-a-time block-max WAND (exact same top-k, provably
@@ -200,16 +253,16 @@ class LocalSearcher:
         takes the vectorized exhaustive path otherwise — identical
         results either way."""
         from ..models import BM25 as _BM25
-        from .wand import bm25_wand_topk
 
         if use_wand not in (False, True, "auto"):
             raise ValueError(
                 f"use_wand must be False, True or 'auto', got {use_wand!r}"
             )
-        results = []
-        for tree in trees:
+        counts = np.zeros(len(trees), dtype=np.int64)
+        rows, scores = [_EMPTY_I64], [_EMPTY_F64]
+        caches = self._caches(token)
+        for qi, tree in enumerate(trees):
             if tree is None:
-                results.append([])
                 continue
             bow = (
                 bag_of_words_terms(tree)
@@ -226,19 +279,32 @@ class LocalSearcher:
                 )
                 if total_df > 0.15 * g.n_docs:
                     bow = None
-            partials: list[tuple[int, str, float]] = []
-            caches = self._caches(token)
-            for seg, cache in zip(self.segments, caches):
+            q_rows, q_scores = [_EMPTY_I64], [_EMPTY_F64]
+            for seg, cache, base in zip(self.segments, caches, self._base):
+                rank = self._url_rank[base : base + seg.n_docs]
                 if bow is not None:
-                    partials.extend(
-                        bm25_wand_topk(bow, seg, g, model, k)
-                    )
+                    d, sc = wand.bm25_wand_topk(bow, seg, g, model, k, rank)
                 else:
                     ev = eval_sop(tree, seg, g, model, cache)
-                    partials.extend(segment_topk(ev, seg, k))
-            partials.sort(key=lambda r: (-r[2], r[1]))
-            results.append(partials[:k] if k is not None else partials)
-        return results
+                    d, sc = segment_topk(ev, seg, k, rank)
+                q_rows.append(d + base)
+                q_scores.append(sc)
+            d, sc = topk_set(
+                np.concatenate(q_rows),
+                np.concatenate(q_scores),
+                k,
+                self._url_rank,
+            )
+            counts[qi] = len(d)
+            rows.append(d)
+            scores.append(sc)
+        rows = np.concatenate(rows)
+        return Hits(
+            counts,
+            self._doc_ids[rows],
+            self._urls.take(rows),
+            np.concatenate(scores),
+        )
 
 
 class SearchEngine:
@@ -265,10 +331,11 @@ class SearchEngine:
         self._term_memo: dict = {}
         self._local: Optional[LocalSearcher] = None
         self._actors: list = []
-        if num_searchers and num_searchers > 0:
+        dirs = segment_dirs(index_dir)
+        # an index without segments runs in-process: no actor to start
+        if num_searchers and num_searchers > 0 and dirs:
             import ray
 
-            dirs = segment_dirs(index_dir)
             shards: list[list[str]] = [[] for _ in range(num_searchers)]
             for i, d in enumerate(dirs):
                 shards[i % num_searchers].append(d)
@@ -281,7 +348,7 @@ class SearchEngine:
                 if s
             ]
         else:
-            self._local = LocalSearcher(index_dir, warm_terms=warm_terms)
+            self._local = LocalSearcher(index_dir, dirs, warm_terms)
 
     # ------------------------------------------------------------------ stats
 
@@ -366,22 +433,36 @@ class SearchEngine:
         # Ray inlines it in each actor's call, and moves it to the object
         # store itself when it pickles above its inline limit (100 KB)
         g = self.global_stats_for(trees, token)
-        per_actor = self._scatter(
+        parts = self._scatter(
             "search_trees", trees, g, model, k, use_wand, token
         )
 
-        rows = []
-        for qi, (qid, _) in enumerate(queries):
-            merged: list[tuple[int, str, float]] = []
-            for actor_res in per_actor:
-                merged.extend(actor_res[qi])
-            merged.sort(key=lambda r: (-r[2], r[1]))
-            if k is not None:
-                merged = merged[:k]
-            for rank, (doc_id, url, score) in enumerate(merged, 1):
-                rows.append((qid, doc_id, url, score, rank))
+        # gather: one stable sort by (query asc, score desc, url asc); a
+        # hit's rank is its position within its query
+        qi = np.concatenate(
+            [np.repeat(np.arange(len(queries)), p.counts) for p in parts]
+        )
+        score = np.concatenate([p.score for p in parts])
+        url = pa.concat_arrays([p.url for p in parts])
+        order = pc.sort_indices(
+            pa.RecordBatch.from_arrays([qi, score, url], _SORT_COLS),
+            sort_keys=_SORT_KEYS,
+        ).to_numpy()
+        qi = qi[order]
+        rank = np.arange(1, len(qi) + 1) - np.searchsorted(qi, qi)
+        if k is not None:
+            keep = rank <= k
+            order, qi, rank = order[keep], qi[keep], rank[keep]
+        qids = np.array([qid for qid, _ in queries], dtype=object)
         return pd.DataFrame(
-            rows, columns=["qid", "doc_id", "url", "score", "rank"]
+            {
+                "qid": qids[qi],
+                "doc_id": np.concatenate([p.doc_id for p in parts])[order],
+                "url": url.to_numpy(zero_copy_only=False)[order],
+                "score": score[order],
+                "rank": rank,
+            },
+            copy=False,
         )
 
     def search(

@@ -24,6 +24,11 @@ term df/ctf are the sums of the segments' own columns; composite-Iop
 the engine computes in a stats pass over all segments before scoring (the
 reference evaluates the derived list over the whole corpus at once —
 ``InvList.java:163-178``).
+
+Top-k selection (:func:`topk_set`) keeps a SET of ``(docs, scores)``
+arrays: ``np.argpartition`` finds the k-th score, and only the rows tied
+with it are ordered, by an integer url rank the caller supplies.  Urls
+themselves stay in the searcher's Arrow column until the gather.
 """
 
 from __future__ import annotations
@@ -442,41 +447,44 @@ def _score_leaf(
     return EvalSop(iop.docs, np.ones(len(iop.docs)), _zero_default)
 
 
+def topk_set(
+    docs: np.ndarray,
+    scores: np.ndarray,
+    k: Optional[int],
+    url_rank: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k SET of ``(docs, scores)`` under the (score desc, url asc)
+    composite key (``ScoreList.java:90-106``), as ``(docs, scores)`` in no
+    particular order.  ``url_rank[d]`` is doc d's position in url order, so
+    ties at the k boundary resolve on integers; rows scoring above the
+    boundary never touch it."""
+    if k is None:
+        return docs, scores
+    if k <= 0:
+        return _EMPTY_I64, _EMPTY_F64
+    if len(docs) <= k:
+        return docs, scores
+    part = np.argpartition(-scores, k - 1)
+    thresh = scores[part[k - 1]]
+    above = np.flatnonzero(scores > thresh)
+    ties = np.flatnonzero(scores == thresh)
+    need = k - len(above)
+    if need < len(ties):
+        ties = ties[np.argsort(url_rank[docs[ties]])[:need]]
+    keep = np.concatenate([above, ties])
+    return docs[keep], scores[keep]
+
+
 def segment_topk(
-    ev: EvalSop, seg: Segment, k: Optional[int]
-) -> list[tuple[int, str, float]]:
-    """Exact per-segment top-k SET under the (score desc, url asc)
-    composite key (``ScoreList.java:90-106``) — rows are UNORDERED (the
-    scatter/gather merge re-sorts globally with the same key), and urls
-    are materialized only for the k survivors plus boundary ties, never
-    the whole candidate set.  Returns [(global doc_id, url, score)]."""
+    ev: EvalSop, seg: Segment, k: Optional[int], url_rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment top-k set of an evaluated query: ``(local docs,
+    scores)``, unordered (the searcher and the gather order them).
+    ``url_rank`` orders the segment's local docs by url."""
     docs, scores = ev.docs, ev.scores
-    if k is not None and k <= 0:
-        return []
     if seg.dead is not None and len(docs):
         # tombstoned docs drop BEFORE truncation (a deleted doc must not
         # displace a survivor from the top-k)
         alive = ~seg.dead[docs]
         docs, scores = docs[alive], scores[alive]
-    if len(docs) == 0:
-        return []
-    if k is not None and len(docs) > k:
-        part = np.argpartition(-scores, k - 1)
-        thresh = scores[part[k - 1]]
-        above = np.nonzero(scores > thresh)[0]
-        ties = np.nonzero(scores == thresh)[0]
-        need = k - len(above)
-        if need < len(ties):
-            # boundary ties resolve url-ascending; only THEIR urls are
-            # compared (the composite key never touches non-tied rows)
-            tie_urls = seg.urls[docs[ties]]
-            ties = ties[np.argsort(tie_urls, kind="stable")[:need]]
-        keep = np.concatenate([above, ties])
-        docs, scores = docs[keep], scores[keep]
-    return list(
-        zip(
-            seg.doc_ids[docs].tolist(),
-            seg.urls[docs].tolist(),
-            scores.tolist(),
-        )
-    )
+    return topk_set(docs, scores, k, url_rank)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..index.shard import Segment
 from ..models import BM25
-from .exec import GlobalStats
+from .exec import _EMPTY_F64, _EMPTY_I64, GlobalStats, topk_set
 
 
 class _Cursor:
@@ -96,8 +96,11 @@ def bm25_wand_topk(
     g: GlobalStats,
     model: BM25,
     k: int,
-) -> list[tuple[int, str, float]]:
-    """Exact top-k for a BM25 bag-of-words query over one segment.
+    url_rank: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k for a BM25 bag-of-words query over one segment, as
+    ``segment_topk`` returns it: ``(local docs, scores)``, unordered, with
+    boundary ties broken by ``url_rank``.
 
     ``terms`` are (field, term) leaves in QUERY ORDER (duplicates allowed —
     each occurrence scores separately, as in #SUM).  Scoring order per doc is
@@ -122,7 +125,7 @@ def bm25_wand_topk(
         pls.append(pl)
         cursors.append(_Cursor(pl, idf, k1, b, avg))
     if not cursors:
-        return []
+        return _EMPTY_I64, _EMPTY_F64
 
     # threshold = k-th best (score, then url tie-break handled at merge by
     # keeping ties: use strictly-less skip condition so tied docs survive)
@@ -196,20 +199,7 @@ def bm25_wand_topk(
             # advance the first leading cursor to the pivot doc
             live[0].advance_to(pivot_doc)
 
-    # assemble: all scored candidates with score >= k-th, tie-broken by url
-    if not results:
-        return []
-    scores = np.asarray([s for s, _ in results])
+    # assemble: the exact top-k set of every scored candidate
+    scores = np.asarray([s for s, _ in results], dtype=np.float64)
     docs = np.asarray([d for _, d in results], dtype=np.int64)
-    if len(results) > k:
-        part = np.partition(-scores, k - 1)
-        thresh = -part[k - 1]
-        keep = scores >= thresh
-        scores, docs = scores[keep], docs[keep]
-    urls = seg.urls[docs]
-    gids = seg.doc_ids[docs]
-    rows = sorted(
-        zip(gids.tolist(), urls.tolist(), scores.tolist()),
-        key=lambda r: (-r[2], r[1]),
-    )
-    return rows[:k]
+    return topk_set(docs, scores, k, url_rank)

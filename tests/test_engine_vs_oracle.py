@@ -147,6 +147,86 @@ def test_actor_engine_composite_indri(corpus, ray_session):
         assert got_rows == want, f"query={q!r}"
 
 
+def test_actor_engine_ties_match_oracle(corpus, ray_session):
+    """Boolean scores tie across the whole corpus, so the url tie-break
+    decides every boundary: 3 actors over 6 segments must still give the
+    oracle's exact ranking at k in {1, 15, None}."""
+    out, oidx, stats = corpus
+    assert stats["n_segments"] == 6
+    eng = SearchEngine(out, num_searchers=3)
+    qs = [(str(i), q) for i, q in enumerate(QUERIES)]
+    for model in (RankedBoolean(), UnrankedBoolean(), BM25()):
+        for k in (1, 15, None):
+            res = eng.search_batch(qs, model, k=k)
+            for i, q in enumerate(QUERIES):
+                want = run_query(oidx, q, model, k=k)
+                got = res[res.qid == str(i)]
+                got_rows = list(
+                    zip(
+                        got.doc_id.tolist(),
+                        got.url.tolist(),
+                        got.score.tolist(),
+                    )
+                )
+                assert got_rows == want, f"{model.name} k={k} query={q!r}"
+                assert got["rank"].tolist() == list(range(1, len(want) + 1))
+
+
+RESULT_DTYPES = {
+    "qid": "object",
+    "doc_id": "int64",
+    "url": "object",
+    "score": "float64",
+    "rank": "int64",
+}
+
+
+@pytest.mark.parametrize("num_searchers", [0, 2])
+def test_result_dtypes_when_empty(corpus, ray_session, num_searchers):
+    """An empty batch and a batch that matches nothing return the same
+    column dtypes as a batch with hits."""
+    out, _, _ = corpus
+    eng = SearchEngine(out, num_searchers=num_searchers)
+    results = [eng.search_batch([("a", "w0001")], BM25(), k=5)]
+    assert len(results[0]) == 5
+    for batch in ([], [("a", "zzzznohit"), ("b", "the of and")]):
+        for k in (5, None):
+            results.append(eng.search_batch(batch, BM25(), k=k))
+            assert results[-1].empty
+    for res in results:
+        assert res.dtypes.astype(str).to_dict() == RESULT_DTYPES
+        assert list(res.columns) == list(RESULT_DTYPES)
+
+
+def test_search_trees_returns_columns(corpus):
+    """Hits leave a searcher as columns (numpy and Arrow arrays), never as a
+    list of per-row tuples, and nothing in the query package sorts rows
+    with a per-row key."""
+    import inspect
+
+    from searchengines_ray.parser import parse_query
+    from searchengines_ray.query import engine, exec as exec_mod, wand
+    from searchengines_ray.query.engine import Hits, LocalSearcher
+
+    out, _, _ = corpus
+    eng = SearchEngine(out, num_searchers=0)
+    local = LocalSearcher(out)
+    qs = ["w0001 w0005", "zzzznohit", "#NEAR/1(w0001 w0002)"]
+    trees = [parse_query(q, "or") for q in qs] + [None]
+    g = eng.global_stats_for(trees)
+    for use_wand in (False, True):
+        hits = local.search_trees(trees, g, BM25(), 10, use_wand=use_wand)
+        assert isinstance(hits, Hits)
+        counts, doc_id, url, score = hits
+        assert counts.dtype == np.int64 and len(counts) == len(trees)
+        assert counts[1] == counts[3] == 0 and counts[0] == 10
+        assert doc_id.dtype == np.int64 and score.dtype == np.float64
+        assert isinstance(url, pa.Array) and url.type == pa.string()
+        assert len(doc_id) == len(url) == len(score) == counts.sum()
+    for mod in (engine, exec_mod, wand):
+        assert "key=lambda r: (-r[2], r[1])" not in inspect.getsource(mod)
+
+
 def test_resume_skips_existing_segments(corpus, ray_session):
     import ray.data
 

@@ -291,7 +291,7 @@ def test_inspect_termvector_cli(setup, capsys):
     from searchengines_ray.index.shard import Segment, segment_dirs
 
     seg = Segment(segment_dirs(idx_dir)[0])
-    url = seg.urls[0]
+    url = seg.urls[0].as_py()
     main(["inspect", "--index", idx_dir, "--termvector", url,
           "--field", "body"])
     out = capsys.readouterr().out
