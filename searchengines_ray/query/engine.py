@@ -19,9 +19,7 @@ Hits travel as columns, never as per-row tuples:
   and builds the DataFrame from columns.
 
 Global statistics flow (the driver builds one :class:`GlobalStats` per
-batch and passes it as an argument of each actor's scoring call, so it
-travels inline with the scatter and grows with the batch's query terms,
-never with the vocabulary):
+batch, covering only the batch's query keys, never the vocabulary):
 - corpus stats (N, docCount, sumFieldLen) from ``stats.json``;
 - per-term df/ctf for exactly the batch's (field, term) keys; keys absent
   from the index are left out (readers default them).  Global df/ctf are
@@ -33,7 +31,17 @@ never with the vocabulary):
 - composite-Iop (#SYN/#NEAR/#WINDOW) derived df/ctf via a stats pass: every
   actor evaluates the derived lists over its segments and returns (df,ctf)
   partials, summed on the driver — matching the reference's whole-corpus
-  derived lists (``InvList.java:163-178``).
+  derived lists (``InvList.java:163-178``).  Keyed by the Iop's string
+  form and memoized across batches like the term keys: the segments are
+  fixed for the engine's life and tombstones filter hits, not statistics.
+
+Transport: every searcher call is ONE stdlib-pickled ``(method, args)``
+request and ONE pickled reply (:meth:`LocalSearcher.call`).  The driver
+pickles a scatter's request once, puts it in the object store once when it
+exceeds Ray's inline limit (100 KB) so every actor reads the same copy, and
+never passes query objects (trees, :class:`GlobalStats`, models, hits) as
+Ray arguments: Ray's per-argument, per-actor serializer cost more CPU than
+the scoring it carried.
 
 Queries are batched: one scatter serves a whole query file, so the
 per-round-trip overhead amortizes (the reference processes queries one at a
@@ -42,6 +50,7 @@ time in a single JVM — ``QryEval.java:1375-1419``).
 
 from __future__ import annotations
 
+import pickle
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -64,9 +73,10 @@ from .exec import (
     _EMPTY_F64,
     _EMPTY_I64,
     GlobalStats,
-    collect_iop_stats,
+    eval_iop,
     eval_sop,
     iter_term_keys,
+    outer_iops,
     segment_topk,
     topk_set,
 )
@@ -74,6 +84,10 @@ from .exec import (
 # below this many postings the driver sums every segment's df/ctf columns
 # once; at or above it, each new key goes through the dfs phase
 FULL_TERMSTATS_MAX_POSTINGS = 2_000_000
+
+# Ray's inline limit for a call argument (max_direct_call_object_size);
+# a larger request goes to the object store once per scatter
+RAY_INLINE_MAX_BYTES = 100 * 1024
 
 # the gather's one ordering of a batch's hits
 _SORT_COLS = ["qi", "score", "url"]
@@ -113,12 +127,6 @@ def _sum_partials(parts: Sequence[dict]) -> dict:
             d0, c0 = merged.get(key, (0, 0))
             merged[key] = (d0 + df, c0 + ctf)
     return merged
-
-
-def _has_composite(node: Node) -> bool:
-    if node.op in ("syn", "near", "window"):
-        return True
-    return any(_has_composite(a) for a in node.args)
 
 
 class LocalSearcher:
@@ -206,16 +214,28 @@ class LocalSearcher:
                 self._iop_caches = [{} for _ in self.segments]
         return self._iop_caches
 
+    def call(self, request: bytes) -> bytes:
+        """The actor entry point of every scatter: ``request`` is a pickled
+        ``(method, args)``; the reply is the pickled result."""
+        method, args = pickle.loads(request)
+        return pickle.dumps(getattr(self, method)(*args), protocol=5)
+
     def iop_stats_partial(
         self, trees: Sequence[Optional[Node]], token=None
     ) -> dict:
-        out: dict = {}
-        caches = self._caches(token)
+        """Shard-local derived (df, ctf) of every distinct outermost
+        composite Iop of the trees, keyed by its string form: an Iop that
+        several trees share, or one tree repeats, counts once."""
+        iops: dict = {}
         for tree in trees:
-            if tree is None:
-                continue
-            for seg, cache in zip(self.segments, caches):
-                collect_iop_stats(tree, seg, out, cache)
+            if tree is not None:
+                outer_iops(tree, iops)
+        out: dict = {}
+        for seg, cache in zip(self.segments, self._caches(token)):
+            for key, node in iops.items():
+                ev = eval_iop(node, seg, cache)
+                df, ctf = out.get(key, (0, 0))
+                out[key] = (df + ev.local_df, ctf + ev.local_ctf)
         return out
 
     def term_vectors(
@@ -329,6 +349,8 @@ class SearchEngine:
         self._termstats_cache: Optional[dict] = None
         # (field, term) -> (df, ctf), or None when absent; across batches
         self._term_memo: dict = {}
+        # str(composite Iop) -> derived (df, ctf); across batches
+        self._iop_memo: dict = {}
         self._local: Optional[LocalSearcher] = None
         self._actors: list = []
         dirs = segment_dirs(index_dir)
@@ -376,14 +398,19 @@ class SearchEngine:
         return {k: memo[k] for k in keys if memo[k] is not None}
 
     def _scatter(self, method: str, *args) -> list:
-        """``method(*args)`` on every searcher; one result per searcher."""
-        if self._actors:
-            import ray
+        """``method(*args)`` on every searcher; one result per searcher.
 
-            return ray.get(
-                [getattr(a, method).remote(*args) for a in self._actors]
-            )
-        return [getattr(self._local, method)(*args)]
+        The actors get one request pickled once for all of them (see the
+        module docstring); the in-process searcher is called directly."""
+        if not self._actors:
+            return [getattr(self._local, method)(*args)]
+        import ray
+
+        req = pickle.dumps((method, args), protocol=5)
+        if len(req) > RAY_INLINE_MAX_BYTES:
+            req = ray.put(req)
+        replies = ray.get([a.call.remote(req) for a in self._actors])
+        return [pickle.loads(r) for r in replies]
 
     def global_stats_for(
         self, trees: Sequence[Optional[Node]], token=None
@@ -398,11 +425,17 @@ class SearchEngine:
             sum_field_len=self.stats["sum_field_len"],
             term_stats=self._term_stats(keys),
         )
-        live = [t for t in trees if t is not None and _has_composite(t)]
-        if live:
-            g.iop_stats = _sum_partials(
-                self._scatter("iop_stats_partial", live, token)
-            )
+        iops: dict = {}
+        for t in trees:
+            if t is not None:
+                outer_iops(t, iops)
+        memo = self._iop_memo
+        missing = [node for key, node in iops.items() if key not in memo]
+        if missing:
+            # stats pass for the Iops no earlier batch has summed
+            parts = self._scatter("iop_stats_partial", missing, token)
+            memo.update(_sum_partials(parts))
+        g.iop_stats = {key: memo[key] for key in iops if key in memo}
         return g
 
     # ----------------------------------------------------------------- search
@@ -429,9 +462,8 @@ class SearchEngine:
         # fresh token = batch boundary marker for the persistent Iop cache
         # (eviction happens only when the token CHANGES — see _caches)
         token = uuid.uuid4().hex
-        # g covers only this batch's keys and travels as a plain argument:
-        # Ray inlines it in each actor's call, and moves it to the object
-        # store itself when it pickles above its inline limit (100 KB)
+        # g covers only this batch's keys and rides in the scatter's one
+        # pickled request (put in the object store once above 100 KB)
         g = self.global_stats_for(trees, token)
         parts = self._scatter(
             "search_trees", trees, g, model, k, use_wand, token

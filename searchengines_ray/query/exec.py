@@ -200,21 +200,17 @@ def _gather_positions(k: EvalIop, rows: np.ndarray):
     return k.positions[gather], off
 
 
-def collect_iop_stats(
-    node: Node, seg: Segment, out: dict, cache: Optional[dict] = None
-) -> None:
-    """Per-segment (df, ctf) partials for every composite Iop in the tree
-    (summed across segments by the engine before scoring)."""
+def outer_iops(node: Node, out: dict) -> None:
+    """``str(node) -> node`` for every outermost composite Iop of the tree:
+    the keys of ``GlobalStats.iop_stats`` that scoring the tree reads
+    (a nested composite is part of its parent's derived list)."""
     if node.op == "term":
         return
     if node.is_iop():
-        ev = eval_iop(node, seg, cache)
-        key = str(node)
-        df, ctf = out.get(key, (0, 0))
-        out[key] = (df + ev.local_df, ctf + ev.local_ctf)
-        return  # nested composites contribute via their own tree walk below
+        out[str(node)] = node
+        return
     for a in node.args:
-        collect_iop_stats(a, seg, out, cache)
+        outer_iops(a, out)
 
 
 def iter_term_keys(node: Node, out: set) -> None:

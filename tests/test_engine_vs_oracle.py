@@ -227,6 +227,136 @@ def test_search_trees_returns_columns(corpus):
         assert "key=lambda r: (-r[2], r[1])" not in inspect.getsource(mod)
 
 
+def _rows_of(res, qid):
+    got = res[res.qid == qid]
+    return list(
+        zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist())
+    )
+
+
+def test_call_round_trip_matches_direct(corpus):
+    """The actor entry point: a pickled ("search_trees", args) request
+    through LocalSearcher.call gives back the direct call's Hits, still as
+    columns."""
+    import pickle
+
+    from searchengines_ray.parser import parse_query
+    from searchengines_ray.query.engine import Hits, LocalSearcher
+
+    out, _, _ = corpus
+    local = LocalSearcher(out)
+    qs = ["w0001 w0005", "#NEAR/1(w0001 w0002)", "zzzznohit"]
+    trees = [parse_query(q, "or") for q in qs] + [None]
+    args = (trees, SearchEngine(out).global_stats_for(trees), BM25(), 10)
+    want = local.search_trees(*args)
+    got = pickle.loads(local.call(pickle.dumps(("search_trees", args))))
+    assert isinstance(got, Hits)
+    assert isinstance(got.url, pa.Array) and got.url.equals(want.url)
+    assert got.counts.dtype == got.doc_id.dtype == np.int64
+    assert got.score.dtype == np.float64
+    for name in ("counts", "doc_id", "score"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# composite queries sharing Iops: one repeats the same #NEAR twice, two
+# share one #SYN — each distinct Iop's derived df/ctf counts once
+COMPOSITE_BATCH = [
+    "#SYN(w0013 w0014 w0015)",
+    "#SUM(#SYN(w0013 w0014 w0015) w0001)",
+    "#AND(#NEAR/3(w0005 w0006) #NEAR/3(w0005 w0006))",
+    "#OR(#NEAR/1(w0030 w0031) #WINDOW/4(w0032 w0033))",
+    "w0001 w0005",
+]
+
+
+@pytest.mark.parametrize("inline_max", [100 * 1024, 0])
+def test_one_pickled_request_per_scatter(
+    corpus, ray_session, monkeypatch, inline_max
+):
+    """With 2 actors, each scatter of a composite batch (stats pass, then
+    scoring) pickles exactly one request on the driver; a request above
+    the inline limit is put in the object store once, not once per
+    actor."""
+    import pickle
+
+    import ray
+
+    from searchengines_ray.query import engine as engine_mod
+
+    out, oidx, _ = corpus
+    eng = SearchEngine(out, num_searchers=2)
+    dumped, scatters, puts = [], [], []
+
+    class CountingPickle:
+        loads = staticmethod(pickle.loads)
+
+        @staticmethod
+        def dumps(obj, *a, **kw):
+            dumped.append(obj[0])
+            return pickle.dumps(obj, *a, **kw)
+
+    real_scatter = eng._scatter
+    real_put = ray.put
+    monkeypatch.setattr(engine_mod, "pickle", CountingPickle)
+    monkeypatch.setattr(engine_mod, "RAY_INLINE_MAX_BYTES", inline_max)
+    monkeypatch.setattr(
+        ray, "put", lambda v, **kw: puts.append(v) or real_put(v, **kw)
+    )
+    monkeypatch.setattr(
+        eng,
+        "_scatter",
+        lambda method, *args: scatters.append(method)
+        or real_scatter(method, *args),
+    )
+    batch = [(str(i), q) for i, q in enumerate(COMPOSITE_BATCH)]
+    res = eng.search_batch(batch, BM25(), k=15)
+    assert scatters == ["iop_stats_partial", "search_trees"]
+    assert dumped == scatters
+    assert len(puts) == (len(scatters) if inline_max == 0 else 0)
+    for qid, q in batch:
+        assert _rows_of(res, qid) == run_query(oidx, q, BM25(), k=15), q
+
+
+@pytest.mark.parametrize("num_searchers", [0, 2])
+def test_iop_stats_memo(corpus, ray_session, monkeypatch, num_searchers):
+    """Derived composite statistics are summed once per engine: the same
+    batch under a second model runs no stats pass, and a batch adding one
+    composite scatters only that Iop.  Every answer stays identical to the
+    oracle."""
+    from searchengines_ray.parser import parse_query
+
+    out, oidx, _ = corpus
+    eng = SearchEngine(out, num_searchers=num_searchers)
+    scattered = []
+    real_scatter = eng._scatter
+    monkeypatch.setattr(
+        eng,
+        "_scatter",
+        lambda method, *args: scattered.append((method, args))
+        or real_scatter(method, *args),
+    )
+
+    def run(queries, model):
+        scattered.clear()
+        batch = [(str(i), q) for i, q in enumerate(queries)]
+        res = eng.search_batch(batch, model, k=15)
+        for qid, q in batch:
+            assert _rows_of(res, qid) == run_query(oidx, q, model, k=15), (
+                f"{model.name} {q!r}"
+            )
+        return [a for m, a in scattered if m == "iop_stats_partial"]
+
+    first = run(COMPOSITE_BATCH, BM25())
+    assert len(first) == 1
+    assert sorted(str(n) for n in first[0][0]) == sorted(eng._iop_memo)
+    assert len(eng._iop_memo) == 4  # distinct Iops: SYN, NEAR, NEAR/1, WINDOW
+    assert run(COMPOSITE_BATCH, Indri(mu=300.0, lam=0.4)) == []
+    new = "#WINDOW/6(w0000 w0002 w0004)"
+    (only,) = run(COMPOSITE_BATCH + [new], Indri(mu=1500.0, lam=0.7))
+    assert [str(n) for n in only[0]] == [str(parse_query(new, "and"))]
+    assert len(eng._iop_memo) == 5
+
+
 def test_resume_skips_existing_segments(corpus, ray_session):
     import ray.data
 
@@ -338,8 +468,8 @@ def test_term_stats_paths_agree(corpus, monkeypatch):
 
 def test_large_global_stats_via_object_store(corpus, ray_session):
     """A batch whose GlobalStats pickles above Ray's 100 KB inline limit
-    reaches the actors through the object store and still matches the
-    oracle exactly."""
+    makes a scoring request that is put in the object store ONCE and read
+    by both actors, and still matches the oracle exactly."""
     import pickle
 
     from searchengines_ray.parser import parse_query
