@@ -195,57 +195,6 @@ def _q_bm25_topk_merged(sf_dir: str) -> pd.DataFrame:
     return _simple_ranked(eng.search_batch(BM25_QUERIES, BM25(), k=None))
 
 
-def _q_bm25_topk_pfor(sf_dir: str) -> pd.DataFrame:
-    """BM25 top-20 served from an index whose postings are compressed
-    with the patched-frame-of-reference codec (``codec="pfor"`` —
-    bit-packed delta blocks with per-block exception patches; the LEB128
-    ``vb`` varint codec is pinned codec-independent in tests/test_codecs).
-    The north rule names 'varint/PForDelta blocks' literally; this entry
-    proves the codec is a storage property only — it must match the SAME
-    SQL oracle as bm25_topk_simple."""
-    tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|pfor|v8".encode(), digest_size=6
-    ).hexdigest()
-    out = f"/tmp/seray_index/{tag}"
-    if not os.path.exists(os.path.join(out, "stats.json")):
-        os.makedirs(out, exist_ok=True)
-        build_index(
-            pages_from_documents(sf_dir),
-            out,
-            config=SIMPLE_ANALYZER,
-            docs_per_segment=512,
-            dedup=False,
-            codec="pfor",
-        )
-    eng = SearchEngine(out, config=SIMPLE_ANALYZER, num_searchers=0)
-    return _simple_ranked(eng.search_batch(BM25_QUERIES, BM25(), k=None))
-
-
-def _q_bm25_topk_ef(sf_dir: str) -> pd.DataFrame:
-    """BM25 top-20 served from an index whose postings are compressed
-    with the Elias-Fano codec (``codec="ef"`` — quasi-succinct monotone
-    encoding, Vigna 2013: per-block low bits bit-packed + high bits
-    unary, 2 + log2(u/m) bits/value).  Fourth per-segment codec under
-    the pinned codec-independence contract (tests/test_codecs.py); must
-    match the SAME SQL oracle as bm25_topk_simple."""
-    tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|ef|v8".encode(), digest_size=6
-    ).hexdigest()
-    out = f"/tmp/seray_index/{tag}"
-    if not os.path.exists(os.path.join(out, "stats.json")):
-        os.makedirs(out, exist_ok=True)
-        build_index(
-            pages_from_documents(sf_dir),
-            out,
-            config=SIMPLE_ANALYZER,
-            docs_per_segment=512,
-            dedup=False,
-            codec="ef",
-        )
-    eng = SearchEngine(out, config=SIMPLE_ANALYZER, num_searchers=0)
-    return _simple_ranked(eng.search_batch(BM25_QUERIES, BM25(), k=None))
-
-
 def _deleted_ids(sf_dir: str) -> np.ndarray:
     import ray.data
 
@@ -4162,8 +4111,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pmi_collocations": _q_pmi_collocations,
         # long-proven rest (every entry below has >=1 green
         # driver CORRECTNESS row from rounds 1-4):
-        "bm25_topk_pfor": _q_bm25_topk_pfor,
-        "bm25_topk_ef": _q_bm25_topk_ef,
         "bm25_topk_deleted": _q_bm25_topk_deleted,
         "bm25_topk_purged": _q_bm25_topk_purged,
         "snippets": _q_snippets,
@@ -6826,8 +6773,6 @@ def oracle_sql() -> dict[str, str]:
     # compaction is bit-identical by contract: same oracle as the
     # small-segment index (the entry builds 64-doc segments, then merges)
     sqls["bm25_topk_merged"] = sqls["bm25_topk_simple"]
-    sqls["bm25_topk_pfor"] = sqls["bm25_topk_simple"]
-    sqls["bm25_topk_ef"] = sqls["bm25_topk_simple"]
     # tombstoned serving: full-corpus statistics, deleted docs excluded
     # from the ranking only (the liveDocs contract)
     sqls["bm25_topk_deleted"] = sqls["bm25_topk_simple"].replace(

@@ -45,8 +45,6 @@ def main(argv=None) -> None:
                    help="serving wants ~50k-doc segments (BASELINE.md)")
     p.add_argument("--dedup", action="store_true",
                    help="url-dedup shuffle before the build")
-    p.add_argument("--codec", default="bw", choices=("bw", "vb", "pfor"),
-                   help="posting compression codec")
     p.add_argument("--query-file", default=None,
                    help="qid:querytext lines to run after the build")
     p.add_argument("--model", default="bm25",
@@ -110,7 +108,6 @@ def main(argv=None) -> None:
         args.out,
         docs_per_segment=args.docs_per_segment,
         dedup=args.dedup,
-        codec=args.codec,
     )
     build_s = time.perf_counter() - t0
     report.update(

@@ -8,6 +8,7 @@ Usage: python scripts/verify_entries.py [sf_dir] [entry ...]
 from __future__ import annotations
 
 import os
+import signal
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -64,14 +65,30 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> bool:
     return ok
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
-    if not ray.is_initialized():
-        ray.init(
-            address="local", num_cpus=8, include_dashboard=False,
-            ignore_reinit_error=True,
-        )
+    try:
+        if not ray.is_initialized():
+            ray.init(
+                address="local", num_cpus=8, include_dashboard=False,
+                ignore_reinit_error=True,
+            )
+        # a SIGTERM (e.g. from ``timeout``) unwinds through the
+        # ``finally``, so the local Ray session never outlives this
+        # script; set after ray.init, whose own handler would replace it
+        signal.signal(signal.SIGTERM, _exit_on_sigterm)
+        n_bad = _run(sf_dir, only)
+    finally:
+        ray.shutdown()
+    sys.exit(1 if n_bad else 0)
+
+
+def _run(sf_dir: str, only: set) -> int:
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
@@ -121,8 +138,7 @@ def main():
             print(f"  [{name}] rows-only: {len(res)} rows")
             n_ok += 1
     print(f"{n_ok} ok, {n_bad} bad")
-    ray.shutdown()
-    sys.exit(1 if n_bad else 0)
+    return n_bad
 
 
 if __name__ == "__main__":

@@ -60,7 +60,6 @@ def cmd_build(args) -> None:
         docs_per_segment=args.docs_per_segment,
         dedup=args.dedup,
         keep_forward=args.forward,
-        codec=args.codec,
     )
     print(
         json.dumps(
@@ -274,13 +273,6 @@ def main(argv=None) -> None:
     b.add_argument("--forward", action="store_true")
     b.add_argument("--simple", action="store_true")
     b.add_argument("--docs-per-segment", type=int, default=2000)
-    b.add_argument(
-        "--codec",
-        default="bw",
-        choices=("bw", "vb", "pfor", "ef"),
-        help="posting compression: byte-width blocks / LEB128 varint / "
-        "patched frame-of-reference / Elias-Fano",
-    )
     b.set_defaults(fn=cmd_build)
 
     r = sub.add_parser("run")

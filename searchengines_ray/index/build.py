@@ -99,7 +99,6 @@ def write_segment(
     out_dir: str,
     config: AnalyzerConfig = DEFAULT_ANALYZER,
     keep_forward: bool = False,
-    codec: str = "bw",
 ) -> pa.Table:
     """Tokenize one batch of pages and write one SPIMI segment.
 
@@ -115,15 +114,13 @@ def write_segment(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _write_segment_inner(
-            batch, out_dir, config, keep_forward, t0, codec
-        )
+        return _write_segment_inner(batch, out_dir, config, keep_forward, t0)
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
-def _write_segment_inner(batch, out_dir, config, keep_forward, t0, codec):
+def _write_segment_inner(batch, out_dir, config, keep_forward, t0):
     import pyarrow.compute as pc
 
     from ..analysis import tokenize_arrow_batch
@@ -245,7 +242,6 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0, codec):
                 positions=cat("positions"),
                 doclens=cat("doclens"),
                 starts=cat("starts"),
-                codec=codec,
             ),
         },
         schema=POSTINGS_SCHEMA,
@@ -293,7 +289,7 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0, codec):
         "doc_count": {f: int((doclens[f] > 0).sum()) for f in FIELDS},
         "sum_field_len": {f: int(doclens[f].sum()) for f in FIELDS},
         "input_hash": seg_id,
-        "codec": codec,
+        "codec": encode.CODEC,
         "wall_s": round(time.perf_counter() - t0, 4),
         "bytes": sum(
             os.path.getsize(os.path.join(tmp_dir, p))
@@ -375,16 +371,13 @@ def build_index(
     dedup: bool = False,
     keep_forward: bool = False,
     termstats: bool = True,
-    codec: str = "bw",
 ) -> dict:
     """Build a full index from a pages Dataset (or parquet path).
 
     Returns the global stats dict (also persisted to ``stats.json``).
     Pass ``dedup=True`` for inputs that may contain url recrawls.
-    ``codec`` selects the posting compression (``encode.CODECS``: ``bw``
-    byte-width blocks, ``vb`` LEB128 varint, ``pfor`` patched
-    frame-of-reference, ``ef`` Elias-Fano); serving results are
-    codec-independent by contract (pinned in tests).
+    Postings are written in the one ``bw`` layout (``index/encode.py``);
+    each segment's MANIFEST.json tags it ``"codec": "bw"``.
 
     ``termstats`` is accepted and ignored: global df/ctf are the sum of
     the segments' own columns, so no merged table is written.
@@ -407,15 +400,12 @@ def build_index(
     if dedup:
         pages = dedup_pages(pages)
 
-    if codec not in encode.CODECS:
-        raise ValueError(f"unknown posting codec {codec!r}")
     os.makedirs(os.path.join(out_dir, SEGMENT_DIR), exist_ok=True)
     fn = partial(
         write_segment,
         out_dir=out_dir,
         config=config,
         keep_forward=keep_forward,
-        codec=codec,
     )
     # One manifest row per segment.  The driver never holds per-segment
     # rows (at 10^12 docs / small segments that is 10^8+ rows): sums come
@@ -453,7 +443,6 @@ def build_index(
             "stem": config.stem,
         },
         "n_postings": int(_s("n_postings")),
-        "codec": codec,
         "build_wall_s_sum": float(_s("wall_s")),
     }
     with open(os.path.join(out_dir, STATS_FILE), "w") as f:
@@ -571,10 +560,6 @@ def update_index(
         out_dir=out_dir,
         config=config,
         keep_forward=keep_forward,
-        # appended segments inherit the index's posting codec (mixed-codec
-        # indexes serve fine — the reader dispatches per segment — but a
-        # homogeneous index keeps compaction single-codec)
-        codec=prev.get("codec", "bw"),
     )
     # delete-then-re-add is the document-update idiom (Lucene liveDocs):
     # a re-indexed doc must serve again — as ONE copy.  BEFORE appending,

@@ -49,6 +49,15 @@ from .build import POSTINGS_SCHEMA, SEGMENT_DIR, STATS_FILE, _manifest_table
 from .shard import list_segments
 
 
+def _checked_segments(index_dir: str) -> list[str]:
+    """Committed segments, each checked to hold ``bw`` postings — in the
+    driver, so a foreign codec raises before any merge task starts."""
+    segs = list_segments(index_dir)
+    for name in segs:
+        encode.check_codec(os.path.join(index_dir, SEGMENT_DIR, name))
+    return segs
+
+
 def merge_plan(index_dir: str, target_docs: int) -> list[list[str]]:
     """Greedy-pack committed segments (deterministic name order) into
     groups of ~``target_docs`` docs.  Only groups of >= 2 segments merge;
@@ -56,7 +65,7 @@ def merge_plan(index_dir: str, target_docs: int) -> list[list[str]]:
     groups: list[list[str]] = []
     cur: list[str] = []
     cur_docs = 0
-    for name in list_segments(index_dir):
+    for name in _checked_segments(index_dir):
         with open(
             os.path.join(index_dir, SEGMENT_DIR, name, "MANIFEST.json")
         ) as f:
@@ -163,18 +172,6 @@ def _merge_group_inner(
         pq.read_table(os.path.join(seg_root, s, "postings.parquet"))
         for s in seg_names
     ]
-    # per-source posting codec (mixed-codec groups can arise from
-    # incremental appends); the merged segment is written with the codec
-    # of the first source — deterministic, and homogeneous-input merges
-    # stay codec-preserving
-    codecs = []
-    for s in seg_names:
-        try:
-            with open(os.path.join(seg_root, s, "MANIFEST.json")) as f:
-                codecs.append(json.load(f).get("codec", "bw"))
-        except OSError:
-            codecs.append("bw")
-    out_codec = codecs[0]
 
     # purge support: per-source alive mask over LOCAL doc indices; dead
     # docs vanish from docmeta, postings, forward index and manifest
@@ -203,7 +200,7 @@ def _merge_group_inner(
             "n_postings": 0,
             "doc_count": {f: 0 for f in FIELDS},
             "sum_field_len": {f: 0 for f in FIELDS},
-            "codec": out_codec,
+            "codec": encode.CODEC,
             "merged_from": seg_names,
             "wall_s": round(time.perf_counter() - t0, 4),
             "bytes": 0,
@@ -266,11 +263,9 @@ def _merge_group_inner(
         parts_d, parts_t, parts_p = [], [], []
         for j in range(a, b):
             s, r = int(segs_np[j]), int(rows_np[j])
-            d = encode.decode_doc_ids(
-                docs_cols[s][r].as_py(), codecs[s]
-            ).astype(np.int64)
-            t_v = encode.decode_values(tfs_cols[s][r].as_py(), codecs[s])
-            p_v = encode.decode_values(pos_cols[s][r].as_py(), codecs[s])
+            d = encode.decode_doc_ids(docs_cols[s][r].as_py()).astype(np.int64)
+            t_v = encode.decode_values(tfs_cols[s][r].as_py())
+            p_v = encode.decode_values(pos_cols[s][r].as_py())
             if alive[s] is not None:
                 m = alive[s][d]
                 if not m.all():
@@ -312,7 +307,6 @@ def _merge_group_inner(
                 positions=cat("positions"),
                 doclens=cat("doclens"),
                 starts=np.asarray(starts, dtype=np.int64),
-                codec=out_codec,
             ),
         },
         schema=POSTINGS_SCHEMA,
@@ -343,7 +337,7 @@ def _merge_group_inner(
         "doc_count": {f: int((doclen[f] > 0).sum()) for f in FIELDS},
         "sum_field_len": {f: int(doclen[f].sum()) for f in FIELDS},
         "input_hash": name[5:],
-        "codec": out_codec,
+        "codec": encode.CODEC,
         "merged_from": seg_names,
         "wall_s": round(time.perf_counter() - t0, 4),
         "bytes": sum(
@@ -441,7 +435,7 @@ def drop_ids_from_segments(index_dir: str, ids: np.ndarray) -> None:
     import ray
     import ray.data
 
-    segs = list_segments(index_dir)
+    segs = _checked_segments(index_dir)
     if not segs or len(ids) == 0:
         return
     seg_root = os.path.join(index_dir, SEGMENT_DIR)

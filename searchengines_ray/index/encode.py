@@ -1,54 +1,28 @@
-"""Posting-list compression: delta-encoded docid gaps, three selectable
-codecs, all carrying the same block-max metadata.
+"""Posting-list compression: delta-encoded docid gaps in byte-width
+blocks, carrying block-max metadata.
 
 Replaces what Lucene's codec did for the reference (the reference never
 encodes postings itself — it reads Lucene's; SURVEY.md §4.3 specifies this
 designed-from-scratch layout).
 
-Codecs (little-endian, numpy-vectorized encode/decode, no Python
-per-value loops; the codec name is stamped into each segment's
-MANIFEST.json so readers dispatch per segment and mixed-codec indexes
-serve correctly):
-
-``bw`` (default) — blocks of 128:
+One layout, ``bw`` (little-endian, numpy-vectorized encode/decode, no
+Python per-value loops) — blocks of 128:
     per block: ``base:u64 | count:u16 | width:u8`` then ``count-1`` deltas
     (``arr[i]-arr[i-1]``, first element stored as base) packed at the block's
     minimal byte width (1/2/4/8).
-``vb`` — LEB128 variable-byte stream (7 value bits + continuation bit per
-    byte): delta mode stores the first value then the gaps, each as an
-    independent varint; no block structure (block-max arrays still give
-    WAND its 128-value block geometry — they are stored separately).
-``pfor`` — patched frame-of-reference (NewPFD-style): blocks of 128,
-    per block ``base:u64 | count:u16 | bits:u1 | nexc:u1`` then
-    ``ceil(n*bits/8)`` bytes of little-endian bit-packed low ``bits`` of
-    each value, then ``nexc`` (exception index:u8, full value:u8*8) patches
-    for values that did not fit.  ``bits`` minimizes the block's exact byte
-    cost (packed + 9 bytes/exception), ties to the smaller width —
-    deterministic, so encode(decode(x)) is stable.
+``encode_values`` uses the same blocks with absolute values (tfs, flat
+positions — no delta), base unused/zero.
 
-``ef`` — Elias-Fano (Vigna 2013, "Quasi-succinct indices"): blocks of
-    128, per block ``base:u64 | count:u16 | l:u1 | hi_bytes:u4``.  The
-    monotone body (docid offsets from base in delta mode; in-block
-    prefix sums of the raw values in absolute mode, recovered by
-    ``np.diff``) splits each value into ``l`` low bits (bit-packed, same
-    machinery as pfor) and a high part unary-coded in a bitvector with
-    bit ``(v>>l) + i`` set for the i-th value.  ``l = floor(log2(u/m))``
-    for universe ``u`` and ``m`` encoded values — the classic
-    2 + log2(u/m) bits/value bound.  Absolute blocks whose max value
-    exceeds 2^55 store raw little-endian u64 instead (``l = 0xFF``
-    sentinel) so the in-block prefix sum can never overflow uint64;
-    real tfs/positions never take this path.
-
-``encode_values`` uses the same codec machinery but absolute values
-(tfs, flat positions — no delta), base unused/zero.
+Each segment's MANIFEST.json carries ``"codec": "bw"`` as a format tag;
+:func:`check_codec` rejects a segment whose tag names any other layout
+(written by an older build) instead of decoding it as garbage.
 
 ``encode_lists`` is the segmented entry point: a concatenated value array
 plus its list offsets in, one Arrow ``binary`` row per list out, each row
-byte-identical to encoding that list alone.  ``bw`` encodes every list in
+byte-identical to encoding that list alone.  It encodes every list in
 one numpy pass (block ids from the list offsets, widths from one
 ``maximum.reduceat``, headers and width-grouped bodies scattered into one
 buffer); ``encode_doc_ids``/``encode_values`` are its one-list case.
-``vb``/``pfor``/``ef`` run their per-list kernels behind it.
 ``encode_postings`` builds every encoded and block-max column of a
 segment's postings table from one call each — the one owner of that
 layout, for the segment writer and compaction alike.
@@ -64,9 +38,13 @@ query time):
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pyarrow as pa
 
+CODEC = "bw"  # the MANIFEST.json format tag of every segment
 BLOCK = 128
 _HEADER = np.dtype([("base", "<u8"), ("count", "<u2"), ("width", "u1")])
 
@@ -188,321 +166,37 @@ def _decode_blocks(buf: bytes, delta: bool) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-# --------------------------------------------------------- vb (LEB128)
+def encode_doc_ids(doc_ids: np.ndarray) -> bytes:
+    """Sorted docids -> delta-encoded postings."""
+    return _bw_encode(np.asarray(doc_ids, dtype=np.uint64), True)
 
 
-def _vb_encode_stream(vals: np.ndarray) -> bytes:
-    """uint64 array -> LEB128 byte stream (vectorized: loops over the max
-    byte count, <=10, never over values)."""
-    n = len(vals)
-    if n == 0:
-        return b""
-    v = vals.astype(np.uint64)
-    nb = np.ones(n, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        nb += tmp != 0
-        tmp = tmp >> np.uint64(7)
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(nb[:-1], out=starts[1:])
-    out = np.zeros(int(nb.sum()), dtype=np.uint8)
-    for j in range(int(nb.max())):
-        m = nb > j
-        byte = ((v[m] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(
-            np.uint8
-        )
-        out[starts[m] + j] = byte | ((nb[m] - 1 > j).astype(np.uint8) << 7)
-    return out.tobytes()
+def decode_doc_ids(buf: bytes) -> np.ndarray:
+    return _decode_blocks(buf, True)
 
 
-def _vb_decode_stream(buf: bytes) -> np.ndarray:
-    b = np.frombuffer(buf, dtype=np.uint8)
-    if len(b) == 0:
-        return np.empty(0, dtype=np.uint64)
-    ends = np.nonzero((b & 0x80) == 0)[0]
-    n = len(ends)
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    vals = np.zeros(n, dtype=np.uint64)
-    for j in range(int(lens.max())):
-        m = lens > j
-        vals[m] |= (
-            b[starts[m] + j].astype(np.uint64) & np.uint64(0x7F)
-        ) << np.uint64(7 * j)
-    return vals
-
-
-def _vb_encode(arr: np.ndarray, delta: bool) -> bytes:
-    if len(arr) == 0:
-        return b""
-    if delta:
-        body = np.concatenate(
-            ([arr[0]], np.diff(arr).astype(np.uint64))
-        ).astype(np.uint64)
-    else:
-        body = arr
-    return _vb_encode_stream(body)
-
-
-def _vb_decode(buf: bytes, delta: bool) -> np.ndarray:
-    vals = _vb_decode_stream(buf)
-    if delta and len(vals):
-        return np.cumsum(vals, dtype=np.uint64)
-    return vals
-
-
-# ------------------------------------------------- pfor (patched FOR)
-
-_PFOR_HEADER = np.dtype(
-    [("base", "<u8"), ("count", "<u2"), ("bits", "u1"), ("nexc", "u1")]
-)
-_ALL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _bitlen(v: np.ndarray) -> np.ndarray:
-    bl = np.zeros(len(v), dtype=np.int64)
-    tmp = v.copy()
-    while tmp.any():
-        bl += tmp != 0
-        tmp = tmp >> np.uint64(1)
-    return bl
-
-
-def _bitpack(vals: np.ndarray, bits: int) -> bytes:
-    if bits == 0 or len(vals) == 0:
-        return b""
-    mat = (
-        (vals[:, None] >> np.arange(bits, dtype=np.uint64)) & np.uint64(1)
-    ).astype(np.uint8)
-    return np.packbits(mat.ravel(), bitorder="little").tobytes()
-
-
-def _bitunpack(buf: memoryview, n: int, bits: int) -> np.ndarray:
-    if bits == 0 or n == 0:
-        return np.zeros(n, dtype=np.uint64)
-    raw = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8), count=n * bits,
-        bitorder="little",
-    )
-    mat = raw.reshape(n, bits).astype(np.uint64)
-    return (mat << np.arange(bits, dtype=np.uint64)).sum(
-        axis=1, dtype=np.uint64
-    )
-
-
-def _pfor_encode(arr: np.ndarray, delta: bool) -> bytes:
-    out = []
-    n = len(arr)
-    for start in range(0, n, BLOCK):
-        blk = arr[start : start + BLOCK]
-        if delta:
-            base = int(blk[0])
-            body = np.diff(blk).astype(np.uint64)
-        else:
-            base = 0
-            body = blk.astype(np.uint64)
-        nb = len(body)
-        bl = _bitlen(body)
-        maxbl = int(bl.max()) if nb else 0
-        hist = np.bincount(bl, minlength=maxbl + 1)
-        fits = np.cumsum(hist)  # fits[b] = #values with bitlen <= b
-        cand = np.arange(maxbl + 1)
-        nexc = nb - fits[cand]
-        cost = (nb * cand + 7) // 8 + nexc * 9
-        bits = int(np.argmin(cost))  # argmin ties to the smaller width
-        mask = _ALL64 if bits == 64 else np.uint64((1 << bits) - 1)
-        exc_idx = np.nonzero(bl > bits)[0]
-        hdr = np.zeros(1, dtype=_PFOR_HEADER)
-        hdr["base"] = base
-        hdr["count"] = len(blk)
-        hdr["bits"] = bits
-        hdr["nexc"] = len(exc_idx)
-        out.append(hdr.tobytes())
-        out.append(_bitpack(body & mask, bits))
-        if len(exc_idx):
-            out.append(exc_idx.astype(np.uint8).tobytes())
-            out.append(body[exc_idx].astype("<u8").tobytes())
-    return b"".join(out)
-
-
-def _pfor_decode(buf: bytes, delta: bool) -> np.ndarray:
-    pos = 0
-    hs = _PFOR_HEADER.itemsize
-    mv = memoryview(buf)
-    chunks = []
-    while pos < len(buf):
-        hdr = np.frombuffer(mv, dtype=_PFOR_HEADER, count=1, offset=pos)[0]
-        pos += hs
-        count, bits, nexc = (
-            int(hdr["count"]),
-            int(hdr["bits"]),
-            int(hdr["nexc"]),
-        )
-        nb = count - 1 if delta else count
-        packed_len = (nb * bits + 7) // 8
-        body = _bitunpack(mv[pos : pos + packed_len], nb, bits)
-        pos += packed_len
-        if nexc:
-            exc_idx = np.frombuffer(mv, dtype=np.uint8, count=nexc, offset=pos)
-            pos += nexc
-            exc_val = np.frombuffer(mv, dtype="<u8", count=nexc, offset=pos)
-            pos += nexc * 8
-            body[exc_idx.astype(np.int64)] = exc_val
-        if delta:
-            blk = np.empty(count, dtype=np.uint64)
-            blk[0] = hdr["base"]
-            if nb:
-                blk[1:] = hdr["base"] + np.cumsum(body)
-            chunks.append(blk)
-        else:
-            chunks.append(body)
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(chunks)
-
-
-# ------------------------------------------------- ef (Elias-Fano)
-
-_EF_HEADER = np.dtype(
-    [("base", "<u8"), ("count", "<u2"), ("l", "u1"), ("hi_bytes", "<u4")]
-)
-_EF_RAW = 0xFF  # l sentinel: block stored as raw <u8 values
-# absolute blocks above this max take the raw path: 128 values ≤ 2^55
-# sum to < 2^62, so the monotone in-block prefix sum stays exact in u64
-_EF_MAX_ABS = np.uint64(1 << 55)
-
-
-def _ef_encode_mono(rel: np.ndarray) -> tuple[int, bytes, bytes]:
-    """Monotone non-decreasing uint64 -> (l, low_bytes, high_bytes)."""
-    m = len(rel)
-    u = int(rel[-1])
-    q = u // m
-    l = q.bit_length() - 1 if q >= 1 else 0
-    lo = _bitpack(rel & np.uint64((1 << l) - 1), l) if l else b""
-    p = (rel >> np.uint64(l)).astype(np.int64) + np.arange(m, dtype=np.int64)
-    bits = np.zeros(int(p[-1]) + 1, dtype=np.uint8)
-    bits[p] = 1
-    hi = np.packbits(bits, bitorder="little").tobytes()
-    return l, lo, hi
-
-
-def _ef_decode_mono(
-    mv: memoryview, pos: int, m: int, l: int, hi_bytes: int
-) -> tuple[np.ndarray, int]:
-    packed_len = (m * l + 7) // 8
-    lo = _bitunpack(mv[pos : pos + packed_len], m, l)
-    pos += packed_len
-    raw = np.unpackbits(
-        np.frombuffer(mv, dtype=np.uint8, count=hi_bytes, offset=pos),
-        bitorder="little",
-    )
-    pos += hi_bytes
-    q = np.flatnonzero(raw)[:m]  # exactly m set bits (+ zero padding)
-    high = (q - np.arange(m, dtype=np.int64)).astype(np.uint64)
-    return (high << np.uint64(l)) | lo, pos
-
-
-def _ef_encode(arr: np.ndarray, delta: bool) -> bytes:
-    out = []
-    n = len(arr)
-    for start in range(0, n, BLOCK):
-        blk = arr[start : start + BLOCK]
-        hdr = np.zeros(1, dtype=_EF_HEADER)
-        hdr["count"] = len(blk)
-        if delta:
-            base = int(blk[0])
-            body = blk[1:] - blk[0]  # monotone, starts >= 0
-            hdr["base"] = base
-        else:
-            if len(blk) and int(blk.max()) > int(_EF_MAX_ABS):
-                hdr["l"] = _EF_RAW
-                out.append(hdr.tobytes())
-                out.append(blk.astype("<u8").tobytes())
-                continue
-            body = np.cumsum(blk, dtype=np.uint64)  # monotone (vals >= 0)
-        if len(body) == 0:
-            out.append(hdr.tobytes())
-            continue
-        l, lo, hi = _ef_encode_mono(body)
-        hdr["l"] = l
-        hdr["hi_bytes"] = len(hi)
-        out.append(hdr.tobytes())
-        out.append(lo)
-        out.append(hi)
-    return b"".join(out)
-
-
-def _ef_decode(buf: bytes, delta: bool) -> np.ndarray:
-    pos = 0
-    hs = _EF_HEADER.itemsize
-    mv = memoryview(buf)
-    chunks = []
-    while pos < len(buf):
-        hdr = np.frombuffer(mv, dtype=_EF_HEADER, count=1, offset=pos)[0]
-        pos += hs
-        count, l = int(hdr["count"]), int(hdr["l"])
-        if l == _EF_RAW:
-            chunks.append(
-                np.frombuffer(mv, dtype="<u8", count=count, offset=pos).astype(
-                    np.uint64
-                )
-            )
-            pos += count * 8
-            continue
-        m = count - 1 if delta else count
-        if m == 0:
-            if delta:
-                chunks.append(np.array([hdr["base"]], dtype=np.uint64))
-            continue
-        body, pos = _ef_decode_mono(mv, pos, m, l, int(hdr["hi_bytes"]))
-        if delta:
-            blk = np.empty(count, dtype=np.uint64)
-            blk[0] = hdr["base"]
-            blk[1:] = hdr["base"] + body
-            chunks.append(blk)
-        else:
-            chunks.append(np.diff(body, prepend=np.uint64(0)))
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(chunks)
-
-
-# ------------------------------------------------------------ dispatch
-
-CODECS = ("bw", "vb", "pfor", "ef")
-
-_ENC = {
-    "bw": _bw_encode,
-    "vb": _vb_encode,
-    "pfor": _pfor_encode,
-    "ef": _ef_encode,
-}
-_DEC = {
-    "bw": _decode_blocks,
-    "vb": _vb_decode,
-    "pfor": _pfor_decode,
-    "ef": _ef_decode,
-}
-
-
-def encode_doc_ids(doc_ids: np.ndarray, codec: str = "bw") -> bytes:
-    """Sorted docids -> delta-encoded postings under ``codec``."""
-    return _ENC[codec](np.asarray(doc_ids, dtype=np.uint64), True)
-
-
-def decode_doc_ids(buf: bytes, codec: str = "bw") -> np.ndarray:
-    return _DEC[codec](buf, True)
-
-
-def encode_values(vals: np.ndarray, codec: str = "bw") -> bytes:
+def encode_values(vals: np.ndarray) -> bytes:
     """Positive small ints (tfs / flat positions) -> absolute encoding."""
-    return _ENC[codec](np.asarray(vals, dtype=np.uint64), False)
+    return _bw_encode(np.asarray(vals, dtype=np.uint64), False)
 
 
-def decode_values(buf: bytes, codec: str = "bw") -> np.ndarray:
-    return _DEC[codec](buf, False)
+def decode_values(buf: bytes) -> np.ndarray:
+    return _decode_blocks(buf, False)
+
+
+def check_codec(seg_dir: str) -> None:
+    """Raise ``ValueError`` unless the segment's MANIFEST.json tags its
+    postings ``bw`` (no MANIFEST or no tag means the original ``bw``)."""
+    try:
+        with open(os.path.join(seg_dir, "MANIFEST.json")) as f:
+            codec = json.load(f).get("codec", CODEC)
+    except OSError:
+        return
+    if codec != CODEC:
+        raise ValueError(
+            f"segment {os.path.basename(seg_dir)} has postings in codec "
+            f"{codec!r}; this build reads only {CODEC!r} — rebuild the index"
+        )
 
 
 def _block_maxes_lists(doc_ids, tfs, doclens, starts):
@@ -546,29 +240,18 @@ def _binary_offsets(offsets: np.ndarray) -> np.ndarray:
 
 
 def encode_lists(
-    values: np.ndarray, starts: np.ndarray, codec: str = "bw",
-    delta: bool = False,
+    values: np.ndarray, starts: np.ndarray, delta: bool = False
 ) -> pa.Array:
-    """Encode every list of a concatenated value array at once.
+    """Encode every list of a concatenated value array in one numpy pass.
 
     ``starts`` holds the n_lists + 1 list offsets into ``values``; list i
     encodes exactly as ``encode_doc_ids`` (``delta``) or ``encode_values``
     would encode ``values[starts[i]:starts[i+1]]``.  Returns an Arrow
-    ``binary`` array with one row per list.  ``bw`` runs as one numpy
-    pass over all lists; ``vb``/``pfor``/``ef`` call their per-list
-    kernels."""
-    vals = np.asarray(values, dtype=np.uint64)
+    ``binary`` array with one row per list."""
     starts = np.asarray(starts, dtype=np.int64)
-    if codec == "bw":
-        data, offsets = _bw_encode_lists(vals, starts, delta)
-    else:
-        enc = _ENC[codec]
-        bufs = [
-            enc(vals[a:b], delta) for a, b in zip(starts[:-1], starts[1:])
-        ]
-        data = np.frombuffer(b"".join(bufs), dtype=np.uint8)
-        offsets = np.zeros(len(bufs) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in bufs], out=offsets[1:])
+    data, offsets = _bw_encode_lists(
+        np.asarray(values, dtype=np.uint64), starts, delta
+    )
     return pa.Array.from_buffers(
         pa.binary(),
         len(starts) - 1,
@@ -589,7 +272,6 @@ def encode_postings(
     positions: np.ndarray,
     doclens: np.ndarray,
     starts: np.ndarray,
-    codec: str = "bw",
 ) -> dict[str, pa.Array]:
     """Every posting list of a segment -> its postings-table columns.
 
@@ -608,9 +290,9 @@ def encode_postings(
     return {
         "df": pa.array(np.diff(starts), pa.int64()),
         "ctf": pa.array(np.diff(pos_starts), pa.int64()),
-        "docs": encode_lists(docs, starts, codec, delta=True),
-        "tfs": encode_lists(tfs, starts, codec),
-        "positions": encode_lists(positions, pos_starts, codec),
+        "docs": encode_lists(docs, starts, delta=True),
+        "tfs": encode_lists(tfs, starts),
+        "positions": encode_lists(positions, pos_starts),
         "bm_max_doc": _int32_lists(md, list_blocks),
         "bm_max_tf": _int32_lists(mt, list_blocks),
         "bm_min_dl": _int32_lists(ml, list_blocks),

@@ -70,14 +70,7 @@ class Segment:
     def __init__(self, seg_dir: str, decode_cache: int = 4096):
         self.seg_dir = seg_dir
         self.name = os.path.basename(seg_dir)
-        # posting codec is a per-segment property (MANIFEST.json) so a
-        # mixed-codec index — e.g. bw segments plus vb-appended ones —
-        # serves correctly; absent tag = the original bw layout
-        try:
-            with open(os.path.join(seg_dir, "MANIFEST.json")) as f:
-                self.codec = json.load(f).get("codec", "bw")
-        except OSError:
-            self.codec = "bw"
+        encode.check_codec(seg_dir)
         dm = pq.read_table(
             os.path.join(seg_dir, "docmeta.parquet"), memory_map=True
         )
@@ -140,11 +133,9 @@ class Segment:
         out = None
         if row is not None:
             out = PostingList(
-                encode.decode_doc_ids(self._row("docs", row), self.codec)
-                .astype(np.int64),
-                encode.decode_values(self._row("tfs", row), self.codec)
-                .astype(np.int64),
-                encode.decode_values(self._row("positions", row), self.codec)
+                encode.decode_doc_ids(self._row("docs", row)).astype(np.int64),
+                encode.decode_values(self._row("tfs", row)).astype(np.int64),
+                encode.decode_values(self._row("positions", row))
                 .astype(np.int32),
                 bm=tuple(self._row(c, row) for c in _LIST_COLS[3:]),
             )

@@ -1,32 +1,24 @@
-"""Posting-codec contract: every codec round-trips bit-exactly, and an
-index built under any codec serves IDENTICAL results (the codec is a
-storage property, never a semantics property).
-
-The north rule names "delta-encoded docID gaps + varint/PForDelta
-blocks" — `vb` is LEB128 varint, `pfor` is NewPFD-style patched
-frame-of-reference, `bw` the original byte-width blocks, `ef`
-Elias-Fano (Vigna 2013, quasi-succinct indices)."""
+"""Posting-codec contract: the one ``bw`` layout round-trips
+bit-exactly, its bytes stay pinned to the scalar per-block encoder and
+per-term writer loop it replaced, and every segment's MANIFEST.json tags
+it — a segment tagged with any other codec is rejected, not decoded."""
 
 import json
 import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from searchengines_ray.index import encode
 from searchengines_ray.index.build import build_index, update_index
-from searchengines_ray.index.compact import merge_segments
-from searchengines_ray.index.shard import list_segments
-from searchengines_ray.models import BM25
-from searchengines_ray.query.engine import SearchEngine
+from searchengines_ray.index.compact import (
+    delete_docs,
+    merge_segments,
+    purge_deleted,
+)
+from searchengines_ray.index.shard import Segment, list_segments
 from searchengines_ray.sources.pages import synth_pages
-
-QUERIES = [
-    ("0", "w0001 w0002 w0003"),
-    ("1", "#NEAR/3(w0004 w0005)"),
-    ("2", "#SYN(w0001 w0007) w0002"),
-    ("3", "the w0000"),
-]
 
 
 def _fuzz_arrays():
@@ -42,8 +34,8 @@ def _fuzz_arrays():
     for n in (2, 127, 128, 129, 1000):
         small = rng.integers(0, 100, n).astype(np.uint64)
         out.append(small)
-        # deterministic heavy tail: every 13th value is huge (exercises
-        # pfor exceptions and multi-byte varints inside small-value runs)
+        # deterministic heavy tail: every 13th value is huge (8-byte
+        # blocks inside small-value runs)
         tail = small.copy()
         tail[::13] = np.uint64(2**45) + np.arange(
             len(tail[::13]), dtype=np.uint64
@@ -52,123 +44,85 @@ def _fuzz_arrays():
     return out
 
 
-@pytest.mark.parametrize("codec", encode.CODECS)
-def test_values_roundtrip(codec):
+def test_values_roundtrip():
     for arr in _fuzz_arrays():
-        buf = encode.encode_values(arr, codec)
-        got = encode.decode_values(buf, codec)
+        got = encode.decode_values(encode.encode_values(arr))
         assert got.dtype == np.uint64
-        assert np.array_equal(got, arr), codec
+        assert np.array_equal(got, arr)
 
 
-@pytest.mark.parametrize("codec", encode.CODECS)
-def test_docids_roundtrip(codec):
+def test_docids_roundtrip():
     for arr in _fuzz_arrays():
         ids = np.cumsum(arr.astype(np.uint64) % np.uint64(2**40) + np.uint64(1))
-        buf = encode.encode_doc_ids(ids, codec)
-        got = encode.decode_doc_ids(buf, codec)
-        assert np.array_equal(got, ids), codec
+        got = encode.decode_doc_ids(encode.encode_doc_ids(ids))
+        assert np.array_equal(got, ids)
 
 
-def test_compressed_codecs_beat_bytewidth_on_small_gaps():
-    rng = np.random.default_rng(3)
-    ids = np.cumsum(rng.integers(1, 120, 4096)).astype(np.uint64)
-    sizes = {
-        c: len(encode.encode_doc_ids(ids, c)) for c in encode.CODECS
-    }
-    assert sizes["vb"] <= sizes["bw"]
-    assert sizes["pfor"] <= sizes["vb"]
-    # ef's 2 + log2(u/m) bits/value bound beats byte-aligned varints on
-    # low-entropy value streams (tfs are overwhelmingly 1-4)
-    tfs = np.random.default_rng(7).integers(1, 5, 4096).astype(np.uint64)
-    vsizes = {c: len(encode.encode_values(tfs, c)) for c in encode.CODECS}
-    assert vsizes["ef"] <= vsizes["vb"]
-
-
-@pytest.fixture(scope="module")
-def codec_indexes(tmp_path_factory, ray_session):
-    import ray.data
-
-    tbl = synth_pages(n=160, seed=23, vocab=120, dup_frac=0.0).drop_columns(
+def _pages(n: int, seed: int, prefix: str = "") -> pa.Table:
+    tbl = synth_pages(n=n, seed=seed, vocab=120, dup_frac=0.0).drop_columns(
         ["html"]
     )
-    dirs = {}
-    for codec in encode.CODECS:
-        out = str(tmp_path_factory.mktemp(f"idx_{codec}"))
-        build_index(
-            ray.data.from_arrow(tbl),
-            out,
-            docs_per_segment=40,
-            dedup=False,
-            codec=codec,
+    if prefix:  # synth urls are seed-independent: make these docs new
+        urls = [f"https://synth.test/{prefix}/{i:06d}" for i in range(n)]
+        tbl = tbl.set_column(
+            tbl.schema.get_field_index("url"), "url", pa.array(urls)
         )
-        dirs[codec] = out
-    return dirs
+    return tbl
 
 
-def test_serving_is_codec_independent(codec_indexes):
-    frames = {}
-    for codec, d in codec_indexes.items():
-        eng = SearchEngine(d, num_searchers=0)
-        frames[codec] = eng.search_batch(QUERIES, BM25(), k=12).reset_index(
-            drop=True
-        )
-    base = frames["bw"]
-    for codec in ("vb", "pfor", "ef"):
-        assert frames[codec].equals(base), codec
+def _build(out: str, tbl: pa.Table) -> str:
+    import ray.data
+
+    build_index(ray.data.from_arrow(tbl), out, docs_per_segment=40)
+    return out
 
 
-def test_codec_stamped_in_manifests(codec_indexes):
-    for codec, d in codec_indexes.items():
-        with open(os.path.join(d, "stats.json")) as f:
-            assert json.load(f)["codec"] == codec
-        for seg in list_segments(d):
-            with open(
-                os.path.join(d, "segments", seg, "MANIFEST.json")
-            ) as f:
-                assert json.load(f)["codec"] == codec
+def _manifest_path(index_dir: str, seg: str) -> str:
+    return os.path.join(index_dir, "segments", seg, "MANIFEST.json")
 
 
-def test_compaction_preserves_codec_and_results(codec_indexes):
-    d = codec_indexes["pfor"]
-    eng_before = SearchEngine(d, num_searchers=0)
-    before = eng_before.search_batch(QUERIES, BM25(), k=12).reset_index(
-        drop=True
-    )
+def _codecs(index_dir: str) -> list[str]:
+    tags = []
+    for seg in list_segments(index_dir):
+        with open(_manifest_path(index_dir, seg)) as f:
+            tags.append(json.load(f)["codec"])
+    return tags
+
+
+def test_codec_stamped_in_manifests(tmp_path, ray_session):
+    import ray.data
+
+    d = _build(str(tmp_path / "idx"), _pages(160, 23))
+    assert _codecs(d) == ["bw"] * 4
+    with open(os.path.join(d, "stats.json")) as f:
+        assert "codec" not in json.load(f)
     merge_segments(d, target_docs=1000)
+    assert _codecs(d) == ["bw"]
+    update_index(ray.data.from_arrow(_pages(60, 91, "extra")), d)
+    assert _codecs(d) == ["bw"] * 2
+
+
+def test_foreign_codec_tag_rejected(tmp_path, ray_session):
+    """A segment whose MANIFEST names another codec (an index from an
+    older build) fails loudly on open, merge and purge; nothing is
+    rewritten."""
+    d = _build(str(tmp_path / "idx"), _pages(80, 23))
     segs = list_segments(d)
-    assert len(segs) == 1
-    with open(os.path.join(d, "segments", segs[0], "MANIFEST.json")) as f:
-        assert json.load(f)["codec"] == "pfor"
-    after = SearchEngine(d, num_searchers=0).search_batch(
-        QUERIES, BM25(), k=12
-    ).reset_index(drop=True)
-    assert after.equals(before)
-
-
-def test_incremental_append_inherits_codec(codec_indexes, ray_session):
-    import ray.data
-
-    import pyarrow as pa
-
-    d = codec_indexes["vb"]
-    extra = synth_pages(n=60, seed=91, vocab=120, dup_frac=0.0).drop_columns(
-        ["html"]
-    )
-    # synth urls are seed-independent — remap so the appended docs are new
-    extra = extra.set_column(
-        extra.schema.get_field_index("url"),
-        "url",
-        pa.array(
-            [f"https://synth.test/extra/{i:06d}" for i in range(extra.num_rows)]
-        ),
-    )
-    update_index(ray.data.from_arrow(extra), d)
-    codecs = set()
-    for seg in list_segments(d):
-        with open(os.path.join(d, "segments", seg, "MANIFEST.json")) as f:
-            codecs.add(json.load(f)["codec"])
-    assert codecs == {"vb"}
+    victim = segs[0]
+    with open(_manifest_path(d, victim)) as f:
+        m = json.load(f)
+    m["codec"] = "vb"
+    with open(_manifest_path(d, victim), "w") as f:
+        json.dump(m, f)
+    with pytest.raises(ValueError, match=f"{victim}.*'vb'"):
+        Segment(os.path.join(d, "segments", victim))
+    Segment(os.path.join(d, "segments", segs[1]))  # its sibling still opens
+    with pytest.raises(ValueError, match=f"{victim}.*'vb'"):
+        merge_segments(d, target_docs=1000)
+    delete_docs(d, [Segment(os.path.join(d, "segments", segs[1])).doc_ids[0]])
+    with pytest.raises(ValueError, match=f"{victim}.*'vb'"):
+        purge_deleted(d)
+    assert list_segments(d) == segs
 
 
 # ------------------------------------------- byte-identity vs scalar code
@@ -208,17 +162,9 @@ def _scalar_block_maxes(docs, tfs, doclens):
     return max_doc, max_tf, min_dl
 
 
-def _per_list(codec: str, delta: bool):
-    if codec == "bw":
-        return lambda arr: _scalar_bw(arr, delta)
-    enc = encode.encode_doc_ids if delta else encode.encode_values
-    return lambda arr: enc(arr, codec)
-
-
-def _reference_postings(batch, codec: str):
+def _reference_postings(batch):
     """The per-term writer loop: terms sorted in Python, one encode call
     per column per (field, term) list."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     from searchengines_ray.analysis import tokenize_arrow_batch
@@ -238,7 +184,6 @@ def _reference_postings(batch, codec: str):
     for extra in ("keywords", "inlink"):
         if extra in batch.column_names:
             field_cols[extra] = pc.fill_null(batch.column(extra), "")
-    enc_docs, enc_vals = _per_list(codec, True), _per_list(codec, False)
     cols = {name: [] for name in POSTINGS_SCHEMA.names}
     for fname in sorted(field_cols):
         parent, pos, sid, dl, vocab = tokenize_arrow_batch(field_cols[fname])
@@ -260,9 +205,9 @@ def _reference_postings(batch, codec: str):
             cols["term"].append(vocab[t])
             cols["df"].append(len(docs))
             cols["ctf"].append(int(tfs.sum()))
-            cols["docs"].append(enc_docs(docs))
-            cols["tfs"].append(enc_vals(tfs))
-            cols["positions"].append(enc_vals(flat.astype(np.uint64)))
+            cols["docs"].append(_scalar_bw(docs, True))
+            cols["tfs"].append(_scalar_bw(tfs, False))
+            cols["positions"].append(_scalar_bw(flat.astype(np.uint64), False))
             bmd, bmt, bml = _scalar_block_maxes(
                 docs, tfs, dl[docs.astype(np.int64)]
             )
@@ -274,9 +219,9 @@ def _reference_postings(batch, codec: str):
 
 def test_bw_one_list_matches_scalar_reference():
     for arr in _fuzz_arrays():
-        assert encode.encode_values(arr, "bw") == _scalar_bw(arr, False)
+        assert encode.encode_values(arr) == _scalar_bw(arr, False)
         ids = np.cumsum(arr % np.uint64(2**40) + np.uint64(1))
-        assert encode.encode_doc_ids(ids, "bw") == _scalar_bw(ids, True)
+        assert encode.encode_doc_ids(ids) == _scalar_bw(ids, True)
 
 
 def _fuzz_lists(rng, delta: bool) -> list[np.ndarray]:
@@ -295,20 +240,18 @@ def _fuzz_lists(rng, delta: bool) -> list[np.ndarray]:
     return [lists[i] for i in rng.permutation(len(lists))]
 
 
-@pytest.mark.parametrize("codec", encode.CODECS)
 @pytest.mark.parametrize("delta", [True, False])
-def test_encode_lists_matches_per_list_encoding(codec, delta):
+def test_encode_lists_matches_per_list_encoding(delta):
     rng = np.random.default_rng(20261017)
     enc = encode.encode_doc_ids if delta else encode.encode_values
     for _ in range(3):
         lists = _fuzz_lists(rng, delta)
         starts = np.zeros(len(lists) + 1, dtype=np.int64)
         np.cumsum([len(v) for v in lists], out=starts[1:])
-        got = encode.encode_lists(np.concatenate(lists), starts, codec, delta)
-        want = [enc(v, codec) for v in lists]
+        got = encode.encode_lists(np.concatenate(lists), starts, delta)
+        want = [enc(v) for v in lists]
         assert got.to_pylist() == want
-        if codec == "bw":
-            assert want == [_scalar_bw(v, delta) for v in lists]
+        assert want == [_scalar_bw(v, delta) for v in lists]
 
 
 def test_binary_offsets_guard_int32_overflow():
@@ -319,8 +262,6 @@ def test_binary_offsets_guard_int32_overflow():
 
 
 def _segment_batches():
-    import pyarrow as pa
-
     tbl = synth_pages(n=300, seed=29, vocab=150, dup_frac=0.0)
     text = tbl.column("text").to_pylist()
     # a short first line: title differs from body
@@ -348,19 +289,18 @@ def _segment_batches():
     }
 
 
-@pytest.mark.parametrize("codec", encode.CODECS)
-def test_write_segment_postings_match_per_term_reference(codec, tmp_path):
+def test_write_segment_postings_match_per_term_reference(tmp_path):
     import pyarrow.parquet as pq
 
     from searchengines_ray.index.build import write_segment
 
     for case, batch in _segment_batches().items():
-        out = str(tmp_path / f"{codec}-{case}")
-        m = write_segment(batch, out, codec=codec)
+        out = str(tmp_path / case)
+        m = write_segment(batch, out)
         seg = os.path.join(out, "segments", m.column("segment")[0].as_py())
         got = pq.read_table(os.path.join(seg, "postings.parquet"))
-        want = _reference_postings(batch, codec)
-        assert got.equals(want), (codec, case)
+        want = _reference_postings(batch)
+        assert got.equals(want), case
         assert m.column("n_postings")[0].as_py() == sum(
             want.column("df").to_pylist()
         )
