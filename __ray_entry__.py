@@ -51,7 +51,7 @@ STRUCTURED_QUERIES = [
 
 def _index_for(sf_dir: str, simple: bool) -> str:
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|{simple}|v8".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|{simple}|v9".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "stats.json")):
@@ -147,17 +147,7 @@ def _q_bm25_topk_simple(sf_dir: str) -> pd.DataFrame:
     summation-order noise cannot flip ranks; ties break by url ascending
     (the reference tie-break, ScoreList.java:90-106)."""
     eng = _engine(sf_dir, simple=True)
-    res = eng.search_batch(BM25_QUERIES, BM25(), k=None)
-    res["score_r"] = np.floor(res["score"].to_numpy() * 1e6) / 1e6
-    res = res.sort_values(
-        ["qid", "score_r", "url"], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    res["rank"] = res.groupby("qid").cumcount() + 1
-    res = res[res["rank"] <= 20]
-    return res[["qid", "url", "rank", "score_r"]].reset_index(drop=True).astype(
-        {"rank": "int64"}
-    )
+    return _simple_ranked(eng.search_batch(BM25_QUERIES, BM25(), k=None))
 
 
 def _q_bm25_topk_merged(sf_dir: str) -> pd.DataFrame:
@@ -174,7 +164,7 @@ def _q_bm25_topk_merged(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.shard import list_segments
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|merged|v8".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|merged|v9".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "stats.json")):
@@ -223,7 +213,7 @@ def _q_bm25_topk_deleted(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.compact import delete_docs
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|tomb|v8".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|tomb|v9".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "DONE")):
@@ -254,7 +244,7 @@ def _q_bm25_topk_purged(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.compact import delete_docs, purge_deleted
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|purge|v8".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|purge|v9".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "DONE")):
@@ -286,7 +276,7 @@ def _q_bm25_topk_incremental(sf_dir: str) -> pd.DataFrame:
     from searchengines_ray.index.build import update_index
 
     tag = hashlib.blake2b(
-        f"{os.path.abspath(sf_dir)}|incr|v8".encode(), digest_size=6
+        f"{os.path.abspath(sf_dir)}|incr|v9".encode(), digest_size=6
     ).hexdigest()
     out = f"/tmp/seray_index/{tag}"
     if not os.path.exists(os.path.join(out, "DONE")):
@@ -318,24 +308,6 @@ def _q_bm25_topk_incremental(sf_dir: str) -> pd.DataFrame:
         open(os.path.join(out, "DONE"), "w").close()
     eng = SearchEngine(out, config=SIMPLE_ANALYZER, num_searchers=0)
     return _simple_ranked(eng.search_batch(BM25_QUERIES, BM25(), k=None))
-
-
-def _q_bm25_wand_simple(sf_dir: str) -> pd.DataFrame:
-    """Block-max WAND top-20 over the simple-analyzer index — must produce
-    the SAME rows as bm25_topk_simple (and is checked against the same SQL
-    oracle).  WAND is exact: it only skips provably sub-threshold docs."""
-    eng = _engine(sf_dir, simple=True)
-    res = eng.search_batch(BM25_QUERIES, BM25(), k=200, use_wand=True)
-    res["score_r"] = np.floor(res["score"].to_numpy() * 1e6) / 1e6
-    res = res.sort_values(
-        ["qid", "score_r", "url"], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    res["rank"] = res.groupby("qid").cumcount() + 1
-    res = res[res["rank"] <= 20]
-    return res[["qid", "url", "rank", "score_r"]].reset_index(drop=True).astype(
-        {"rank": "int64"}
-    )
 
 
 def _simple_ranked(
@@ -4142,7 +4114,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_topk_simple": _q_bm25_topk_simple,
         "bm25_topk_merged": _q_bm25_topk_merged,
         "bm25_topk_incremental": _q_bm25_topk_incremental,
-        "bm25_wand_simple": _q_bm25_wand_simple,
         "indri_topk_simple": _q_indri_topk_simple,
         "boolean_topk_simple": _q_boolean_topk_simple,
         "syn_topk_simple": _q_syn_topk_simple,
@@ -6769,7 +6740,6 @@ def oracle_sql() -> dict[str, str]:
         LEFT JOIN ent ON ent.doc_id = d.doc_id
         ORDER BY d.doc_id
     """
-    sqls["bm25_wand_simple"] = sqls["bm25_topk_simple"]
     # compaction is bit-identical by contract: same oracle as the
     # small-segment index (the entry builds 64-doc segments, then merges)
     sqls["bm25_topk_merged"] = sqls["bm25_topk_simple"]

@@ -138,10 +138,6 @@ def run_bench(num_cpus: int, sf_dir: str, repl: int, build_only: bool = False) -
     t0 = time.perf_counter()
     eng.search_batch(queries, BM25(), k=10)
     timings["bm25_warm_10q"] = time.perf_counter() - t0
-    bow = [q for q in queries if not q[1].startswith("#")]
-    t0 = time.perf_counter()
-    eng.search_batch(bow, BM25(), k=10, use_wand=True)
-    timings["bm25_wand_warm"] = time.perf_counter() - t0
 
     # training-data pipelines at native sf scale
     import ray.data
@@ -417,10 +413,6 @@ def run_query_probe(num_cpus: int, sf_dir: str) -> dict:
     t0 = time.perf_counter()
     eng.search_batch(queries, BM25(), k=10)
     t["warm_10q"] = round(time.perf_counter() - t0, 2)
-    bow = [q for q in queries if not q[1].startswith("#")]
-    t0 = time.perf_counter()
-    eng.search_batch(bow, BM25(), k=10, use_wand="auto")
-    t["auto_wand_6q"] = round(time.perf_counter() - t0, 2)
     result = {
         "metric": "query serving at probe scale (mixed batch)",
         "value": t["warm_10q"],

@@ -7,8 +7,8 @@
 - ``run --param <file> --index <dir>`` — execute a reference-style param
   file (Flow A/B/C: retrieval, PRF, LTR, diversity) -> trec output
   (the ``QryEval.main`` analog, ``/root/reference/QryEval/QryEval.java:45-92``).
-- ``search --index <dir> --query "text" [--model bm25|indri] [--k N]
-  [--wand]`` — ad-hoc query.
+- ``search --index <dir> --query "text" [--model bm25|indri] [--k N]``
+  — ad-hoc query.
 - ``inspect --index <dir> [--term t [--field f]] [--doc url]`` — index
   inspector (the ``InspectIndex`` analog,
   ``/root/reference/QryEval/InspectIndex.java:20-668``).
@@ -94,9 +94,7 @@ def cmd_search(args) -> None:
         "unrankedboolean": UnrankedBoolean(),
     }[args.model]
     eng = SearchEngine(args.index, num_searchers=args.searchers)
-    res = eng.search_batch(
-        [("q", args.query)], model, k=args.k, use_wand=args.wand
-    )
+    res = eng.search_batch([("q", args.query)], model, k=args.k)
     for r in res.itertuples():
         print(f"{r.rank}\t{r.url}\t{r.score!r}")
 
@@ -286,7 +284,6 @@ def main(argv=None) -> None:
     s.add_argument("--query", required=True)
     s.add_argument("--model", default="bm25")
     s.add_argument("--k", type=int, default=10)
-    s.add_argument("--wand", action="store_true")
     s.add_argument("--searchers", type=int, default=0)
     s.set_defaults(fn=cmd_search)
 

@@ -68,9 +68,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("docs", pa.binary()),  # encoded local doc indices (delta blocks)
         ("tfs", pa.binary()),  # encoded tfs (absolute blocks)
         ("positions", pa.binary()),  # encoded flat positions (absolute)
-        ("bm_max_doc", pa.list_(pa.int32())),  # block-max metadata
-        ("bm_max_tf", pa.list_(pa.int32())),
-        ("bm_min_dl", pa.list_(pa.int32())),
     ]
 )
 
@@ -173,12 +170,10 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0):
 
     doclens = {f: np.zeros(n, dtype=np.int64) for f in FIELDS}
     # every field's posting lists, concatenated in (field, term) order:
-    # per list its field and term, per posting its doc, tf and field
-    # length, the flat positions, and each list's first posting
+    # per list its field and term, per posting its doc and tf, the flat
+    # positions, and each list's first posting
     post = {
-        k: []
-        for k in ("field", "term", "docs", "tfs", "doclens", "positions",
-                  "starts")
+        k: [] for k in ("field", "term", "docs", "tfs", "positions", "starts")
     }
     n_postings = 0
     fwd_chunks = []  # (field, offsets, flat term strings) when keep_forward
@@ -213,7 +208,6 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0):
         post["term"].append(vocab_np[by_rank[run_ranks[term_start]]])
         post["docs"].append(run_docs)
         post["tfs"].append(tf_runs)
-        post["doclens"].append(dl[run_docs])
         post["positions"].append(p_arr)
         post["starts"].append(term_start + n_postings)
         n_postings += len(run_docs)
@@ -240,7 +234,6 @@ def _write_segment_inner(batch, out_dir, config, keep_forward, t0):
                 docs=cat("docs"),
                 tfs=cat("tfs"),
                 positions=cat("positions"),
-                doclens=cat("doclens"),
                 starts=cat("starts"),
             ),
         },

@@ -169,7 +169,10 @@ def _merge_group_inner(
         for s in seg_names
     ]
     tbls = [
-        pq.read_table(os.path.join(seg_root, s, "postings.parquet"))
+        pq.read_table(
+            os.path.join(seg_root, s, "postings.parquet"),
+            columns=["field", "term", "docs", "tfs", "positions"],
+        )
         for s in seg_names
     ]
 
@@ -249,10 +252,7 @@ def _merge_group_inner(
 
     # merged lists, concatenated in layout order, for one encode call
     # per column (encode.encode_postings owns the column layout)
-    post = {
-        k: []
-        for k in ("field", "term", "docs", "tfs", "doclens", "positions")
-    }
+    post = {k: [] for k in ("field", "term", "docs", "tfs", "positions")}
     starts = [0]
     docs_cols = [t.column("docs") for t in tbls]
     tfs_cols = [t.column("tfs") for t in tbls]
@@ -283,7 +283,6 @@ def _merge_group_inner(
         post["term"].append(trm[a])
         post["docs"].append(docs[order])
         post["tfs"].append(tfs[order])
-        post["doclens"].append(doclen[fname][docs[order]])
         post["positions"].append(
             _permute_position_blocks(np.concatenate(parts_p), tfs, order)
         )
@@ -305,7 +304,6 @@ def _merge_group_inner(
                 docs=cat("docs"),
                 tfs=cat("tfs"),
                 positions=cat("positions"),
-                doclens=cat("doclens"),
                 starts=np.asarray(starts, dtype=np.int64),
             ),
         },

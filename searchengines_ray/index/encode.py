@@ -1,5 +1,5 @@
 """Posting-list compression: delta-encoded docid gaps in byte-width
-blocks, carrying block-max metadata.
+blocks.
 
 Replaces what Lucene's codec did for the reference (the reference never
 encodes postings itself — it reads Lucene's; SURVEY.md §4.3 specifies this
@@ -23,17 +23,9 @@ byte-identical to encoding that list alone.  It encodes every list in
 one numpy pass (block ids from the list offsets, widths from one
 ``maximum.reduceat``, headers and width-grouped bodies scattered into one
 buffer); ``encode_doc_ids``/``encode_values`` are its one-list case.
-``encode_postings`` builds every encoded and block-max column of a
-segment's postings table from one call each — the one owner of that
-layout, for the segment writer and compaction alike.
-
-Block-max metadata for block-max WAND (computed at build time WITHOUT a
-second global pass — the bound ``tf/(tf+k1((1-b)+b*dl/avg))`` is monotone
-increasing in tf and decreasing in doclen, so per-block ``max_tf`` and
-``min_doclen`` yield a valid upper bound once global ``avg`` is known at
-query time):
-    arrays ``max_docid:u64, max_tf:u32, min_doclen:u32`` per block, stored as
-    separate parquet list columns.
+``encode_postings`` builds every encoded column of a segment's postings
+table from one call each — the one owner of that layout, for the segment
+writer and compaction alike.
 """
 
 from __future__ import annotations
@@ -199,30 +191,6 @@ def check_codec(seg_dir: str) -> None:
         )
 
 
-def _block_maxes_lists(doc_ids, tfs, doclens, starts):
-    """Per-block (max_docid, max_tf, min_doclen) over concatenated lists,
-    plus each list's block offsets."""
-    bstart, bcount, list_blocks = _block_geometry(starts)
-    if not len(bstart):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, list_blocks
-    return (
-        np.asarray(doc_ids)[bstart + bcount - 1],
-        np.maximum.reduceat(tfs, bstart),
-        np.minimum.reduceat(doclens, bstart),
-        list_blocks,
-    )
-
-
-def block_maxes(
-    doc_ids: np.ndarray, tfs: np.ndarray, doclens: np.ndarray
-) -> tuple[list[int], list[int], list[int]]:
-    """Per-block (max_docid, max_tf, min_doclen) for block-max WAND."""
-    starts = np.array([0, len(doc_ids)], dtype=np.int64)
-    md, mt, ml, _ = _block_maxes_lists(doc_ids, tfs, doclens, starts)
-    return md.tolist(), mt.tolist(), ml.tolist()
-
-
 _MAX_BINARY_BYTES = 2**31 - 1  # what int32 binary-column offsets address
 
 
@@ -259,41 +227,28 @@ def encode_lists(
     )
 
 
-def _int32_lists(values: np.ndarray, offsets: np.ndarray) -> pa.Array:
-    return pa.ListArray.from_arrays(
-        pa.array(offsets.astype(np.int32)),
-        pa.array(values.astype(np.int32)),
-    )
-
-
 def encode_postings(
     docs: np.ndarray,
     tfs: np.ndarray,
     positions: np.ndarray,
-    doclens: np.ndarray,
     starts: np.ndarray,
 ) -> dict[str, pa.Array]:
     """Every posting list of a segment -> its postings-table columns.
 
     The one owner of the postings-column layout, for the build and for
     compaction alike.  Per posting: local doc index (ascending within a
-    list), tf and the doc's field length; ``positions`` are the flat
-    positions of all postings in order (tf of them per posting);
-    ``starts`` holds the n_lists + 1 list offsets into ``docs``.
-    Returns the ``df``, ``ctf``, ``docs``, ``tfs``, ``positions`` and
-    ``bm_*`` columns, one row per list."""
+    list) and tf; ``positions`` are the flat positions of all postings in
+    order (tf of them per posting); ``starts`` holds the n_lists + 1 list
+    offsets into ``docs``.  Returns the ``df``, ``ctf``, ``docs``, ``tfs``
+    and ``positions`` columns, one row per list."""
     starts = np.asarray(starts, dtype=np.int64)
     tf_sum = np.zeros(len(tfs) + 1, dtype=np.int64)
     np.cumsum(tfs, dtype=np.int64, out=tf_sum[1:])
     pos_starts = tf_sum[starts]
-    md, mt, ml, list_blocks = _block_maxes_lists(docs, tfs, doclens, starts)
     return {
         "df": pa.array(np.diff(starts), pa.int64()),
         "ctf": pa.array(np.diff(pos_starts), pa.int64()),
         "docs": encode_lists(docs, starts, delta=True),
         "tfs": encode_lists(tfs, starts),
         "positions": encode_lists(positions, pos_starts),
-        "bm_max_doc": _int32_lists(md, list_blocks),
-        "bm_max_tf": _int32_lists(mt, list_blocks),
-        "bm_min_dl": _int32_lists(ml, list_blocks),
     }

@@ -14,7 +14,6 @@ import os
 from typing import Optional
 
 import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis import FIELDS
@@ -22,23 +21,21 @@ from . import encode
 from .build import SEGMENT_DIR, STATS_FILE
 
 
-_LIST_COLS = ("docs", "tfs", "positions", "bm_max_doc", "bm_max_tf",
-              "bm_min_dl")
+_LIST_COLS = ("docs", "tfs", "positions")
+# decoded posting lists a segment keeps before its cache is cleared
+DECODE_CACHE_LISTS = 4096
 
 
 def _row_views(col) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, flat values) numpy views of a ``binary`` or
-    ``list<int32>`` column: row i is ``values[offsets[i]:offsets[i + 1]]``
-    (uint8 bytes for binary, int64 for lists)."""
+    """(offsets, uint8 bytes) numpy views of a ``binary`` column: row i
+    is ``bytes[offsets[i]:offsets[i + 1]]``."""
     arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-    if pa.types.is_binary(arr.type):
-        _, offsets, data = arr.buffers()
-        off = np.frombuffer(offsets, dtype=np.int32)
-        return (
-            off[arr.offset : arr.offset + len(arr) + 1],
-            np.frombuffer(data or b"", dtype=np.uint8),
-        )
-    return arr.offsets.to_numpy(), arr.values.to_numpy().astype(np.int64)
+    _, offsets, data = arr.buffers()
+    off = np.frombuffer(offsets, dtype=np.int32)
+    return (
+        off[arr.offset : arr.offset + len(arr) + 1],
+        np.frombuffer(data or b"", dtype=np.uint8),
+    )
 
 
 class PostingList:
@@ -49,16 +46,15 @@ class PostingList:
     (``offsets[i]:offsets[i+1]`` = positions of docs[i]).
     """
 
-    __slots__ = ("docs", "tfs", "positions", "offsets", "bm")
+    __slots__ = ("docs", "tfs", "positions", "offsets")
 
-    def __init__(self, docs, tfs, positions, bm=None):
+    def __init__(self, docs, tfs, positions):
         self.docs = docs
         self.tfs = tfs
         self.positions = positions
         self.offsets = np.concatenate(
             ([0], np.cumsum(tfs, dtype=np.int64))
         )
-        self.bm = bm  # (max_doc, max_tf, min_dl) per block or None
 
     def pos_of(self, i: int) -> np.ndarray:
         return self.positions[self.offsets[i] : self.offsets[i + 1]]
@@ -67,7 +63,7 @@ class PostingList:
 class Segment:
     """One memory-mapped segment: doc table + term dictionary + postings."""
 
-    def __init__(self, seg_dir: str, decode_cache: int = 4096):
+    def __init__(self, seg_dir: str):
         self.seg_dir = seg_dir
         self.name = os.path.basename(seg_dir)
         encode.check_codec(seg_dir)
@@ -87,9 +83,10 @@ class Segment:
         }
         self.n_docs = len(self.doc_ids)
         tbl = pq.read_table(
-            os.path.join(seg_dir, "postings.parquet"), memory_map=True
+            os.path.join(seg_dir, "postings.parquet"),
+            columns=["field", "term", "df", "ctf", *_LIST_COLS],
+            memory_map=True,
         )
-        self._tbl = tbl
         # term dictionary: (field, term) -> row index
         fields = tbl.column("field").to_pylist()
         terms = tbl.column("term").to_pylist()
@@ -102,7 +99,6 @@ class Segment:
         # scalar round trip
         self._views = {c: _row_views(tbl.column(c)) for c in _LIST_COLS}
         self._cache: dict[tuple[str, str], Optional[PostingList]] = {}
-        self._cache_cap = decode_cache
         self._fwd = None
         # tombstone mask over LOCAL doc indices (None = no deletes).
         # Deletes are result-filters only: postings, df/ctf and doclen
@@ -137,40 +133,11 @@ class Segment:
                 encode.decode_values(self._row("tfs", row)).astype(np.int64),
                 encode.decode_values(self._row("positions", row))
                 .astype(np.int32),
-                bm=tuple(self._row(c, row) for c in _LIST_COLS[3:]),
             )
-        if len(self._cache) >= self._cache_cap:
+        if len(self._cache) >= DECODE_CACHE_LISTS:
             self._cache.clear()
         self._cache[key] = out
         return out
-
-    def warm(self, field: str = "body", top: int = 256) -> int:
-        """Pre-decode the postings of the ``top`` highest-df terms of a
-        field.  This MOVES the dense-term decode cost into actor startup
-        (measured at 7.5M docs: startup 44s -> 123s, first query then
-        runs at warm latency) — a win only for long-running serving where
-        startup happens offline; leave 0 for batch jobs."""
-        # clamp below the decode-cache cap: postings() clears the whole
-        # cache at capacity, which would wipe the terms just warmed
-        top = min(top, max(1, (self._cache_cap * 7) // 8))
-        fields = np.asarray(
-            self._tbl.column("field").to_pylist(), dtype=object
-        )
-        mask = fields == field
-        rows_idx = np.nonzero(mask)[0]
-        if not len(rows_idx):
-            return 0
-        dfs = self._df[rows_idx]
-        if len(rows_idx) > top:  # O(V) selection, no vocab-sized py sort
-            pick = rows_idx[np.argpartition(-dfs, top - 1)[:top]]
-        else:
-            pick = rows_idx
-        terms = self._tbl.column("term")
-        n = 0
-        for i in pick:
-            if self.postings(field, terms[int(i)].as_py()) is not None:
-                n += 1
-        return n
 
     def local_stats(self, field: str, term: str) -> tuple[int, int]:
         row = self._dict.get((field, term))

@@ -9,7 +9,9 @@ key — the scatter/gather architecture of SURVEY.md §3.4.
 
 Hits travel as columns, never as per-row tuples:
 - a segment's scorer returns ``(local docs, scores)`` arrays
-  (:func:`~.exec.segment_topk`, :func:`~.wand.bm25_wand_topk`);
+  (:func:`~.exec.segment_topk`); every query is scored exhaustively,
+  document-complete over each segment, as the reference scores it
+  (``QryEval/Qry.java:16-31``);
 - a searcher holds one url column, one doc_id array and one integer url
   rank over all of its segments, keeps each query's top-k set with ties
   at the boundary broken on that rank, and returns ONE :class:`Hits` per
@@ -68,7 +70,6 @@ from ..index.shard import (
 )
 from ..models import RetrievalModel
 from ..parser import Node, parse_query
-from . import wand
 from .exec import (
     _EMPTY_F64,
     _EMPTY_I64,
@@ -108,17 +109,6 @@ class Hits(NamedTuple):
     score: np.ndarray  # float64
 
 
-def bag_of_words_terms(node: Node):
-    """[(field, term)] leaves in query order when the tree is a pure BM25
-    bag-of-words (#SUM of TERM leaves, or a single TERM) — the WAND-eligible
-    shape; else None."""
-    if node.op == "term":
-        return [(node.field, node.term)]
-    if node.op == "sum" and all(a.op == "term" for a in node.args):
-        return [(a.field, a.term) for a in node.args]
-    return None
-
-
 def _sum_partials(parts: Sequence[dict]) -> dict:
     """Key-wise sum of per-searcher (df, ctf) partials."""
     merged: dict = {}
@@ -140,7 +130,6 @@ class LocalSearcher:
         self,
         index_dir: str,
         seg_dirs: Optional[Sequence[str]] = None,
-        warm_terms: int = 0,
     ):
         self.index_dir = index_dir
         self.stats = load_stats(index_dir)
@@ -170,9 +159,6 @@ class LocalSearcher:
         # the scoring pass, and warm repeat batches share one evaluation
         self._iop_token = None
         self._iop_caches: list[dict] = []
-        if warm_terms:
-            for seg in self.segments:
-                seg.warm(top=warm_terms)
 
     def base_stats(self) -> GlobalStats:
         return GlobalStats(
@@ -259,54 +245,22 @@ class LocalSearcher:
         g: GlobalStats,
         model: RetrievalModel,
         k: Optional[int],
-        use_wand: bool = False,
         token=None,
     ) -> Hits:
         """Per-query partial top-k over THIS searcher's segments, as the
         columns of one :class:`Hits` for the whole batch (each query's top-k
-        set, unordered — the gather orders it).
-
-        ``use_wand=True`` routes BM25 bag-of-words queries through
-        document-at-a-time block-max WAND (exact same top-k, provably
-        sub-threshold blocks skipped); ``use_wand="auto"`` applies WAND
-        only to selective bags (combined df <= 15% of the corpus) and
-        takes the vectorized exhaustive path otherwise — identical
-        results either way."""
-        from ..models import BM25 as _BM25
-
-        if use_wand not in (False, True, "auto"):
-            raise ValueError(
-                f"use_wand must be False, True or 'auto', got {use_wand!r}"
-            )
+        set, unordered — the gather orders it)."""
         counts = np.zeros(len(trees), dtype=np.int64)
         rows, scores = [_EMPTY_I64], [_EMPTY_F64]
         caches = self._caches(token)
         for qi, tree in enumerate(trees):
             if tree is None:
                 continue
-            bow = (
-                bag_of_words_terms(tree)
-                if use_wand and isinstance(model, _BM25) and k is not None
-                else None
-            )
-            if bow is not None and use_wand == "auto":
-                # cost rule: block-max pruning only pays on SELECTIVE bags;
-                # for dense terms the per-doc cursor walk costs far more
-                # than the vectorized exhaustive path (measured 53s vs 2s
-                # per 6-query batch at 7.5M docs)
-                total_df = sum(
-                    g.term_stats.get(t, (0, 0))[0] for t in bow
-                )
-                if total_df > 0.15 * g.n_docs:
-                    bow = None
             q_rows, q_scores = [_EMPTY_I64], [_EMPTY_F64]
             for seg, cache, base in zip(self.segments, caches, self._base):
                 rank = self._url_rank[base : base + seg.n_docs]
-                if bow is not None:
-                    d, sc = wand.bm25_wand_topk(bow, seg, g, model, k, rank)
-                else:
-                    ev = eval_sop(tree, seg, g, model, cache)
-                    d, sc = segment_topk(ev, seg, k, rank)
+                ev = eval_sop(tree, seg, g, model, cache)
+                d, sc = segment_topk(ev, seg, k, rank)
                 q_rows.append(d + base)
                 q_scores.append(sc)
             d, sc = topk_set(
@@ -341,7 +295,6 @@ class SearchEngine:
         index_dir: str,
         num_searchers: int = 0,
         config: AnalyzerConfig = DEFAULT_ANALYZER,
-        warm_terms: int = 0,
     ):
         self.index_dir = index_dir
         self.config = config
@@ -362,15 +315,9 @@ class SearchEngine:
             for i, d in enumerate(dirs):
                 shards[i % num_searchers].append(d)
             actor_cls = ray.remote(num_cpus=1)(LocalSearcher)
-            # warm_terms: actors pre-decode their hottest postings during
-            # startup (in parallel) — first-query latency ~= warm latency
-            self._actors = [
-                actor_cls.remote(index_dir, s, warm_terms)
-                for s in shards
-                if s
-            ]
+            self._actors = [actor_cls.remote(index_dir, s) for s in shards if s]
         else:
-            self._local = LocalSearcher(index_dir, dirs, warm_terms)
+            self._local = LocalSearcher(index_dir, dirs)
 
     # ------------------------------------------------------------------ stats
 
@@ -445,7 +392,6 @@ class SearchEngine:
         queries: Sequence[tuple[str, str]],
         model: RetrievalModel,
         k: Optional[int] = 10,
-        use_wand: bool = False,
     ) -> pd.DataFrame:
         """Run a batch of ``(qid, raw_query)`` pairs.
 
@@ -465,9 +411,7 @@ class SearchEngine:
         # g covers only this batch's keys and rides in the scatter's one
         # pickled request (put in the object store once above 100 KB)
         g = self.global_stats_for(trees, token)
-        parts = self._scatter(
-            "search_trees", trees, g, model, k, use_wand, token
-        )
+        parts = self._scatter("search_trees", trees, g, model, k, token)
 
         # gather: one stable sort by (query asc, score desc, url asc); a
         # hit's rank is its position within its query

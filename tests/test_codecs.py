@@ -152,16 +152,6 @@ def _scalar_bw(arr: np.ndarray, delta: bool) -> bytes:
     return b"".join(out)
 
 
-def _scalar_block_maxes(docs, tfs, doclens):
-    max_doc, max_tf, min_dl = [], [], []
-    for start in range(0, len(docs), encode.BLOCK):
-        end = start + encode.BLOCK
-        max_doc.append(int(docs[start:end][-1]))
-        max_tf.append(int(tfs[start:end].max()))
-        min_dl.append(int(doclens[start:end].min()))
-    return max_doc, max_tf, min_dl
-
-
 def _reference_postings(batch):
     """The per-term writer loop: terms sorted in Python, one encode call
     per column per (field, term) list."""
@@ -186,7 +176,7 @@ def _reference_postings(batch):
             field_cols[extra] = pc.fill_null(batch.column(extra), "")
     cols = {name: [] for name in POSTINGS_SCHEMA.names}
     for fname in sorted(field_cols):
-        parent, pos, sid, dl, vocab = tokenize_arrow_batch(field_cols[fname])
+        parent, pos, sid, _, vocab = tokenize_arrow_batch(field_cols[fname])
         if len(sid) == 0:
             continue
         order = np.lexsort((pos, parent, sid))
@@ -208,12 +198,6 @@ def _reference_postings(batch):
             cols["docs"].append(_scalar_bw(docs, True))
             cols["tfs"].append(_scalar_bw(tfs, False))
             cols["positions"].append(_scalar_bw(flat.astype(np.uint64), False))
-            bmd, bmt, bml = _scalar_block_maxes(
-                docs, tfs, dl[docs.astype(np.int64)]
-            )
-            cols["bm_max_doc"].append(bmd)
-            cols["bm_max_tf"].append(bmt)
-            cols["bm_min_dl"].append(bml)
     return pa.Table.from_pydict(cols, schema=POSTINGS_SCHEMA)
 
 

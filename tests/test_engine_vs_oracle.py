@@ -205,7 +205,7 @@ def test_search_trees_returns_columns(corpus):
     import inspect
 
     from searchengines_ray.parser import parse_query
-    from searchengines_ray.query import engine, exec as exec_mod, wand
+    from searchengines_ray.query import engine, exec as exec_mod
     from searchengines_ray.query.engine import Hits, LocalSearcher
 
     out, _, _ = corpus
@@ -214,16 +214,15 @@ def test_search_trees_returns_columns(corpus):
     qs = ["w0001 w0005", "zzzznohit", "#NEAR/1(w0001 w0002)"]
     trees = [parse_query(q, "or") for q in qs] + [None]
     g = eng.global_stats_for(trees)
-    for use_wand in (False, True):
-        hits = local.search_trees(trees, g, BM25(), 10, use_wand=use_wand)
-        assert isinstance(hits, Hits)
-        counts, doc_id, url, score = hits
-        assert counts.dtype == np.int64 and len(counts) == len(trees)
-        assert counts[1] == counts[3] == 0 and counts[0] == 10
-        assert doc_id.dtype == np.int64 and score.dtype == np.float64
-        assert isinstance(url, pa.Array) and url.type == pa.string()
-        assert len(doc_id) == len(url) == len(score) == counts.sum()
-    for mod in (engine, exec_mod, wand):
+    hits = local.search_trees(trees, g, BM25(), 10)
+    assert isinstance(hits, Hits)
+    counts, doc_id, url, score = hits
+    assert counts.dtype == np.int64 and len(counts) == len(trees)
+    assert counts[1] == counts[3] == 0 and counts[0] == 10
+    assert doc_id.dtype == np.int64 and score.dtype == np.float64
+    assert isinstance(url, pa.Array) and url.type == pa.string()
+    assert len(doc_id) == len(url) == len(score) == counts.sum()
+    for mod in (engine, exec_mod):
         assert "key=lambda r: (-r[2], r[1])" not in inspect.getsource(mod)
 
 
@@ -502,30 +501,6 @@ def test_large_global_stats_via_object_store(corpus, ray_session):
         assert got_rows == run_query(oidx, q, model, k=10), q
 
 
-def test_wand_exactly_matches_exhaustive(corpus):
-    """Block-max WAND must return the EXACT exhaustive top-k (docids, urls,
-    bit-equal scores, tie-break order) — it may only skip provably
-    sub-threshold docs."""
-    out, oidx, _ = corpus
-    eng = SearchEngine(out, num_searchers=0)
-    bow_queries = [
-        ("a", "w0001 w0005 w0123"),
-        ("b", "w0002"),
-        ("c", "w0000 w0000 w0017"),
-        ("d", "w0003 w0008 w0004 w0010 w0016"),
-        ("e", "zzzznohit"),
-    ]
-    for model in (BM25(), BM25(k_1=0.9, b=0.4)):
-        for k in (1, 5, 15, 50):
-            exact = eng.search_batch(bow_queries, model, k=k)
-            wand = eng.search_batch(bow_queries, model, k=k, use_wand=True)
-            for qid, _ in bow_queries:
-                a = exact[exact.qid == qid]
-                w = wand[wand.qid == qid]
-                assert a.url.tolist() == w.url.tolist(), (model, k, qid)
-                assert a.score.tolist() == w.score.tolist(), (model, k, qid)
-
-
 def test_partial_resume_rebuilds_only_missing_segment(
     tmp_path_factory, ray_session
 ):
@@ -558,49 +533,6 @@ def test_partial_resume_rebuilds_only_missing_segment(
         assert m["n_docs"] > 0
         resumed += 0 if seg == victim else 1
     assert resumed == len(segments) - 1
-
-
-def test_wand_auto_routing_matches_exhaustive(corpus):
-    """use_wand='auto' must return results identical to exhaustive whether
-    it routes a query through WAND (selective) or falls back (dense)."""
-    out, oidx, _ = corpus
-    eng = SearchEngine(out, num_searchers=0)
-    queries = [
-        ("dense", "w0000 w0001 w0002"),   # top-Zipf terms: df huge
-        ("selective", "w0123 w0200"),      # tail terms
-        ("single", "w0250"),
-    ]
-    exact = eng.search_batch(queries, BM25(), k=10)
-    # count which queries actually route through WAND under 'auto'
-    import searchengines_ray.query.wand as wand_mod
-
-    calls = []
-    orig = wand_mod.bm25_wand_topk
-
-    def counting(bow, *a, **kw):
-        calls.append(tuple(t for _, t in bow))
-        return orig(bow, *a, **kw)
-
-    wand_mod.bm25_wand_topk = counting
-    try:
-        auto = eng.search_batch(queries, BM25(), k=10, use_wand="auto")
-    finally:
-        wand_mod.bm25_wand_topk = orig
-    wand_terms = {t for c in calls for t in c}
-    # dense bag (top-Zipf terms) must FALL BACK; selective ones route WAND
-    assert "w0000" not in wand_terms and "w0001" not in wand_terms
-    assert "w0123" in wand_terms and "w0250" in wand_terms
-    forced = eng.search_batch(queries, BM25(), k=10, use_wand=True)
-    for qid, _ in queries:
-        a = exact[exact.qid == qid]
-        b = auto[auto.qid == qid]
-        c = forced[forced.qid == qid]
-        assert a.url.tolist() == b.url.tolist() == c.url.tolist(), qid
-        assert a.score.tolist() == b.score.tolist() == c.score.tolist(), qid
-    import pytest
-
-    with pytest.raises(ValueError):
-        eng.search_batch(queries[:1], BM25(), k=10, use_wand="Auto")
 
 
 def test_merge_segments_bit_identical(corpus, tmp_path, ray_session):
@@ -641,13 +573,6 @@ def test_merge_segments_bit_identical(corpus, tmp_path, ray_session):
         assert got.url.tolist() == want.url.tolist()
         assert got.score.tolist() == want.score.tolist()
         assert got.doc_id.tolist() == want.doc_id.tolist()
-
-    # WAND exercises the recomputed block-max metadata
-    bow = [(qid, q) for qid, q in qs if not q.startswith("#")]
-    w0 = eng0.search_batch(bow, MODELS[0], k=10, use_wand=True)
-    w1 = eng1.search_batch(bow, MODELS[0], k=10, use_wand=True)
-    assert w0.url.tolist() == w1.url.tolist()
-    assert w0.score.tolist() == w1.score.tolist()
 
     # merged manifests carry lineage; a rerun is a no-op
     seg_root = f"{merged_dir}/segments"
@@ -794,13 +719,11 @@ def test_tombstone_then_purge_lifecycle(tmp_path_factory, ray_session):
         want_rows.extend(zip(sub.url.tolist(), sub.score.tolist()))
     assert list(zip(got.url.tolist(), got.score.tolist())) == want_rows
 
-    # block-max WAND honors tombstones (bag-of-words query, forced WAND)
+    # a bag-of-words query honors tombstones too
     bag = [("w", "w0001 w0002 w0003 w0004")]
-    ex = tomb_eng.search_batch(bag, MODELS[0], k=10, use_wand=False)
-    wd = tomb_eng.search_batch(bag, MODELS[0], k=10, use_wand=True)
-    assert ex.url.tolist() == wd.url.tolist()
-    assert ex.score.tolist() == wd.score.tolist()
-    assert not any(d in dead_set for d in wd.doc_id.tolist())
+    ex = tomb_eng.search_batch(bag, MODELS[0], k=10)
+    assert len(ex) == 10
+    assert not any(d in dead_set for d in ex.doc_id.tolist())
 
     # actor path loads tombstones at startup
     act = SearchEngine(tomb_dir, num_searchers=2).search_batch(
@@ -1099,3 +1022,86 @@ def test_append_writes_only_its_segments(tmp_path_factory, ray_session):
     )
     changed = {p for p in before if after.get(p) != before[p]}
     assert changed == {"stats.json"}
+
+
+# the per-block list<int32> columns of the earlier postings layout
+PARENT_ONLY_COLS = ("bm_max_doc", "bm_max_tf", "bm_min_dl")
+
+
+def _to_parent_layout(seg_dir: str) -> None:
+    """Rewrite a segment's postings.parquet in the earlier layout: the
+    same columns plus, per 128-posting block, its max doc, max tf and
+    min field length."""
+    import pyarrow.parquet as pq
+
+    from searchengines_ray.index import encode
+
+    path = os.path.join(seg_dir, "postings.parquet")
+    t = pq.read_table(path)
+    dm = pq.read_table(os.path.join(seg_dir, "docmeta.parquet"))
+    max_doc, max_tf, min_dl = [], [], []
+    for f, d, tf in zip(
+        t.column("field").to_pylist(),
+        t.column("docs").to_pylist(),
+        t.column("tfs").to_pylist(),
+    ):
+        docs = encode.decode_doc_ids(d).astype(np.int64)
+        tfs = encode.decode_values(tf)
+        lens = dm.column(f"len_{f}").to_numpy()[docs]
+        blocks = [
+            slice(s, s + encode.BLOCK)
+            for s in range(0, len(docs), encode.BLOCK)
+        ]
+        max_doc.append([int(docs[b][-1]) for b in blocks])
+        max_tf.append([int(tfs[b].max()) for b in blocks])
+        min_dl.append([int(lens[b].min()) for b in blocks])
+    for name, v in zip(PARENT_ONLY_COLS, (max_doc, max_tf, min_dl)):
+        t = t.append_column(name, pa.array(v, pa.list_(pa.int32())))
+    pq.write_table(t, path)
+
+
+def test_parent_layout_segment_serves_and_merges(
+    tmp_path_factory, ray_session, monkeypatch
+):
+    """Segments written with the earlier postings layout (three extra
+    block-max list columns) open next to a segment appended in the
+    current layout, serve BM25 and Indri exactly as the oracle and a
+    one-shot build do, and merge_segments folds them into one segment of
+    the current schema."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from searchengines_ray.index.build import POSTINGS_SCHEMA, update_index
+    from searchengines_ray.index.compact import merge_segments
+    from searchengines_ray.index.shard import segment_dirs
+
+    tbl = synth_pages(n=160, seed=73, vocab=250, dup_frac=0.0).drop_columns(
+        ["html"]
+    )
+    d = str(tmp_path_factory.mktemp("idx_parent_layout"))
+    build_index(ray.data.from_arrow(tbl.slice(0, 120)), d, docs_per_segment=60)
+    old = segment_dirs(d)
+    assert len(old) == 2
+    for seg in old:
+        _to_parent_layout(seg)
+    update_index(ray.data.from_arrow(tbl.slice(120)), d, docs_per_segment=60)
+
+    def names(seg):
+        return pq.read_schema(f"{seg}/postings.parquet").names
+
+    segs = segment_dirs(d)
+    assert len(segs) == 3
+    for seg in segs:
+        has = set(PARENT_ONLY_COLS) <= set(names(seg))
+        assert has == (seg in old), seg
+
+    one_shot = str(tmp_path_factory.mktemp("idx_parent_layout_full"))
+    build_index(ray.data.from_arrow(tbl), one_shot, docs_per_segment=60)
+    oidx = _oracle_of(tbl)
+    _assert_current(d, one_shot, oidx, monkeypatch)
+
+    stats = merge_segments(d, target_docs=len(tbl))
+    assert stats["n_segments"] == 1
+    (merged,) = segment_dirs(d)
+    assert names(merged) == POSTINGS_SCHEMA.names
+    _assert_current(d, one_shot, oidx, monkeypatch)

@@ -209,48 +209,6 @@ def test_band_rows_vectorized_matches_scalar():
     assert a["doc_id"].tolist() == b["doc_id"].tolist()
 
 
-@given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_block_max_bounds_are_valid(data):
-    """Every posting's exact BM25 tf-weight must be <= its block's stored
-    (max_tf, min_dl)-derived bound — the soundness invariant WAND relies on."""
-    from searchengines_ray.index import encode
-
-    n = data.draw(st.integers(min_value=1, max_value=300))
-    docs = np.sort(
-        np.asarray(
-            sorted(
-                data.draw(
-                    st.sets(
-                        st.integers(min_value=0, max_value=10_000),
-                        min_size=n,
-                        max_size=n,
-                    )
-                )
-            ),
-            dtype=np.uint64,
-        )
-    )
-    tfs = np.asarray(
-        [data.draw(st.integers(min_value=1, max_value=50)) for _ in range(n)],
-        dtype=np.uint64,
-    )
-    doclens = np.zeros(10_001, dtype=np.int64)
-    for d, tf in zip(docs, tfs):
-        doclens[d] = tf + data.draw(st.integers(min_value=0, max_value=100))
-    bmd, bmt, bml = encode.block_maxes(docs, tfs, doclens[docs.astype(np.int64)])
-    k1, b, avg = 1.2, 0.75, 37.5
-    bi = 0
-    for i in range(n):
-        while docs[i] > bmd[bi]:
-            bi += 1
-        tf, dl = float(tfs[i]), float(doclens[docs[i]])
-        exact = tf / (tf + k1 * ((1 - b) + b * (dl / avg)))
-        ub_tf, ub_dl = float(bmt[bi]), float(bml[bi])
-        bound = ub_tf / (ub_tf + k1 * ((1 - b) + b * (ub_dl / avg)))
-        assert exact <= bound + 1e-12, (i, bi, exact, bound)
-
-
 @given(
     st.lists(
         st.text(

@@ -172,11 +172,10 @@ def test_field_no_document_has(tmp_path_factory, ray_session):
         assert eng.stats["doc_count"][f] == oidx.doc_count[f] == 0
     queries = [t for _, t in _read_queries([FIXTURE_QRY])]
     batch = [(str(i), t) for i, t in enumerate(queries)]
-    for use_wand in (False, True):
-        res = eng.search_batch(batch, BM25(), k=10, use_wand=use_wand)
-        for i, text in enumerate(queries):
-            want = run_query(oidx, text, BM25(), k=10)
-            assert _rows(res, str(i)) == want, (use_wand, text)
+    res = eng.search_batch(batch, BM25(), k=10)
+    for i, text in enumerate(queries):
+        want = run_query(oidx, text, BM25(), k=10)
+        assert _rows(res, str(i)) == want, text
 
     indri = Indri(mu=900.0, lam=0.4)
     raised = 0
