@@ -1472,51 +1472,6 @@ def _q_event_transitions(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def _q_image_resize(sf_dir: str) -> pd.DataFrame:
-    """Image-resize plumbing (stages/multimodal.py ImageResizer):
-    aspect-preserving integer fit into a 128-box over the fake-decoded
-    dims; resized_hash stands in for the pixel buffer.  Actor-pool
-    stage, small pyarrow batches (binary rows dominate block size)."""
-    import pyarrow as pa
-
-    from searchengines_ray.stages.multimodal import resize_images
-
-    docs = _docs(sf_dir)
-
-    def to_payload(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "payload": pa.array(
-                    [
-                        (t or "").encode("utf-8")[:256]
-                        for t in batch.column("text").to_pylist()
-                    ],
-                    pa.binary(),
-                ),
-            }
-        )
-
-    out = resize_images(
-        docs.map_batches(to_payload, batch_format="pyarrow"),
-        max_dim=128,
-        concurrency=2,
-        batch_size=64,
-    ).to_pandas()
-    return (
-        out.astype(
-            {
-                "doc_id": "int64",
-                "out_w": "int64",
-                "out_h": "int64",
-                "resized_hash": "int64",
-            }
-        )
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
 def _q_per_source_cap(sf_dir: str) -> pd.DataFrame:
     """Per-domain quota capping (composition: stages/rank.py
     grouped_topk ascending) — the curation rule "keep at most 20 docs
@@ -2138,49 +2093,13 @@ def _q_sessionize(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def _q_multimodal(sf_dir: str) -> pd.DataFrame:
-    """Image-decode plumbing over deterministic fake payloads derived from
-    the documents table (binary column + actor-pool decode stage)."""
-    import pyarrow as pa
-
-    from searchengines_ray.stages.multimodal import decode_images
-
-    docs = _docs(sf_dir)
-
-    def to_payload(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "payload": pa.array(
-                    [
-                        (t or "").encode("utf-8")[:256]
-                        for t in batch.column("text").to_pylist()
-                    ],
-                    pa.binary(),
-                ),
-            }
-        )
-
-    imgs = decode_images(
-        docs.map_batches(to_payload, batch_format="pyarrow"),
-        concurrency=2,
-        batch_size=64,
-    ).to_pandas()
-    return (
-        imgs[["doc_id", "width", "height", "channels"]]
-        .astype("int64")
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
 def _q_image_decode_real(sf_dir: str) -> pd.DataFrame:
     """REAL pixel decode (stages/imagecodec.py, pure numpy+zlib PNG): each
     doc plants a gradient image pixel[k] = (doc_id*31 + k) % 256 at dims
-    (8 + id%5, 8 + id%7), PNG-encodes it, and the fake=False actor-pool
-    decoder recovers the pixels; the oracle recomputes the pixel
-    statistics from the formula WITHOUT decoding — so a match proves the
-    codec round-trips real bytes."""
+    (8 + id%5, 8 + id%7), PNG-encodes it, and the actor-pool decoder
+    recovers the pixels; the oracle recomputes the pixel statistics from
+    the formula WITHOUT decoding — so a match proves the codec round-trips
+    real bytes."""
     import pyarrow as pa
 
     from searchengines_ray.stages.imagecodec import encode_png
@@ -2208,7 +2127,6 @@ def _q_image_decode_real(sf_dir: str) -> pd.DataFrame:
         docs.map_batches(plant, batch_format="pyarrow"),
         concurrency=2,
         batch_size=64,
-        fake=False,
     ).to_pandas()
     f = np.stack([np.asarray(x) for x in imgs["features"]])
     out = pd.DataFrame(
@@ -2260,7 +2178,6 @@ def _q_image_resize_real(sf_dir: str) -> pd.DataFrame:
         max_dim=64,
         concurrency=2,
         batch_size=32,
-        fake=False,
     ).to_pandas()
     return (
         out[["doc_id", "out_w", "out_h", "resized_hash"]]
@@ -3149,42 +3066,6 @@ def _q_prf_expansion_simple(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["qid", "term", "rank", "score_r"])
 
 
-def _q_frame_sample(sf_dir: str) -> pd.DataFrame:
-    """Video frame-sampling plumbing (1 row -> n frame rows, actor-pool
-    fan-out) over deterministic fake payloads — SQL-checked: the sampler's
-    sha256-derived frame count/hashes are reproducible in DuckDB."""
-    import pyarrow as pa
-
-    from searchengines_ray.stages.multimodal import sample_frames
-
-    docs = _docs(sf_dir)
-
-    def to_payload(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "payload": pa.array(
-                    [
-                        (t or "").encode("utf-8")[:256]
-                        for t in batch.column("text").to_pylist()
-                    ],
-                    pa.binary(),
-                ),
-            }
-        )
-
-    frames = sample_frames(
-        docs.map_batches(to_payload, batch_format="pyarrow"),
-        every_n=10,
-        concurrency=2,
-    ).to_pandas()
-    return (
-        frames.sort_values(["doc_id", "frame_idx"])
-        .reset_index(drop=True)
-        .astype({"doc_id": "int64", "frame_idx": "int64", "frame_hash": "int64"})
-    )
-
-
 def _q_vocab_growth(sf_dir: str) -> pd.DataFrame:
     """Heaps-law vocabulary growth over doc_id-ordered prefixes — integer-
     exact (per-term MIN first occurrence + histogram cumsum)."""
@@ -3325,8 +3206,8 @@ def _q_frame_sample_real(sf_dir: str) -> pd.DataFrame:
     """REAL video decode (uncompressed RIFF/AVI, stdlib-pure — the WAV
     parser's RIFF sibling, stages/multimodal.py decode_avi): each doc
     plants an AVI whose frame i is a solid color 32 + (id*7 + i*13) % 95
-    at dims (8 + id%5, 8 + id%7), n_frames = 1 + id%12; the fake=False
-    sampler decodes real pixels and hashes the RGB buffer, and the oracle
+    at dims (8 + id%5, 8 + id%7), n_frames = 1 + id%12; the sampler
+    decodes real pixels and hashes the RGB buffer, and the oracle
     rebuilds each sampled frame's buffer with repeat(chr(c)) WITHOUT
     decoding — so a match proves the container round-trips real bytes."""
     import pyarrow as pa
@@ -3356,7 +3237,6 @@ def _q_frame_sample_real(sf_dir: str) -> pd.DataFrame:
         docs.map_batches(plant, batch_format="pyarrow"),
         every_n=3,
         concurrency=2,
-        fake=False,
     ).to_pandas()
     return (
         frames.sort_values(["doc_id", "frame_idx"])
@@ -4064,7 +3944,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "weighted_sample": _q_weighted_sample,
         "per_source_cap": _q_per_source_cap,
         "window_unique_users": _q_window_unique_users,
-        "image_resize": _q_image_resize,
         "event_transitions": _q_event_transitions,
         "split_leakage": _q_split_leakage,
         "consistent_sample": _q_consistent_sample,
@@ -4161,8 +4040,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ivf_topk": _q_ivf_topk,
         "similarity_join": _q_similarity_join,
         "sessionize": _q_sessionize,
-        "multimodal_decode": _q_multimodal,
-        "frame_sample": _q_frame_sample,
     }
 
 
@@ -9872,68 +9749,6 @@ def _oracle_sql_impl() -> dict[str, str]:
                      (a, x) -> a * 16 + x) AS resized_hash
             FROM r ORDER BY doc_id
         """,
-        "multimodal_decode": """
-            -- the deterministic fake decoder: sha256(payload) with
-            -- width = 64 + byte0*4, height = 64 + byte1*4; payload is the
-            -- first 256 bytes of the (ASCII) text
-            WITH h AS (
-              SELECT doc_id, sha256(substr(text, 1, 256)) AS hx
-              FROM documents
-            )
-            SELECT doc_id,
-                   CAST(64 + ((instr('0123456789abcdef', substr(hx, 1, 1)) - 1) * 16
-                            + (instr('0123456789abcdef', substr(hx, 2, 1)) - 1)) * 4
-                        AS BIGINT) AS width,
-                   CAST(64 + ((instr('0123456789abcdef', substr(hx, 3, 1)) - 1) * 16
-                            + (instr('0123456789abcdef', substr(hx, 4, 1)) - 1)) * 4
-                        AS BIGINT) AS height,
-                   CAST(3 AS BIGINT) AS channels
-            FROM h ORDER BY doc_id
-        """,
-        "image_resize": """
-            -- fake resize: source dims from the decode contract,
-            -- aspect-preserving integer fit into a 128-box (// on
-            -- positives == floor), resized_hash = first 60 bits of
-            -- sha256(payload || '#WxH')
-            WITH h AS (
-              SELECT doc_id, substr(text, 1, 256) AS payload,
-                     sha256(substr(text, 1, 256)) AS hx
-              FROM documents
-            ),
-            dims AS (
-              SELECT doc_id, payload,
-                 64 + ((instr('0123456789abcdef', substr(hx, 1, 1)) - 1) * 16
-                     + (instr('0123456789abcdef', substr(hx, 2, 1)) - 1)) * 4
-                   AS w,
-                 64 + ((instr('0123456789abcdef', substr(hx, 3, 1)) - 1) * 16
-                     + (instr('0123456789abcdef', substr(hx, 4, 1)) - 1)) * 4
-                   AS ht
-              FROM h
-            ),
-            r AS (
-              SELECT doc_id, payload,
-                CASE WHEN GREATEST(w, ht) <= 128 THEN w
-                     WHEN w >= ht THEN 128
-                     ELSE (w * 128) // ht END AS out_w,
-                CASE WHEN GREATEST(w, ht) <= 128 THEN ht
-                     WHEN w >= ht THEN (ht * 128) // w
-                     ELSE 128 END AS out_h
-              FROM dims
-            )
-            SELECT doc_id,
-                   CAST(out_w AS BIGINT) AS out_w,
-                   CAST(out_h AS BIGINT) AS out_h,
-                   list_reduce(
-                     list_prepend(CAST(0 AS BIGINT),
-                       list_transform(
-                         string_split(substr(sha256(payload || '#'
-                           || CAST(out_w AS VARCHAR) || 'x'
-                           || CAST(out_h AS VARCHAR)), 1, 15), ''),
-                         c -> CAST(instr('0123456789abcdef', c) - 1
-                                   AS BIGINT))),
-                     (a, c) -> a * 16 + c) AS resized_hash
-            FROM r ORDER BY doc_id
-        """,
         "frame_sample_real": """
             -- REAL AVI decode: sampled frame i of doc d is a solid-color
             -- RGB buffer chr(32 + (d*7 + i*13) % 95) repeated w*ht*3
@@ -9963,36 +9778,6 @@ def _oracle_sql_impl() -> dict[str, str]:
                          x -> CAST(instr('0123456789abcdef', x) - 1
                                    AS BIGINT))),
                      (a, x) -> a * 16 + x) AS frame_hash
-            FROM f ORDER BY doc_id, frame_idx
-        """,
-        "frame_sample": """
-            -- fake frame sampler: n_frames = 1 + sha256(payload)[0] % 50,
-            -- frames every 10; frame_hash = first 60 bits of
-            -- sha256(payload || '#' || i)
-            WITH h AS (
-              SELECT doc_id, substr(text, 1, 256) AS payload,
-                     sha256(substr(text, 1, 256)) AS hx
-              FROM documents
-            ),
-            n AS (
-              SELECT doc_id, payload,
-                     1 + ((instr('0123456789abcdef', substr(hx, 1, 1)) - 1) * 16
-                        + (instr('0123456789abcdef', substr(hx, 2, 1)) - 1)) % 50
-                       AS n_frames
-              FROM h
-            ),
-            f AS (
-              SELECT doc_id, payload,
-                     unnest(generate_series(0, n_frames - 1, 10)) AS frame_idx
-              FROM n
-            )
-            SELECT doc_id, CAST(frame_idx AS BIGINT) AS frame_idx,
-                   list_reduce(
-                     list_prepend(CAST(0 AS BIGINT),
-                       list_transform(
-                         string_split(substr(sha256(payload || '#' || CAST(frame_idx AS VARCHAR)), 1, 15), ''),
-                         c -> CAST(instr('0123456789abcdef', c) - 1 AS BIGINT))),
-                     (a, c) -> a * 16 + c) AS frame_hash
             FROM f ORDER BY doc_id, frame_idx
         """,
         "ann_topk": """

@@ -20,9 +20,7 @@ What it runs end-to-end:
    build stats, per-segment resume counts, query wall times.
 
 Two-cluster-size scaling evidence: submit the same job to an N-node and
-a 4N-node cluster and compare `docs_per_sec` from the two reports —
-locally, `python bench.py --scaling` simulates this with fresh
-`ray.init(num_cpus=...)` processes (see BASELINE.md).
+a 4N-node cluster and compare `docs_per_sec` from the two reports.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ A from-scratch reimplementation of the capabilities of the reference engine
 - pseudo-relevance feedback, learning-to-rank features, diversification
   (:mod:`searchengines_ray.pipelines`),
 - large-scale training-data operators: dedup (exact / MinHash-LSH / SimHash /
-  n-gram Jaccard / embedding), similarity search, text analysis, multimodal
-  stubs (:mod:`searchengines_ray.stages`).
+  n-gram Jaccard / embedding), similarity search, text analysis, and real
+  PNG/BMP/WAV/AVI decode stages (:mod:`searchengines_ray.stages`).
 
 Nothing here calls ``ray.init()``; sessions are owned by the caller
-(tests' conftest, ``bench.py``, CLIs).
+(tests' conftest, ``perfbench/run.py``, CLIs).
 """
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 multimodal stages.
 
 The container ships no PIL/torchvision, but PNG and BMP are fully public
-formats decodable with stdlib ``zlib`` + ``struct`` + numpy, so the
-``fake=False`` mode of :class:`~.multimodal.ImageDecoder` is a genuine
-pixel decoder, not a stub:
+formats decodable with stdlib ``zlib`` + ``struct`` + numpy, so
+:class:`~.multimodal.ImageDecoder` and :class:`~.multimodal.ImageResizer`
+decode genuine pixels.  Supported:
 
 - PNG (RFC 2083): 8-bit depth, color types 0 (gray), 2 (RGB), 3
   (palette), 4 (gray+alpha), 6 (RGBA), non-interlaced.  All five scanline

@@ -1,13 +1,13 @@
 """Multimodal column stages: image/audio/video as opaque ``binary`` columns.
 
-Images now have a REAL decode path: ``fake=False`` decodes PNG/BMP pixels
-with the pure-numpy codec in :mod:`.imagecodec` (stdlib zlib — no external
-codec library needed).  ``fake=True`` remains the documented deterministic
-stand-in for formats the container cannot decode (JPEG, video, …).  Either
-way every piece of Ray-side plumbing is real and tested: actor-pool stages
-(decoder state loaded once per actor in ``__init__``), small batch sizes
-for wide binary rows, typed metadata columns, and an output schema that
-downstream stages consume.
+Every stage decodes real bytes: images are PNG/BMP pixels via the
+pure-numpy codec in :mod:`.imagecodec` (stdlib zlib, no external codec
+library), audio is PCM16 WAV and video is uncompressed RIFF/AVI.  A payload
+in any other format (JPEG, compressed video, junk) raises ``ValueError``;
+curation should quarantine such rows upstream, not rely on the stage to
+skip them.  The stages are actor-pool ``map_batches`` (decoder state
+loaded once per actor in ``__init__``) with small batch sizes for wide
+binary rows and typed metadata columns.
 
 Scale notes: binary payloads dominate block size — callers should pass
 ``batch_size`` small (e.g. 32) and keep ``batch_format="pyarrow"`` so bytes
@@ -25,56 +25,37 @@ from .imagecodec import decode_image
 
 
 class ImageDecoder:
-    """binary -> (width, height, channels, feature vector).
+    """binary PNG/BMP -> (width, height, channels, feature vector).
 
-    ``fake=False`` (the REAL path): payloads are decoded as PNG/BMP pixels
-    via :mod:`.imagecodec`; features are 8 integer-valued float64 image
-    statistics ``[n_pixels, sum_all, sum_ch0, sum_ch1, sum_ch2, min, max,
-    0]`` (absent channels sum 0) — exact integers, so they survive a
-    value-hash compare and a SQL oracle can reproduce them from a planted
-    pixel formula without decoding.  Unknown/corrupt payloads raise
-    (curation should quarantine them upstream, not silently skip).
-
-    ``fake=True``: deterministic metadata/features derived from a sha256
-    of the payload — the stand-in for codecs the container lacks.
+    Payloads are decoded to pixels via :mod:`.imagecodec`; features are 8
+    integer-valued float64 image statistics ``[n_pixels, sum_all, sum_ch0,
+    sum_ch1, sum_ch2, min, max, 0]`` (absent channels sum 0) — exact
+    integers, so they survive a value-hash compare and a SQL oracle can
+    reproduce them from a planted pixel formula without decoding.
+    Undecodable payloads raise ``ValueError``.
     """
 
     OUT_FEATURES = 8
 
-    def __init__(self, fake: bool = True):
-        self.fake = fake
-
     def _decode_one(self, payload: bytes) -> tuple[int, int, int, np.ndarray]:
-        if not self.fake:
-            img = decode_image(payload or b"")
-            hgt, width, nch = img.shape
-            px = img.astype(np.int64)
-            ch_sums = [
-                int(px[:, :, c].sum()) if c < nch else 0 for c in range(3)
-            ]
-            feats = np.array(
-                [
-                    hgt * width,
-                    int(px.sum()),
-                    ch_sums[0],
-                    ch_sums[1],
-                    ch_sums[2],
-                    int(px.min()),
-                    int(px.max()),
-                    0,
-                ],
-                dtype=np.float64,
-            )
-            return width, hgt, nch, feats
-        # sha256 (not blake2b): DuckDB ships sha256, so the driver oracle
-        # can reproduce the fake decode byte-for-byte
-        h = hashlib.sha256(payload or b"").digest()
-        width = 64 + h[0] * 4
-        height = 64 + h[1] * 4
-        feats = (
-            np.frombuffer(h[8:16], dtype=np.uint8).astype(np.float64) / 255.0
+        img = decode_image(payload or b"")
+        hgt, width, nch = img.shape
+        px = img.astype(np.int64)
+        ch_sums = [int(px[:, :, c].sum()) if c < nch else 0 for c in range(3)]
+        feats = np.array(
+            [
+                hgt * width,
+                int(px.sum()),
+                ch_sums[0],
+                ch_sums[1],
+                ch_sums[2],
+                int(px.min()),
+                int(px.max()),
+                0,
+            ],
+            dtype=np.float64,
         )
-        return width, height, 3, feats
+        return width, hgt, nch, feats
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         widths, heights, chans, feats = [], [], [], []
@@ -149,8 +130,7 @@ class AudioFeaturizer:
     frames whose int64 abs-sum exceeds ``frame_abs_threshold`` — a
     VAD-style activity proxy.  All outputs are exact integers, so a SQL
     oracle recomputes them from a planted PCM formula without decoding.
-    Actor-pool stage; real decode, no fake mode needed (WAV parses with
-    stdlib struct)."""
+    Actor-pool stage (WAV parses with stdlib struct)."""
 
     FRAME = 1024
 
@@ -317,45 +297,28 @@ def encode_avi(frames: list[np.ndarray], fps: int = 30) -> bytes:
 
 
 class FrameSampler:
-    """video binary -> every-nth-frame sample descriptors.
+    """uncompressed AVI binary -> every-nth-frame sample descriptors.
 
-    ``fake=False`` (the REAL path): payloads are decoded as uncompressed
-    RIFF/AVI via :func:`decode_avi` and ``frame_hash`` is the first 60
-    bits of sha256 over the sampled frame's RGB pixel buffer (row-major
-    H x W x 3) — the :class:`ImageResizer` pixel-hash idiom, so a SQL
-    oracle reproduces it for planted constant-color frames.
+    Payloads are decoded via :func:`decode_avi` and ``frame_hash`` is the
+    first 60 bits of sha256 over the sampled frame's RGB pixel buffer
+    (row-major H x W x 3) — the :class:`ImageResizer` pixel-hash idiom, so
+    a SQL oracle reproduces it for planted constant-color frames.
+    Undecodable payloads raise ``ValueError``."""
 
-    ``fake=True``: deterministic sha256-derived stand-in (kept as the
-    documented fallback for codecs the container lacks)."""
-
-    def __init__(self, every_n: int = 10, fake: bool = True):
+    def __init__(self, every_n: int = 10):
         self.every_n = every_n
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # sha256 + '#'-delimited frame tag (not blake2b/binary concat):
-        # DuckDB can reproduce the fake sampler byte-for-byte
         doc_ids, frame_idx, frame_hash = [], [], []
         for doc, payload in zip(
             batch.column("doc_id").to_pylist(),
             batch.column("payload").to_pylist(),
         ):
-            if not self.fake:
-                _, _, frames = decode_avi(payload or b"")
-                for i in range(0, len(frames), self.every_n):
-                    doc_ids.append(doc)
-                    frame_idx.append(i)
-                    fh = hashlib.sha256(frames[i].tobytes()).hexdigest()
-                    frame_hash.append(int(fh[:15], 16))  # 60 bits
-                continue
-            h = hashlib.sha256(payload or b"").digest()
-            n_frames = 1 + h[0] % 50
-            for i in range(0, n_frames, self.every_n):
+            _, _, frames = decode_avi(payload or b"")
+            for i in range(0, len(frames), self.every_n):
                 doc_ids.append(doc)
                 frame_idx.append(i)
-                fh = hashlib.sha256(
-                    (payload or b"") + b"#" + str(i).encode()
-                ).hexdigest()
+                fh = hashlib.sha256(frames[i].tobytes()).hexdigest()
                 frame_hash.append(int(fh[:15], 16))  # 60 bits, int64-safe
         return pa.table(
             {
@@ -366,13 +329,10 @@ class FrameSampler:
         )
 
 
-def decode_images(ds, concurrency: int = 2, batch_size: int = 32,
-                  fake: bool = True):
-    """Actor-pool decode stage (state loaded once per actor).  Pass
-    ``fake=False`` for the real PNG/BMP pixel decode."""
+def decode_images(ds, concurrency: int = 2, batch_size: int = 32):
+    """Actor-pool PNG/BMP decode stage (state loaded once per actor)."""
     return ds.map_batches(
         ImageDecoder,
-        fn_constructor_kwargs={"fake": fake},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -380,12 +340,12 @@ def decode_images(ds, concurrency: int = 2, batch_size: int = 32,
 
 
 def sample_frames(ds, every_n: int = 10, concurrency: int = 2,
-                  batch_size: int = 16, fake: bool = True):
-    """Actor-pool frame-sampling stage.  Pass ``fake=False`` for the real
-    uncompressed-AVI decode + pixel-hash path."""
+                  batch_size: int = 16):
+    """Actor-pool frame-sampling stage: uncompressed-AVI decode, then a
+    pixel hash of every ``every_n``-th frame."""
     return ds.map_batches(
         FrameSampler,
-        fn_constructor_kwargs={"every_n": every_n, "fake": fake},
+        fn_constructor_kwargs={"every_n": every_n},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -408,45 +368,31 @@ class ImageResizer:
     out = (max_dim, h*max_dim//w) for landscape, (w*max_dim//h,
     max_dim) for portrait, unchanged when already inside the box.
 
-    ``fake=False`` (the REAL path): decode PNG/BMP pixels
-    (:mod:`.imagecodec`), nearest-neighbor resample
-    (:func:`resize_nearest`), and ``resized_hash`` = first 60 bits of
-    sha256 over the resized pixel buffer's raw bytes (row-major H x W x C)
-    — a true pixel hash a SQL oracle reproduces for planted
-    constant-color images.
+    Payloads are decoded as PNG/BMP pixels (:mod:`.imagecodec`) and
+    resampled nearest-neighbor (:func:`resize_nearest`); ``resized_hash``
+    is the first 60 bits of sha256 over the resized pixel buffer's raw
+    bytes (row-major H x W x C) — a true pixel hash a SQL oracle
+    reproduces for planted constant-color images.  Undecodable payloads
+    raise ``ValueError``."""
 
-    ``fake=True``: source dims come from the same fake decode as
-    :class:`ImageDecoder` and ``resized_hash`` stands in for the pixel
-    buffer (sha256(payload || '#' || WxH), first 60 bits, the frame_hash
-    idiom, so DuckDB reproduces it)."""
-
-    def __init__(self, max_dim: int = 128, fake: bool = True):
+    def __init__(self, max_dim: int = 128):
         self.max_dim = max_dim
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t = self.max_dim
         out_w, out_h, rhash = [], [], []
         doc_ids = batch.column("doc_id").to_pylist()
         for payload in batch.column("payload").to_pylist():
-            if not self.fake:
-                img = decode_image(payload or b"")
-                hgt, w = img.shape[:2]
-            else:
-                h = hashlib.sha256(payload or b"").digest()
-                w, hgt = 64 + h[0] * 4, 64 + h[1] * 4
+            img = decode_image(payload or b"")
+            hgt, w = img.shape[:2]
             if max(w, hgt) <= t:
                 ow, oh = w, hgt
             elif w >= hgt:
                 ow, oh = t, (hgt * t) // w
             else:
                 ow, oh = (w * t) // hgt, t
-            if not self.fake:
-                resized = resize_nearest(img, ow, oh)
-                rh = hashlib.sha256(resized.tobytes()).hexdigest()
-            else:
-                tag = f"#{ow}x{oh}".encode()
-                rh = hashlib.sha256((payload or b"") + tag).hexdigest()
+            resized = resize_nearest(img, ow, oh)
+            rh = hashlib.sha256(resized.tobytes()).hexdigest()
             out_w.append(ow)
             out_h.append(oh)
             rhash.append(int(rh[:15], 16))  # 60 bits, int64-safe
@@ -461,13 +407,12 @@ class ImageResizer:
 
 
 def resize_images(ds, max_dim: int = 128, concurrency: int = 2,
-                  batch_size: int = 32, fake: bool = True):
-    """Actor-pool resize stage (config held per actor, small batches
-    because binary payloads dominate block size).  Pass ``fake=False``
-    for the real decode + nearest-neighbor pixel resize."""
+                  batch_size: int = 32):
+    """Actor-pool decode + nearest-neighbor resize stage (config held per
+    actor, small batches because binary payloads dominate block size)."""
     return ds.map_batches(
         ImageResizer,
-        fn_constructor_kwargs={"max_dim": max_dim, "fake": fake},
+        fn_constructor_kwargs={"max_dim": max_dim},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

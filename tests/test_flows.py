@@ -282,6 +282,36 @@ def test_flow_b_ltr_external_trainer(setup):
     assert set(got) == {"1", "2"} and all(len(v) > 0 for v in got.values())
 
 
+def test_ltr_external_trainer_crash_raises(tmp_path):
+    """A trainer or classifier binary that exits non-zero raises with its
+    stderr; neither falls back to the stand-in model."""
+    import stat
+
+    from searchengines_ray.pipelines.ltr import (
+        run_external_classifier,
+        run_external_trainer,
+    )
+
+    crash = tmp_path / "crash"
+    crash.write_text('#!/bin/sh\necho "boom: $*" >&2\nexit 1\n')
+    os.chmod(crash, os.stat(crash).st_mode | stat.S_IEXEC)
+    params = {
+        "ltr:svmRankLearnPath": str(crash),
+        "ltr:svmRankClassifyPath": str(crash),
+        "ltr:trainingFeatureVectorsFile": str(tmp_path / "train"),
+        "ltr:testingFeatureVectorsFile": str(tmp_path / "test"),
+        "ltr:testingDocumentScores": str(tmp_path / "scores"),
+        "ltr:modelFile": str(tmp_path / "model"),
+    }
+    with pytest.raises(RuntimeError,
+                       match=r"svm_rank_learn crashed: boom: -c 0\.001 "):
+        run_external_trainer(params)
+    with pytest.raises(RuntimeError, match="svm_rank_classify crashed: boom"):
+        run_external_classifier(params)
+    assert not (tmp_path / "model").exists()
+    assert not (tmp_path / "scores").exists()
+
+
 def test_inspect_termvector_cli(setup, capsys):
     """-list-termvector[-field] analog: per-position dump from the forward
     index (InspectIndex.java:345-366)."""

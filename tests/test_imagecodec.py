@@ -1,8 +1,9 @@
-"""Pure-numpy PNG/BMP codec (stages/imagecodec.py) + real-mode multimodal
-stages.  The codec is the fake=False decode path — these tests pin:
-roundtrip exactness for every supported color type, all five PNG scanline
-filters on decode, palette images, BMP 24-bit, the nearest-neighbor
-resize contract, and the real ImageDecoder/ImageResizer feature math."""
+"""Pure-numpy PNG/BMP codec (stages/imagecodec.py) behind the image
+stages of stages/multimodal.py.  These tests pin: roundtrip exactness for
+every supported color type, all five PNG scanline filters on decode,
+palette images, BMP 24-bit, the nearest-neighbor resize contract, the
+ImageDecoder/ImageResizer feature math, and that bytes in another format
+(a JPEG header) raise instead of decoding to made-up dims."""
 
 import struct
 import zlib
@@ -133,20 +134,23 @@ def test_resize_nearest_contract():
 
 def test_real_image_decoder_features():
     img = np.random.default_rng(5).integers(0, 256, (7, 9, 3), dtype=np.uint8)
-    dec = ImageDecoder(fake=False)
+    dec = ImageDecoder()
     w, h, c, f = dec._decode_one(encode_png(img))
     assert (w, h, c) == (9, 7, 3)
     px = img.astype(np.int64)
     assert f[0] == 63 and f[1] == px.sum()
     assert f[2] == px[:, :, 0].sum() and f[4] == px[:, :, 2].sum()
     assert f[5] == px.min() and f[6] == px.max()
+    # JPEG is not a supported format: it raises, it does not get dims
+    with pytest.raises(ValueError, match="unknown image format"):
+        dec._decode_one(b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01")
 
 
 def test_real_image_resizer_pixel_hash():
     import hashlib
 
     img = np.full((100, 80, 3), 77, dtype=np.uint8)
-    rz = ImageResizer(max_dim=64, fake=False)
+    rz = ImageResizer(max_dim=64)
     import pyarrow as pa
 
     t = rz(

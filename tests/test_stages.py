@@ -597,59 +597,86 @@ def test_sessionize(ray_session):
     assert got["n_events"].sum() == ev.count()
 
 
+def _png_rows(n):
+    """n rows of PNG payloads with distinct true dims (w, h) = (3 + i,
+    12 - i): portrait, landscape and some already inside an 8-pixel box,
+    so a max_dim of 8 exercises every branch of the resize fit."""
+    from searchengines_ray.stages.imagecodec import encode_png
+
+    rows, imgs = [], {}
+    for i in range(n):
+        w, h = 3 + i, 12 - i
+        v = (np.arange(w * h * 3, dtype=np.int64) + i * 31) % 256
+        imgs[i] = v.astype(np.uint8).reshape(h, w, 3)
+        rows.append({"doc_id": i, "payload": encode_png(imgs[i])})
+    return rows, imgs
+
+
 def test_multimodal_stubs(ray_session):
+    """decode_images/resize_images decode real PNG bytes on the actor
+    pool: true dims and pixel statistics, the exact aspect-preserving fit,
+    a pixel hash of the resized buffer, and the same frame on a rerun."""
+    import hashlib
+
+    import pyarrow as pa
     import ray.data
 
     from searchengines_ray.stages.multimodal import (
         ImageDecoder,
-        decode_images,
-        sample_frames,
-    )
-
-    rows = [
-        {"doc_id": i, "payload": bytes([i]) * (100 + i)} for i in range(10)
-    ]
-    ds = ray.data.from_items(rows)
-    imgs = decode_images(ds, concurrency=2, batch_size=4).to_pandas()
-    assert set(imgs.columns) == {"doc_id", "width", "height", "channels", "features"}
-    assert len(imgs) == 10 and (imgs["width"] >= 64).all()
-    # determinism
-    imgs2 = decode_images(ds, concurrency=2, batch_size=4).to_pandas()
-    assert imgs.sort_values("doc_id")["width"].tolist() == imgs2.sort_values("doc_id")["width"].tolist()
-    frames = sample_frames(ds, every_n=5, concurrency=2).to_pandas()
-    assert set(frames.columns) == {"doc_id", "frame_idx", "frame_hash"}
-    # fake=False is now the REAL PNG/BMP path: unknown payload bytes raise
-    with pytest.raises(ValueError):
-        ImageDecoder(fake=False)._decode_one(b"\x00not-an-image")
-
-    # resize: exact aspect-preserving integer fit into the box
-    import hashlib
-
-    from searchengines_ray.stages.multimodal import (
         ImageResizer,
+        decode_images,
         resize_images,
+        resize_nearest,
     )
 
-    rs = resize_images(ds, max_dim=128, concurrency=2).to_pandas()
-    assert set(rs.columns) == {"doc_id", "out_w", "out_h",
-                               "resized_hash"}
+    rows, imgs = _png_rows(10)
+    ds = ray.data.from_items(rows)
+
+    def decoded():
+        out = decode_images(ds, concurrency=2, batch_size=4).to_pandas()
+        return out.sort_values("doc_id").reset_index(drop=True)
+
+    dec = decoded()
+    assert set(dec.columns) == {"doc_id", "width", "height", "channels",
+                                "features"}
+    assert dec["doc_id"].tolist() == list(range(10))
+    for r in dec.itertuples():
+        img = imgs[r.doc_id]
+        assert (r.width, r.height, r.channels) == (
+            img.shape[1], img.shape[0], 3)
+        px = img.astype(np.int64)
+        assert list(r.features) == [px.size // 3, px.sum(), px[:, :, 0].sum(),
+                                    px[:, :, 1].sum(), px[:, :, 2].sum(),
+                                    px.min(), px.max(), 0]
+    pd.testing.assert_frame_equal(dec, decoded())
+
+    def resized():
+        out = resize_images(ds, max_dim=8, concurrency=2,
+                            batch_size=4).to_pandas()
+        return out.sort_values("doc_id").reset_index(drop=True)
+
+    rs = resized()
+    assert set(rs.columns) == {"doc_id", "out_w", "out_h", "resized_hash"}
+    assert rs["doc_id"].tolist() == list(range(10))
     for r in rs.itertuples():
-        p = bytes([r.doc_id]) * (100 + r.doc_id)
-        h = hashlib.sha256(p).digest()
-        w, hgt = 64 + h[0] * 4, 64 + h[1] * 4
-        if max(w, hgt) <= 128:
+        hgt, w = imgs[r.doc_id].shape[:2]
+        if max(w, hgt) <= 8:
             ew, eh = w, hgt
         elif w >= hgt:
-            ew, eh = 128, (hgt * 128) // w
+            ew, eh = 8, (hgt * 8) // w
         else:
-            ew, eh = (w * 128) // hgt, 128
+            ew, eh = (w * 8) // hgt, 8
         assert (r.out_w, r.out_h) == (ew, eh)
-        assert max(ew, eh) <= 128 and min(ew, eh) >= 1
-    # real resizer rejects non-image bytes loudly
-    import pyarrow as pa
+        want = hashlib.sha256(
+            resize_nearest(imgs[r.doc_id], ew, eh).tobytes()).hexdigest()
+        assert r.resized_hash == int(want[:15], 16)
+    pd.testing.assert_frame_equal(rs, resized())
 
+    # non-image bytes raise loudly
     with pytest.raises(ValueError):
-        ImageResizer(fake=False)(
+        ImageDecoder()._decode_one(b"\x00not-an-image")
+    with pytest.raises(ValueError):
+        ImageResizer()(
             pa.table(
                 {
                     "doc_id": pa.array([1], pa.int64()),
@@ -657,6 +684,38 @@ def test_multimodal_stubs(ray_session):
                 }
             )
         )
+
+
+def test_multimodal_stages_fail_on_one_junk_payload(ray_session):
+    """One undecodable payload among valid ones fails the whole stage on
+    consumption; no wrapper drops the row and returns the rest.  The
+    codec's ValueError reaches the caller wrapped by Ray, so match its
+    message, not its type."""
+    import ray.data
+
+    from searchengines_ray.stages.multimodal import (
+        decode_images,
+        encode_avi,
+        resize_images,
+        sample_frames,
+    )
+
+    png_rows, _ = _png_rows(5)
+    avi_rows = [
+        {"doc_id": d,
+         "payload": encode_avi([np.full((4, 5, 3), 40 + d, np.uint8)] * 3)}
+        for d in range(5)
+    ]
+    junk = {"doc_id": 99, "payload": b"\xff\xd8\xff\xe0\x00\x10JFIF"}
+    cases = [
+        (decode_images, png_rows, "unknown image format"),
+        (resize_images, png_rows, "unknown image format"),
+        (sample_frames, avi_rows, "not a RIFF/AVI file"),
+    ]
+    for stage, rows, msg in cases:
+        ds = ray.data.from_items(rows[:2] + [junk] + rows[2:])
+        with pytest.raises(Exception, match=msg):
+            stage(ds, concurrency=1, batch_size=2).to_pandas()
 
 
 def test_vocab_growth_hand_computed(ray_session):
@@ -745,13 +804,12 @@ def test_word_entropy_hand_computed(ray_session):
 
 def test_avi_codec_roundtrip_and_real_sampler(ray_session):
     """encode_avi/decode_avi must round-trip pixels exactly; the
-    fake=False FrameSampler must hash the decoded RGB buffers."""
+    FrameSampler must hash the decoded RGB buffers."""
     import hashlib
 
     import ray.data
 
     from searchengines_ray.stages.multimodal import (
-        FrameSampler,
         decode_avi,
         encode_avi,
         sample_frames,
@@ -786,7 +844,7 @@ def test_avi_codec_roundtrip_and_real_sampler(ray_session):
                 hashlib.sha256(fr[i].tobytes()).hexdigest()[:15], 16
             )
     got = sample_frames(
-        ray.data.from_items(rows), every_n=2, concurrency=2, fake=False
+        ray.data.from_items(rows), every_n=2, concurrency=2
     ).to_pandas()
     assert {
         (int(r.doc_id), int(r.frame_idx)): int(r.frame_hash)
@@ -805,20 +863,6 @@ def test_avi_codec_roundtrip_and_real_sampler(ray_session):
     # flip them, so it sees the vertically mirrored image
     _, _, out = decode_avi(bytes(data))
     assert np.array_equal(out[0], f0[::-1])
-
-    # fake and real paths share one output schema
-    fk = FrameSampler(every_n=2, fake=True)
-    import pyarrow as pa
-
-    t = fk(
-        pa.table(
-            {
-                "doc_id": pa.array([0], pa.int64()),
-                "payload": pa.array([b"x"], pa.binary()),
-            }
-        )
-    )
-    assert t.column_names == ["doc_id", "frame_idx", "frame_hash"]
 
 
 def test_hopping_window_agg(ray_session):
@@ -4412,9 +4456,11 @@ def test_anomaly_hours_vs_bruteforce(ray_session):
     assert ("a", base_h + 100) in flagged
     assert ("b", base_h + 200) in flagged
 
-    # empty input -> empty stable schema
+    # empty input -> empty stable schema (a filter no row passes)
     e = anomaly_hours(
-        ray.data.from_pandas(df.head(1)).filter(lambda r: False)
+        ray.data.from_pandas(df.head(1)).filter(
+            expr="event_type == 'no-such-type'"
+        )
     )
     assert len(e) == 0 and list(e.columns) == ["event_type", "hour", "cnt"]
 
