@@ -1,11 +1,12 @@
 """Distributed query serving: segment-holding actor pool + scatter/gather.
 
 The Ray analog of the reference's static ``Idx.INDEXREADER``
-(``/root/reference/QryEval/Idx.java:32``): each :class:`SegmentSearcher`
-actor memory-maps its assigned segments ONCE in ``__init__`` (never per
-query) and serves per-segment top-k; the driver scatters parsed query trees
-to all actors and merges their top-k sets under the (score desc, url asc)
-key — the scatter/gather architecture of SURVEY.md §3.4.
+(``QryEval/Idx.java:32``): each searcher actor (a :class:`LocalSearcher`
+under ``ray.remote``) memory-maps its assigned segments ONCE in
+``__init__`` (never per query) and serves per-segment top-k; the driver
+scatters parsed query trees to all actors and merges their top-k sets
+under the (score desc, url asc) key — the scatter/gather architecture of
+SURVEY.md §3.4.
 
 Hits travel as columns, never as per-row tuples:
 - a segment's scorer returns ``(local docs, scores)`` arrays
@@ -37,13 +38,21 @@ batch, covering only the batch's query keys, never the vocabulary):
   form and memoized across batches like the term keys: the segments are
   fixed for the engine's life and tombstones filter hits, not statistics.
 
-Transport: every searcher call is ONE stdlib-pickled ``(method, args)``
-request and ONE pickled reply (:meth:`LocalSearcher.call`).  The driver
-pickles a scatter's request once, puts it in the object store once when it
-exceeds Ray's inline limit (100 KB) so every actor reads the same copy, and
-never passes query objects (trees, :class:`GlobalStats`, models, hits) as
-Ray arguments: Ray's per-argument, per-actor serializer cost more CPU than
-the scoring it carried.
+Transport: Ray places the searcher actors, reserves one CPU for each and
+kills them, but carries no query traffic.  At start-up each actor opens a
+listening socket (:meth:`LocalSearcher.listen`, one Ray call) and the
+driver connects to it once, with a per-engine random authkey; the listener
+closes after that first authenticated connection.  Every searcher call is
+then ONE stdlib-pickled ``(method, args)`` request, pickled once per
+scatter and written to every connection, and ONE reply: a tag byte plus
+the pickled result, or the pickled exception, which the driver re-raises
+with its own type.  Ray's per-call task machinery cost more CPU than the
+scoring it carried (a two-actor no-op call 2.5 ms).  Both ends set
+TCP_NODELAY: ``Connection.send_bytes`` writes the header and the body of a
+message over 16 KB as two sends, and Nagle's algorithm with delayed ACKs
+stalls each such message ~40 ms.  An actor binds on its node's IP, so a
+searcher on another node needs that port reachable from the driver (only
+single-node sessions are tested).
 
 Queries are batched: one scatter serves a whole query file, so the
 per-round-trip overhead amortizes (the reference processes queries one at a
@@ -52,7 +61,18 @@ time in a single JVM — ``QryEval.java:1375-1419``).
 
 from __future__ import annotations
 
+import os
 import pickle
+import secrets
+import socket
+import threading
+import traceback
+from multiprocessing.connection import (
+    AuthenticationError,
+    Client,
+    Connection,
+    Listener,
+)
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -86,9 +106,8 @@ from .exec import (
 # once; at or above it, each new key goes through the dfs phase
 FULL_TERMSTATS_MAX_POSTINGS = 2_000_000
 
-# Ray's inline limit for a call argument (max_direct_call_object_size);
-# a larger request goes to the object store once per scatter
-RAY_INLINE_MAX_BYTES = 100 * 1024
+# the tag byte that starts every reply on a searcher connection
+_OK, _FAILED = b"\x00", b"\x01"
 
 # the gather's one ordering of a batch's hits
 _SORT_COLS = ["qi", "score", "url"]
@@ -119,11 +138,32 @@ def _sum_partials(parts: Sequence[dict]) -> dict:
     return merged
 
 
+def _nodelay(conn: Connection) -> Connection:
+    """Turns off Nagle's algorithm on the connection's TCP socket (see the
+    module docstring)."""
+    with socket.fromfd(conn.fileno(), socket.AF_INET, socket.SOCK_STREAM) as s:
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return conn
+
+
+def _pickled_error(e: Exception) -> bytes:
+    """``e`` pickled with this process's traceback as a note; an exception
+    that does not survive a pickle round trip is sent as a RuntimeError."""
+    tb = traceback.format_exc()
+    e.add_note(f"raised in searcher process {os.getpid()}:\n{tb}")
+    try:
+        body = pickle.dumps(e, protocol=5)
+        pickle.loads(body)
+        return body
+    except Exception:
+        return pickle.dumps(RuntimeError(tb), protocol=5)
+
+
 class LocalSearcher:
     """Evaluates queries over a set of segments in-process.
 
     Used standalone for tests/small corpora, and as the worker core inside
-    each :class:`SegmentSearcher` actor.
+    each searcher actor.
     """
 
     def __init__(
@@ -206,6 +246,40 @@ class LocalSearcher:
         method, args = pickle.loads(request)
         return pickle.dumps(getattr(self, method)(*args), protocol=5)
 
+    def listen(self, authkey: bytes) -> tuple:
+        """Opens this searcher's request socket on the node's IP and returns
+        its address.  A daemon thread accepts connections until the first
+        that authenticates with ``authkey``, closes the listener and then
+        serves :meth:`call` on that connection until the peer closes it."""
+        import ray.util
+
+        listener = Listener((ray.util.get_node_ip_address(), 0), authkey=authkey)
+        self._server = threading.Thread(
+            target=self._serve, args=(listener,), daemon=True
+        )
+        self._server.start()
+        return listener.address
+
+    def _serve(self, listener: Listener) -> None:
+        with listener:
+            while True:
+                try:
+                    conn = listener.accept()
+                    break
+                except (AuthenticationError, EOFError, ConnectionError):
+                    continue  # a peer without the key, or one that left
+        with _nodelay(conn):
+            try:
+                while True:
+                    request = conn.recv_bytes()
+                    try:
+                        reply = _OK + self.call(request)
+                    except Exception as e:
+                        reply = _FAILED + _pickled_error(e)
+                    conn.send_bytes(reply)
+            except (EOFError, OSError):
+                return  # the engine closed its end
+
     def iop_stats_partial(
         self, trees: Sequence[Optional[Node]], token=None
     ) -> dict:
@@ -287,7 +361,9 @@ class SearchEngine:
     ``num_searchers`` actors each own ``len(segments)/num_searchers``
     segments (round-robin).  With ``num_searchers=0`` everything runs
     in-process (no Ray needed) — used by unit tests and the oracle-equality
-    harness.
+    harness.  Safe to call from several threads.  Dropping the engine
+    closes its connections, which ends each actor's serving thread, and
+    releases its actor handles, which lets Ray end the actors.
     """
 
     def __init__(
@@ -306,6 +382,11 @@ class SearchEngine:
         self._iop_memo: dict = {}
         self._local: Optional[LocalSearcher] = None
         self._actors: list = []
+        # one connection per actor, in actor order; the lock keeps each
+        # scatter's requests and replies together across threads
+        self._conns: list[Connection] = []
+        self._addrs: list[tuple] = []
+        self._lock = threading.Lock()
         dirs = segment_dirs(index_dir)
         # an index without segments runs in-process: no actor to start
         if num_searchers and num_searchers > 0 and dirs:
@@ -316,6 +397,11 @@ class SearchEngine:
                 shards[i % num_searchers].append(d)
             actor_cls = ray.remote(num_cpus=1)(LocalSearcher)
             self._actors = [actor_cls.remote(index_dir, s) for s in shards if s]
+            authkey = secrets.token_bytes(32)
+            self._addrs = ray.get([a.listen.remote(authkey) for a in self._actors])
+            self._conns = [
+                _nodelay(Client(addr, authkey=authkey)) for addr in self._addrs
+            ]
         else:
             self._local = LocalSearcher(index_dir, dirs)
 
@@ -347,17 +433,42 @@ class SearchEngine:
     def _scatter(self, method: str, *args) -> list:
         """``method(*args)`` on every searcher; one result per searcher.
 
-        The actors get one request pickled once for all of them (see the
-        module docstring); the in-process searcher is called directly."""
-        if not self._actors:
+        The request is pickled once and written to every actor's connection
+        before any reply is read, so the actors work in parallel; the
+        in-process searcher is called directly.  An exception raised in a
+        searcher is re-raised here with its own type."""
+        if not self._conns:
             return [getattr(self._local, method)(*args)]
-        import ray
+        request = pickle.dumps((method, args), protocol=5)
+        with self._lock:
+            replies = self._round_trip(request)
+        out = []
+        for reply in replies:
+            body = pickle.loads(memoryview(reply)[1:])
+            if reply[:1] == _FAILED:
+                raise body
+            out.append(body)
+        return out
 
-        req = pickle.dumps((method, args), protocol=5)
-        if len(req) > RAY_INLINE_MAX_BYTES:
-            req = ray.put(req)
-        replies = ray.get([a.call.remote(req) for a in self._actors])
-        return [pickle.loads(r) for r in replies]
+    def _round_trip(self, request: bytes) -> list[bytes]:
+        i, replies = 0, []
+        try:
+            for i, conn in enumerate(self._conns):
+                conn.send_bytes(request)
+            for i, conn in enumerate(self._conns):
+                replies.append(conn.recv_bytes())
+        except (EOFError, OSError) as e:
+            raise ConnectionError(
+                f"searcher {i} of {len(self._conns)} at {self._addrs[i]} "
+                f"is unreachable: {e!r}"
+            ) from e
+        finally:
+            if len(replies) < len(self._conns):
+                # a failure or an interrupt left requests and replies out
+                # of step: no later scatter may use any connection
+                for conn in self._conns:
+                    conn.close()
+        return replies
 
     def global_stats_for(
         self, trees: Sequence[Optional[Node]], token=None
@@ -409,7 +520,7 @@ class SearchEngine:
         # (eviction happens only when the token CHANGES — see _caches)
         token = uuid.uuid4().hex
         # g covers only this batch's keys and rides in the scatter's one
-        # pickled request (put in the object store once above 100 KB)
+        # pickled request, written once to each searcher's connection
         g = self.global_stats_for(trees, token)
         parts = self._scatter("search_trees", trees, g, model, k, token)
 

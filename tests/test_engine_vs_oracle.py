@@ -4,6 +4,8 @@ oracle — same docids, same urls, bit-equal float scores, same order under
 the (score desc, url asc) tie-break."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -268,14 +270,11 @@ COMPOSITE_BATCH = [
 ]
 
 
-@pytest.mark.parametrize("inline_max", [100 * 1024, 0])
-def test_one_pickled_request_per_scatter(
-    corpus, ray_session, monkeypatch, inline_max
-):
+def test_one_pickled_request_per_scatter(corpus, ray_session, monkeypatch):
     """With 2 actors, each scatter of a composite batch (stats pass, then
-    scoring) pickles exactly one request on the driver; a request above
-    the inline limit is put in the object store once, not once per
-    actor."""
+    scoring) pickles exactly one request on the driver, and search_batch
+    makes no ray.get or ray.put call: requests and replies go over the
+    actors' connections."""
     import pickle
 
     import ray
@@ -284,7 +283,7 @@ def test_one_pickled_request_per_scatter(
 
     out, oidx, _ = corpus
     eng = SearchEngine(out, num_searchers=2)
-    dumped, scatters, puts = [], [], []
+    dumped, scatters, ray_calls = [], [], []
 
     class CountingPickle:
         loads = staticmethod(pickle.loads)
@@ -295,12 +294,15 @@ def test_one_pickled_request_per_scatter(
             return pickle.dumps(obj, *a, **kw)
 
     real_scatter = eng._scatter
-    real_put = ray.put
     monkeypatch.setattr(engine_mod, "pickle", CountingPickle)
-    monkeypatch.setattr(engine_mod, "RAY_INLINE_MAX_BYTES", inline_max)
-    monkeypatch.setattr(
-        ray, "put", lambda v, **kw: puts.append(v) or real_put(v, **kw)
-    )
+    for name in ("get", "put"):
+        real = getattr(ray, name)
+        monkeypatch.setattr(
+            ray,
+            name,
+            lambda *a, _name=name, _real=real, **kw: ray_calls.append(_name)
+            or _real(*a, **kw),
+        )
     monkeypatch.setattr(
         eng,
         "_scatter",
@@ -311,9 +313,178 @@ def test_one_pickled_request_per_scatter(
     res = eng.search_batch(batch, BM25(), k=15)
     assert scatters == ["iop_stats_partial", "search_trees"]
     assert dumped == scatters
-    assert len(puts) == (len(scatters) if inline_max == 0 else 0)
+    assert ray_calls == []
     for qid, q in batch:
         assert _rows_of(res, qid) == run_query(oidx, q, BM25(), k=15), q
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread: its result, or its exception
+    re-raised; fails the test when it has not returned within ``seconds``
+    (a hung transport must fail, not stall the suite)."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as e:
+            box["error"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"{fn!r} did not return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _assert_oracle_exact(eng, oidx, queries, model, k):
+    batch = [(str(i), q) for i, q in enumerate(queries)]
+    res = eng.search_batch(batch, model, k=k)
+    for qid, q in batch:
+        assert _rows_of(res, qid) == run_query(oidx, q, model, k=k), q
+
+
+def _on_actor(actor, fn):
+    import ray
+
+    return ray.get(actor.__ray_call__.remote(fn), timeout=60)
+
+
+@pytest.mark.parametrize("num_searchers", [0, 2])
+def test_searcher_exception_keeps_its_type(corpus, ray_session, num_searchers):
+    """An exception raised in a searcher reaches the caller with its own
+    type, as it does in-process, and the engine serves on afterwards."""
+    out, oidx, _ = corpus
+    eng = SearchEngine(out, num_searchers=num_searchers)
+    with pytest.raises(AttributeError, match="no_such_method"):
+        _within(60, eng._scatter, "no_such_method")
+    _within(60, _assert_oracle_exact, eng, oidx, QUERIES[:6], BM25(), 10)
+
+
+def test_killed_searcher_raises(corpus, ray_session):
+    """A searcher killed by Ray turns the next search_batch into an error
+    that names the searcher, within seconds, and every later call fails
+    the same way instead of hanging."""
+    import time
+
+    import ray
+    import psutil  # the copy Ray ships: visible once ray is imported
+
+    out, _, _ = corpus
+    eng = SearchEngine(out, num_searchers=2)
+    pid = _on_actor(eng._actors[0], lambda self: os.getpid())
+    ray.kill(eng._actors[0])
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            if psutil.Process(pid).status() == psutil.STATUS_ZOMBIE:
+                break
+        except psutil.NoSuchProcess:
+            break
+        time.sleep(0.05)
+    else:
+        pytest.fail(f"searcher process {pid} still alive after ray.kill")
+    for _ in range(2):
+        with pytest.raises(ConnectionError, match="searcher 0 of 2"):
+            _within(10, eng.search_batch, [("a", "w0001")], BM25(), 5)
+
+
+def test_wrong_authkey_is_refused(corpus, ray_session, monkeypatch):
+    """A client with a wrong authkey is refused while the listener waits
+    for the engine; the engine then connects, serves oracle-exact results,
+    and the listener accepts nobody after it."""
+    from multiprocessing.connection import AuthenticationError, Client
+
+    from searchengines_ray.query import engine as engine_mod
+
+    out, oidx, _ = corpus
+    refused = []
+
+    def client(address, authkey):
+        with pytest.raises(AuthenticationError):
+            Client(address, authkey=bytes(32))
+        refused.append(address)
+        return Client(address, authkey=authkey)
+
+    monkeypatch.setattr(engine_mod, "Client", client)
+    eng = _within(120, SearchEngine, out, 2)
+    assert refused == eng._addrs and len(refused) == 2
+    _within(60, _assert_oracle_exact, eng, oidx, QUERIES, BM25(), 10)
+    with pytest.raises(ConnectionRefusedError):
+        Client(eng._addrs[0], authkey=bytes(32))
+
+
+def test_concurrent_search_batch(corpus, ray_session):
+    """Two threads calling search_batch on one engine at once both get
+    oracle-exact results."""
+    out, oidx, _ = corpus
+    eng = SearchEngine(out, num_searchers=2)
+    jobs = [
+        (QUERIES, BM25(), 10),
+        (COMPOSITE_BATCH + QUERIES[6:12], Indri(mu=700.0, lam=0.5), 20),
+    ]
+    errors = []
+
+    def serve(job):
+        try:
+            for _ in range(5):
+                _assert_oracle_exact(eng, oidx, *job)
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [
+        threading.Thread(target=serve, args=(job,), daemon=True) for job in jobs
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-scatter too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive(), "search_batch did not return within 120 s"
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+def test_dropped_engines_release_their_actors(corpus, ray_session):
+    """Building and dropping, one after another, more 2-searcher engines
+    than the session has CPUs neither hangs nor leaks an actor."""
+    import gc
+
+    import ray
+
+    out, oidx, _ = corpus
+
+    def cycle():
+        for _ in range(int(ray.cluster_resources()["CPU"]) // 2 + 2):
+            eng = SearchEngine(out, num_searchers=2)
+            _assert_oracle_exact(eng, oidx, QUERIES[:3], BM25(), 5)
+            del eng
+            gc.collect()
+
+    _within(300, cycle)
+
+
+def test_dropped_engine_ends_serving_threads(corpus, ray_session):
+    """Dropping an engine closes its connections: each actor's serving
+    thread sees EOF and ends, even while the actor itself lives on."""
+    import gc
+    import time
+
+    out, _, _ = corpus
+    eng = SearchEngine(out, num_searchers=2)
+    actors = list(eng._actors)
+    assert all(_on_actor(a, lambda self: self._server.is_alive()) for a in actors)
+    del eng
+    gc.collect()
+    deadline = time.monotonic() + 30
+    while any(_on_actor(a, lambda self: self._server.is_alive()) for a in actors):
+        assert time.monotonic() < deadline, "serving thread still alive"
+        time.sleep(0.05)
 
 
 @pytest.mark.parametrize("num_searchers", [0, 2])
@@ -465,10 +636,10 @@ def test_term_stats_paths_agree(corpus, monkeypatch):
     assert engines["dfs"]._termstats_cache is None
 
 
-def test_large_global_stats_via_object_store(corpus, ray_session):
-    """A batch whose GlobalStats pickles above Ray's 100 KB inline limit
-    makes a scoring request that is put in the object store ONCE and read
-    by both actors, and still matches the oracle exactly."""
+def test_large_request_over_socket(corpus, ray_session):
+    """A scoring request that pickles to more than 1 MB (1,600 composite
+    queries' trees and GlobalStats) crosses each actor's connection intact:
+    the batch matches the oracle exactly."""
     import pickle
 
     from searchengines_ray.parser import parse_query
@@ -476,7 +647,7 @@ def test_large_global_stats_via_object_store(corpus, ray_session):
     out, oidx, _ = corpus
     model = Indri(mu=700.0, lam=0.5)
     queries = []
-    for i in range(800):  # distinct term triples: ~3,200 composite keys
+    for i in range(1600):  # distinct term triples: ~6,000 composite keys
         lap = i // 400
         a, b, c = (
             f"w{n % 400:04d}"
@@ -488,11 +659,10 @@ def test_large_global_stats_via_object_store(corpus, ray_session):
         )
     batch = [(str(i), q) for i, q in enumerate(queries)]
     eng = SearchEngine(out, num_searchers=2)
-    g = eng.global_stats_for(
-        [parse_query(q, model.default_op) for q in queries]
-    )
-    assert len(pickle.dumps(g)) > 100 * 1024
-    res = eng.search_batch(batch, model, k=10)
+    trees = [parse_query(q, model.default_op) for q in queries]
+    request = ("search_trees", (trees, eng.global_stats_for(trees), model, 10))
+    assert len(pickle.dumps(request, protocol=5)) > 2**20
+    res = _within(300, eng.search_batch, batch, model, 10)
     for i, q in enumerate(queries):
         got = res[res.qid == str(i)]
         got_rows = list(
