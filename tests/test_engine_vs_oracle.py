@@ -270,11 +270,16 @@ COMPOSITE_BATCH = [
 ]
 
 
-def test_one_pickled_request_per_scatter(corpus, ray_session, monkeypatch):
+@pytest.mark.parametrize("pad_bytes", [100 * 1024, 0])
+def test_one_pickled_request_per_scatter(
+    corpus, ray_session, monkeypatch, pad_bytes
+):
     """With 2 actors, each scatter of a composite batch (stats pass, then
     scoring) pickles exactly one request on the driver, and search_batch
     makes no ray.get or ray.put call: requests and replies go over the
-    actors' connections."""
+    actors' connections. With ``pad_bytes`` set, one more query of that
+    many bytes of unmatched terms makes the scoring request larger than
+    it, and it still goes out as one pickle over the sockets."""
     import pickle
 
     import ray
@@ -283,15 +288,17 @@ def test_one_pickled_request_per_scatter(corpus, ray_session, monkeypatch):
 
     out, oidx, _ = corpus
     eng = SearchEngine(out, num_searchers=2)
-    dumped, scatters, ray_calls = [], [], []
+    dumped, sizes, scatters, ray_calls = [], [], [], []
 
     class CountingPickle:
         loads = staticmethod(pickle.loads)
 
         @staticmethod
         def dumps(obj, *a, **kw):
+            data = pickle.dumps(obj, *a, **kw)
             dumped.append(obj[0])
-            return pickle.dumps(obj, *a, **kw)
+            sizes.append(len(data))
+            return data
 
     real_scatter = eng._scatter
     monkeypatch.setattr(engine_mod, "pickle", CountingPickle)
@@ -309,10 +316,16 @@ def test_one_pickled_request_per_scatter(corpus, ray_session, monkeypatch):
         lambda method, *args: scatters.append(method)
         or real_scatter(method, *args),
     )
-    batch = [(str(i), q) for i, q in enumerate(COMPOSITE_BATCH)]
+    queries = list(COMPOSITE_BATCH)
+    if pad_bytes:
+        queries.append("w0001 " + " ".join(
+            f"zz{i:05d}" for i in range(pad_bytes // 8)
+        ))
+    batch = [(str(i), q) for i, q in enumerate(queries)]
     res = eng.search_batch(batch, BM25(), k=15)
     assert scatters == ["iop_stats_partial", "search_trees"]
     assert dumped == scatters
+    assert sizes[1] > pad_bytes
     assert ray_calls == []
     for qid, q in batch:
         assert _rows_of(res, qid) == run_query(oidx, q, BM25(), k=15), q
