@@ -1550,7 +1550,7 @@ def _q_split_leakage(sf_dir: str) -> pd.DataFrame:
     # the GROUP key is the text itself, which the SQL oracle reproduces
     # with GROUP BY text
     out = bucket_aggregate(
-        split, find_leaks, key="text", buckets=64, partial=partial
+        split, find_leaks, key="text", partial=partial
     ).to_pandas()
     if out.empty:
         out = pd.DataFrame(

@@ -200,13 +200,6 @@ class LocalSearcher:
         self._iop_token = None
         self._iop_caches: list[dict] = []
 
-    def base_stats(self) -> GlobalStats:
-        return GlobalStats(
-            n_docs=self.stats["n_docs"],
-            doc_count=self.stats["doc_count"],
-            sum_field_len=self.stats["sum_field_len"],
-        )
-
     def term_stats_partial(self, keys: Sequence[tuple]) -> dict:
         """Shard-local (df, ctf) sums for the given (field, term) keys — the
         'dfs phase' of distributed global statistics (dictionary lookups

@@ -11,13 +11,11 @@ from .dedup import (  # noqa: F401
     exact_dedup,
     embedding_neardup_pairs,
     line_dedup,
-    minhash_candidate_pairs,
     minhash_candidate_pairs_ds,
     minhash_dedup_pairs,
     minhash_dedup_pairs_ds,
     minhash_dedup_survivors,
     minhash_cross_pairs_ds,
-    minhash_verify_pairs,
     minhash_verify_pairs_ds,
     ngram_jaccard,
     simhash_dup_pairs,

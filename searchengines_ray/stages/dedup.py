@@ -25,7 +25,6 @@ import hashlib
 import os
 import re
 import zlib
-from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -84,7 +83,7 @@ def exact_dedup(ds, key: str = "text"):
         return g[["doc_id"]].astype({"doc_id": "int64"})
 
     return bucket_aggregate(
-        ds, final_min, key="h", buckets=64, partial=partial_min
+        ds, final_min, key="h", partial=partial_min
     )
 
 
@@ -482,10 +481,9 @@ def _expand_slots(
 # from the object store in every task) and verification costs a single
 # pair-keyed shuffle; above it pairs stay a Dataset and verification pays
 # a second (doc-keyed) shuffle instead of any driver/broadcast pair
-# structure.  Both paths are exact.
-VERIFY_BROADCAST_MAX_PAIRS = int(
-    os.environ.get("SERAY_VERIFY_BROADCAST_PAIRS", 5_000_000)
-)
+# structure.  Both paths are exact; tests patch it to 0 to force the
+# Dataset path.
+VERIFY_BROADCAST_MAX_PAIRS = 5_000_000
 
 
 def _verify_pairs_broadcast(
@@ -494,7 +492,6 @@ def _verify_pairs_broadcast(
     threshold: float,
     shingle: int,
     text_key: str,
-    coarse_buckets: int,
 ):
     """One-shuffle verification for a bounded pair list: broadcast the
     endpoint arrays, emit each candidate doc's shingle set once per pair
@@ -542,7 +539,7 @@ def _verify_pairs_broadcast(
         ds,
         partial(_verify_group, threshold=threshold),
         key=_PAIR,
-        buckets=coarse_buckets,
+        buckets=256,
         partial=shingle_slot_rows,
     )
 
@@ -553,7 +550,6 @@ def minhash_verify_pairs_ds(
     threshold: float,
     shingle: int = 3,
     text_key: str = "text",
-    coarse_buckets: int = 256,
 ):
     """Distributed exact n-gram-Jaccard verification of a candidate-pair
     DATASET — pairs never land on the driver (no pair-map broadcast, no
@@ -591,7 +587,7 @@ def minhash_verify_pairs_ds(
                 )
             )
         return _verify_pairs_broadcast(
-            ds, pairs_df, threshold, shingle, text_key, coarse_buckets
+            ds, pairs_df, threshold, shingle, text_key
         )
 
     def batch_ids(batch: pd.DataFrame) -> pd.DataFrame:
@@ -675,35 +671,11 @@ def minhash_verify_pairs_ds(
         pairs_ds.map_batches(slot_rows, batch_format="pandas")
     )
     return bucket_aggregate(
-        bucket_aggregate(rows, attach, key="jd", buckets=coarse_buckets),
+        bucket_aggregate(rows, attach, key="jd", buckets=256),
         partial(_verify_group, threshold=threshold),
         key=_PAIR,
-        buckets=coarse_buckets,
+        buckets=256,
     )
-
-
-def minhash_verify_pairs(
-    ds,
-    cand_pairs: pd.DataFrame,
-    threshold: float,
-    shingle: int = 3,
-    text_key: str = "text",
-    coarse_buckets: int = 256,
-) -> pd.DataFrame:
-    """Pandas-in/pandas-out wrapper over :func:`minhash_verify_pairs_ds`
-    for control-plane-sized pair lists (tests / CLI)."""
-    import ray.data
-
-    cols = {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"}
-    if cand_pairs.empty:
-        return pd.DataFrame({c: pd.array([], dtype=t) for c, t in cols.items()})
-    pairs_ds = ray.data.from_pandas(
-        cand_pairs[["doc_a", "doc_b"]].astype("int64")
-    )
-    out = minhash_verify_pairs_ds(
-        ds, pairs_ds, threshold, shingle, text_key, coarse_buckets
-    )
-    return _pairs_pandas(out, cols)
 
 
 def ngram_jaccard(text_a: str, text_b: str, shingle: int = 3) -> float:
@@ -722,17 +694,14 @@ def minhash_candidate_pairs_ds(
     bands: int = 16,
     shingle: int = 3,
     max_bucket: int = 200,
-    coarse_buckets: int = 1024,
-    distinct: bool = True,
 ):
     """LSH candidate pairs (doc_a < doc_b) as a DATASET — the pair list
     never lands on the driver (the near-dup graph is super-linear in
     corpus size on boilerplate-heavy web data).
 
-    ``distinct=False`` skips the pair-dedup shuffle and may emit the same
-    pair once per matching band; use it when the consumer dedupes anyway
-    (``minhash_verify_pairs_ds`` groups by (doc_a, doc_b), so duplicated
-    candidates cost only a few extra shuffled slot rows)."""
+    A pair may appear once per matching band: every consumer dedupes
+    anyway (``minhash_verify_pairs_ds`` groups by (doc_a, doc_b), so
+    duplicated candidates cost only a few extra shuffled slot rows)."""
 
     # an INSTANCE (stateless elastic tasks), not an actor pool: the state is
     # a few hundred ints (cheap pickle), and a fixed-size pool both caps the
@@ -765,12 +734,12 @@ def minhash_candidate_pairs_ds(
             )
         return pd.concat(frames, ignore_index=True)
 
-    # one materialize only, at the pair list (bounded, pre-distinct):
+    # one materialize only, at the pair list (bounded):
     # verify consumes it TWICE (id extraction + slot rows) and a lazy
     # dataset re-executes the whole signature chain per consumer.  A
     # single downstream consumer does NOT re-execute (measured on this
     # Ray), so the intermediate band-row stages stay lazy/streaming.
-    pairs = bucket_aggregate(
+    return bucket_aggregate(
         ds,
         coarse_pairs,
         key="band_hash",
@@ -778,35 +747,6 @@ def minhash_candidate_pairs_ds(
         partial=band_rows,
         batch_format="pyarrow",
     ).materialize()
-    if not distinct:
-        return pairs
-
-    # distinct pairs: one pair-hash-bucketed shuffle + a vectorized
-    # drop_duplicates per bucket (a driver-side dedup would make the pair
-    # list itself the scale ceiling; dup pairs across bands land in the
-    # same pair bucket, so the dedup is global)
-    def distinct(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b"]]
-
-    return bucket_aggregate(
-        pairs, distinct, key=_PAIR, buckets=coarse_buckets
-    ).materialize()  # bounded (distinct pairs); consumed twice by verify
-
-
-def minhash_candidate_pairs(
-    ds,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle: int = 3,
-    max_bucket: int = 200,
-) -> pd.DataFrame:
-    """Pandas wrapper over :func:`minhash_candidate_pairs_ds` for
-    control-plane-sized pair lists (tests / CLI)."""
-    out = minhash_candidate_pairs_ds(
-        ds, num_perm=num_perm, bands=bands, shingle=shingle,
-        max_bucket=max_bucket,
-    )
-    return _pairs_pandas(out, {"doc_a": "int64", "doc_b": "int64"})
 
 
 def minhash_dedup_pairs_ds(
@@ -823,8 +763,7 @@ def minhash_dedup_pairs_ds(
     the candidate graph explodes).
     """
     pairs = minhash_candidate_pairs_ds(
-        ds, num_perm=num_perm, bands=bands, shingle=shingle,
-        distinct=False,  # verify groups by (doc_a, doc_b) — dups collapse
+        ds, num_perm=num_perm, bands=bands, shingle=shingle
     )
     return minhash_verify_pairs_ds(ds, pairs, threshold, shingle)
 
@@ -904,21 +843,22 @@ def _dropset_from_pairs(pairs: pd.DataFrame) -> set[int]:
 # once and consolidated with the vectorized union-find; above it the pairs
 # stay a Dataset and consolidate via distributed min-label propagation.
 # Both paths are EXACT — this is a constant-bounded fast path, not a cap
-# (nothing is ever truncated; contrast the removed ``max_pairs``).
-DRIVER_CC_MAX_PAIRS = int(os.environ.get("SERAY_DRIVER_CC_PAIRS", 5_000_000))
+# (nothing is ever truncated; contrast the removed ``max_pairs``).  Tests
+# patch it to 0 to force the distributed path.
+DRIVER_CC_MAX_PAIRS = 5_000_000
 
 
-def dedup_drop_ids(pairs, driver_max_pairs: Optional[int] = None) -> np.ndarray:
+def dedup_drop_ids(pairs) -> np.ndarray:
     """Component non-roots (keep min doc_id per component) as an int64
     array.  A pandas pair list (tests / CLI) consolidates in-process.  A
-    pair DATASET is first counted: at or below ``driver_max_pairs``
-    (default ``DRIVER_CC_MAX_PAIRS``) the two id columns are pulled once
-    and consolidated with the same vectorized union-find — a bounded
+    pair DATASET is first counted: at or below ``DRIVER_CC_MAX_PAIRS``
+    the two id columns are pulled once and consolidated with the same
+    vectorized union-find — a bounded
     driver structure that skips the O(log diameter) shuffle-barrier rounds
     a toy-scale run would otherwise pay; above it, distributed min-label
     propagation (:func:`..graph.connected_components`) keeps the pair
     graph off the driver entirely."""
-    nodes, comp = _component_labels(pairs, driver_max_pairs)
+    nodes, comp = _component_labels(pairs)
     return np.sort(nodes[comp != nodes])
 
 
@@ -942,7 +882,7 @@ def minhash_dedup_survivors(ds, pairs):
     return ds.map_batches(keep, batch_format="pandas")
 
 
-def _component_labels(pairs, driver_max_pairs: Optional[int] = None):
+def _component_labels(pairs):
     """``(nodes, comp)`` int64 arrays for a pair DataFrame or Dataset —
     the same bounded-driver / distributed-CC split as
     :func:`dedup_drop_ids`.  Both arrays are candidate-bounded (one entry
@@ -951,7 +891,6 @@ def _component_labels(pairs, driver_max_pairs: Optional[int] = None):
         return _labels_np(
             pairs["doc_a"].to_numpy(), pairs["doc_b"].to_numpy()
         )
-    limit = DRIVER_CC_MAX_PAIRS if driver_max_pairs is None else driver_max_pairs
     pairs = pairs.select_columns(["doc_a", "doc_b"]).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
@@ -959,7 +898,7 @@ def _component_labels(pairs, driver_max_pairs: Optional[int] = None):
         # empty Dataset drops the schema, so guard before column access
         z = np.empty(0, dtype=np.int64)
         return z, z.copy()
-    if n_pairs <= limit:
+    if n_pairs <= DRIVER_CC_MAX_PAIRS:
         df = pairs.to_pandas()
         return _labels_np(df["doc_a"].to_numpy(), df["doc_b"].to_numpy())
     from .graph import connected_components
@@ -975,7 +914,6 @@ def keep_best_drop_ids(
     pairs,
     quality,
     quality_col: str = "quality",
-    driver_max_pairs: Optional[int] = None,
 ) -> np.ndarray:
     """Quality-aware near-dup consolidation: per connected component keep
     the (quality desc, doc_id asc)-BEST member — not the minimum id — and
@@ -991,7 +929,7 @@ def keep_best_drop_ids(
     the driver (broadcast id-array filter) — the corpus and the pair graph
     stay distributed; a doc missing from ``quality`` scores -1 (sorts
     last, deterministic)."""
-    nodes, comp = _component_labels(pairs, driver_max_pairs)
+    nodes, comp = _component_labels(pairs)
     if len(nodes) == 0:
         return np.empty(0, dtype=np.int64)
     if isinstance(quality, pd.DataFrame):
@@ -1119,22 +1057,22 @@ def _line_key(b) -> np.ndarray:
     return np.where(h == -1, b["doc_id"].to_numpy(), h)
 
 
-def _line_exchange(ds, min_chars: int, mark, coarse_buckets: int):
+def _line_exchange(ds, min_chars: int, mark):
     """Explode docs to line rows, ``mark`` the surviving lines per
     line-hash bucket, reassemble docs per doc bucket."""
     marked = bucket_aggregate(
         ds,
         mark,
         key=_line_key,
-        buckets=coarse_buckets,
+        buckets=1024,
         partial=lambda b: _explode_lines(b, min_chars),
     )
     return bucket_aggregate(
-        marked, _reassemble_lines, key="doc_id", buckets=coarse_buckets
+        marked, _reassemble_lines, key="doc_id", buckets=1024
     )
 
 
-def line_dedup(ds, min_chars: int = 10, coarse_buckets: int = 1024):
+def line_dedup(ds, min_chars: int = 10):
     """Cross-corpus line-level deduplication (the C4 pipeline's line dedup):
     every line of ``min_chars``+ characters is kept only at its FIRST
     global occurrence (ordered by (doc_id, line_idx)); shorter lines are
@@ -1170,11 +1108,11 @@ def line_dedup(ds, min_chars: int = 10, coarse_buckets: int = 1024):
             [group.loc[short], gl.loc[first.to_numpy()]], ignore_index=True
         )[["doc_id", "line_idx", "line"]]
 
-    return _line_exchange(ds, min_chars, mark, coarse_buckets)
+    return _line_exchange(ds, min_chars, mark)
 
 
 def boilerplate_filter(
-    ds, min_chars: int = 10, max_docs: int = 1, coarse_buckets: int = 1024
+    ds, min_chars: int = 10, max_docs: int = 1
 ):
     """Global frequent-line (boilerplate) removal — the RefinedWeb /
     CCNet paragraph-frequency filter: a line of ``min_chars``+ characters
@@ -1220,14 +1158,13 @@ def boilerplate_filter(
             ["doc_id", "line_idx", "line"]
         ]
 
-    return _line_exchange(ds, min_chars, mark, coarse_buckets)
+    return _line_exchange(ds, min_chars, mark)
 
 
 # ----------------------------------------------------------- substring dedup
 
 
-def substring_dedup(ds, k: int = 8, buckets: int = 64,
-                    coarse_buckets: int = 1024):
+def substring_dedup(ds, k: int = 8):
     """ExactSubstr-style duplicate-SPAN removal (Lee et al. 2021,
     "Deduplicating Training Data Makes Language Models Better"): every
     ``k``-token gram occurrence that is NOT the corpus-wide first
@@ -1326,11 +1263,11 @@ def substring_dedup(ds, k: int = 8, buckets: int = 64,
 
     dup_pos = bucket_aggregate(
         bucket_aggregate(
-            ds, mark, key="gram", buckets=buckets, partial=explode
+            ds, mark, key="gram", partial=explode
         ),
         fold_pos,
         key="doc_id",
-        buckets=coarse_buckets,
+        buckets=1024,
     )
 
     joined = hash_equijoin(
@@ -1486,7 +1423,7 @@ def _popcount_u64(x: np.ndarray) -> np.ndarray:
         return (x * h01) >> np.uint64(56)
 
 
-def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
+def simhash_dup_pairs(ds, max_hamming: int = 3):
     """Pairs with SimHash Hamming distance <= max_hamming, found via band
     buckets (a pair within distance 3 shares at least one of 4 bands —
     pigeonhole, so recall is EXACTLY 1.0).
@@ -1498,7 +1435,7 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
     straddling pair was missed in all 4 bands (caught by the sf0.1
     all-pairs SQL oracle: 1351 of 1438 true pairs).  The quadratic cost is
     inherent when the answer itself is quadratic (a cluster of identical
-    docs); ``block`` only bounds per-step memory.
+    docs); the sweep runs in 2048 x 2048 tiles to bound per-step memory.
     """
     sh = ds.map_batches(SimHasher(), batch_format="pandas")
 
@@ -1524,6 +1461,7 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
         ids = np.asarray([r[0] for r in recs], dtype=np.int64)
         hs = np.asarray([r[1] for r in recs], dtype=np.uint64)
         n = len(ids)
+        block = 2048
         oa, ob = [], []
         for i0 in range(0, n, block):
             a = hs[i0 : i0 + block]
@@ -1561,8 +1499,9 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, block: int = 2048):
             )
         return pd.concat(frames, ignore_index=True)
 
-    # coarse-bucket shuffle (see minhash_candidate_pairs): per-group Python
-    # overhead amortizes over ~1k coarse groups instead of one per LSH bucket
+    # coarse-bucket shuffle (see minhash_candidate_pairs_ds): per-group
+    # Python overhead amortizes over ~1k coarse groups instead of one per
+    # LSH bucket
     pairs = bucket_aggregate(
         sh, coarse_pairs, key="band_val", buckets=1024, partial=band_rows
     )
@@ -1692,7 +1631,7 @@ def embedding_neardup_pairs(
         )
 
     pairs = bucket_aggregate(
-        rows, coarse_pairs, key=["table", "bucket"], buckets=64
+        rows, coarse_pairs, key=["table", "bucket"]
     )
 
     def maxpair(group: pd.DataFrame) -> pd.DataFrame:
@@ -1701,7 +1640,7 @@ def embedding_neardup_pairs(
         )["cosine"].max()
 
     df = bucket_aggregate(
-        pairs, maxpair, key=_PAIR, buckets=64
+        pairs, maxpair, key=_PAIR
     ).to_pandas()
     return _pairs_pandas(
         df, {"doc_a": "int64", "doc_b": "int64", "cosine": "float64"}
@@ -1761,7 +1700,6 @@ def allpairs_jaccard_ds(
     ds,
     threshold: float = 0.5,
     shingle: int = 3,
-    coarse_buckets: int = 1024,
 ):
     """EXACT set-similarity self-join via AllPairs prefix filtering —
     the deterministic-recall alternative to MinHash-LSH (Bayardo et al.
@@ -1846,13 +1784,13 @@ def allpairs_jaccard_ds(
         return pd.concat(frames, ignore_index=True)
 
     shingle_df = bucket_aggregate(
-        ds, attach_df, key="sh", buckets=coarse_buckets, partial=sh_rows
+        ds, attach_df, key="sh", buckets=1024, partial=sh_rows
     )
     prefix_rows = bucket_aggregate(
-        shingle_df, prefixes, key="doc_id", buckets=coarse_buckets
+        shingle_df, prefixes, key="doc_id", buckets=1024
     )
     pairs = bucket_aggregate(
-        prefix_rows, cand_pairs, key="sh", buckets=coarse_buckets
+        prefix_rows, cand_pairs, key="sh", buckets=1024
     )
     # verify collapses duplicate candidates (groups by pair) and applies
     # the exact n-gram Jaccard >= threshold filter
@@ -1966,8 +1904,7 @@ def cdc_chunk_rows(ds, k: int = 4, divisor: int = 16):
     return ds.map_batches(rows, batch_format="pandas")
 
 
-def cdc_chunk_dedup(ds, k: int = 4, divisor: int = 16,
-                    buckets: int = 64):
+def cdc_chunk_dedup(ds, k: int = 4, divisor: int = 16):
     """Cross-corpus duplicated-chunk table over :func:`cdc_chunk_rows`:
     for every chunk content hash occurring more than once, its size, the
     occurrence/doc counts and the first occurrence (lexicographic min
@@ -2024,7 +1961,6 @@ def cdc_chunk_dedup(ds, k: int = 4, divisor: int = 16,
         cdc_chunk_rows(ds, k=k, divisor=divisor),
         agg,
         key="chunk_hash",
-        buckets=buckets,
     )
 
 
@@ -2113,7 +2049,6 @@ def bottomk_neardup(
     k: int = 16,
     shingle: int = 4,
     min_inter: int = 1,
-    coarse_buckets: int = 256,
 ):
     """Near-duplicate pair ESTIMATES from bottom-k sketches: for every
     doc pair sharing at least one sketch hash, the standard bottom-k
@@ -2179,10 +2114,10 @@ def bottomk_neardup(
         return pd.concat(frames, ignore_index=True)
 
     pairs = bucket_aggregate(
-        sk, cand_pairs, key="sh", buckets=coarse_buckets, partial=sh_rows
+        sk, cand_pairs, key="sh", buckets=256, partial=sh_rows
     )
     return bottomk_pair_estimates(
-        pairs, sk, k=k, min_inter=min_inter, coarse_buckets=coarse_buckets
+        pairs, sk, k=k, min_inter=min_inter
     )
 
 
@@ -2218,8 +2153,7 @@ def _union_bottomk(A: np.ndarray, B: np.ndarray, k: int):
 
 
 def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
-                           min_inter: int = 1,
-                           coarse_buckets: int = 256):
+                           min_inter: int = 1):
     """Vectorized bottom-k Jaccard estimates for a candidate-pair
     Dataset: attach each endpoint's sketch blob through ONE doc-bucket
     exchange (two slot rows per pair unioned with the blob rows — the
@@ -2314,10 +2248,10 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
         blobs_ds.map_batches(blob_rows, batch_format="pandas")
     )
     return bucket_aggregate(
-        bucket_aggregate(rows, attach, key="doc", buckets=coarse_buckets),
+        bucket_aggregate(rows, attach, key="doc", buckets=256),
         estimate,
         key=_PAIR,
-        buckets=coarse_buckets,
+        buckets=256,
     )
 
 

@@ -74,19 +74,20 @@ def _tag(batch, key, buckets: int):
 
 
 def bucket_aggregate(
-    ds, final, *, key, buckets: int, partial=None, batch_format="pandas"
+    ds, final, *, key, buckets: int = 64, partial=None, batch_format="pandas"
 ):
     """``groupby(bucket_of(key)).map_groups(final)`` with an optional
     map-side combiner.
 
-    ``partial`` (a function of one ``batch_format`` batch, pandas or
-    pyarrow) runs first; without it the input batches are tagged as they
-    are.  ``key`` names the column to hash; a list of integer (or
-    datetime) columns is one composite int64 key; a function of the
-    (combined) batch returns the keys itself.  ``final`` gets
-    one bucket's rows as a pandas frame (every row of a key is in one
-    call) and returns a pandas frame; the bucket column never reaches it
-    or the output.
+    ``buckets`` is the number of coarse shuffle groups; it never changes
+    the result.  ``partial`` (a function of one ``batch_format`` batch,
+    pandas or pyarrow) runs first; without it the input batches are
+    tagged as they are.  ``key`` names the column to hash; a list of
+    integer (or datetime) columns is one composite int64 key; a function
+    of the (combined) batch returns the keys itself.  ``final`` gets one
+    bucket's rows as a pandas frame (every row of a key is in one call)
+    and returns a pandas frame; the bucket column never reaches it or
+    the output.
     """
 
     def tag(batch):

@@ -28,10 +28,7 @@ import pandas as pd
 from .exchange import bucket_aggregate
 
 
-def connected_components(
-    pairs_ds, coarse_buckets: int = 256, max_iters: int = 64,
-    _verbose: bool = False,
-):
+def connected_components(pairs_ds, max_iters: int = 64):
     """Labels every node of an undirected pair Dataset ``(doc_a, doc_b)``
     with its component's minimum node id.  Returns a Dataset
     ``(node, root)`` covering every node that appears in a pair.
@@ -61,11 +58,7 @@ def connected_components(
             "root": pd.array([], dtype="int64"),
         }
     )
-    if _verbose:
-        print("[cc] building edges", flush=True)
     edges = pairs_ds.map_batches(bidirect, batch_format="pandas").materialize()
-    if _verbose:
-        print("[cc] edges done", flush=True)
     if edges.count() == 0:
         return ray.data.from_pandas(empty)
 
@@ -84,8 +77,6 @@ def connected_components(
         .materialize()
     )
     prev_sum = labels.sum("label")
-    if _verbose:
-        print(f"[cc] init sum={prev_sum}", flush=True)
 
     def label_rows(batch: pd.DataFrame) -> pd.DataFrame:
         node = batch["node"].to_numpy().astype(np.int64)
@@ -165,12 +156,10 @@ def connected_components(
         lrows = labels.map_batches(label_rows, batch_format="pandas")
         # 1) min over closed neighborhood (combiner-backed groupby.min)
         cands = bucket_aggregate(
-            edges.union(lrows), propagate, key="key", buckets=coarse_buckets
+            edges.union(lrows), propagate, key="key", buckets=256
         )
         labels = (
-            bucket_aggregate(
-                cands, min_label, key="node", buckets=coarse_buckets
-            )
+            bucket_aggregate(cands, min_label, key="node", buckets=256)
             .repartition(nblocks)
             .materialize()  # bounded (one row per node); an unmaterialized
             # chain re-executes under each round's groupby sampling
@@ -181,8 +170,6 @@ def connected_components(
         # pointer jump: clique-heavy dedup graphs converge in 1-2 rounds
         # and the jump's extra executions are pure overhead for them
         cur_sum = labels.sum("label")
-        if _verbose:
-            print(f"[cc] propagate sum={cur_sum}", flush=True)
         if cur_sum == prev_sum:
             converged = True
             break
@@ -199,14 +186,12 @@ def connected_components(
                 labels.map_batches(label_rows, batch_format="pandas")
             )
             labels = (
-                bucket_aggregate(reqs, jump, key="key", buckets=coarse_buckets)
+                bucket_aggregate(reqs, jump, key="key", buckets=256)
                 .repartition(nblocks)
                 .materialize()
             )
             iters += 1
             cur_sum = labels.sum("label")
-            if _verbose:
-                print(f"[cc] jump sum={cur_sum}", flush=True)
             if cur_sum == prev_sum:
                 break  # pointer structure flattened; back to propagate
             prev_sum = cur_sum
@@ -246,9 +231,6 @@ def pagerank(
     edges_ds,
     iters: int = 5,
     scale: int = 10**12,
-    coarse_buckets: int = 64,
-    nblocks: int = 16,
-    local_max_edges: int = PAGERANK_LOCAL_MAX_EDGES,
 ):
     """Integer-deterministic PageRank over a directed edge Dataset
     ``(src, dst)`` — the second graph op beside connected components.
@@ -280,17 +262,17 @@ def pagerank(
       constant base term from round 1 on — so instead of shuffling a
       zero row per node every round, a small materialized
       constant-rank dataset is lazily union-ed in after the groupby.
-    - ranks repartition back to ``nblocks`` every third round only
+    - ranks repartition back to 16 blocks every third round only
       (the union grows block counts linearly now, not per-node).
 
     Adaptive fast path (the bounded-broadcast pattern from
     stages/dedup.py): when the deduped edge count is <=
-    ``local_max_edges`` the whole iteration runs inside ONE map task
-    over the coalesced edge set — identical integer formulas over
-    np.bincount sums (shares are < 2^53 so float64 accumulation is
+    ``PAGERANK_LOCAL_MAX_EDGES`` the edge set is pulled to the driver
+    and the whole iteration runs there — identical integer formulas
+    over np.bincount sums (shares are < 2^53 so float64 accumulation is
     exact in any order), so the output is BIT-IDENTICAL to the
-    distributed path (pinned by a forced-path pytest).  Pass
-    ``local_max_edges=0`` to force the distributed plan.
+    distributed path (pinned by a forced-path pytest, which patches
+    the constant to 0).
     """
     import ray.data
 
@@ -329,40 +311,34 @@ def pagerank(
         edges_ds,
         dedup_with_deg,
         key="src",
-        buckets=coarse_buckets,
         partial=edge_partial,
     ).materialize()
 
-    if ewd.count() <= local_max_edges:
-        # bounded fast path: all iterations in one task, identical
+    if ewd.count() <= PAGERANK_LOCAL_MAX_EDGES:
+        # bounded fast path: all iterations on the driver, identical
         # integer arithmetic (bincount float64 sums are exact below
         # 2^53, then back to int64)
-        def solve(batch: pd.DataFrame) -> pd.DataFrame:
-            src = batch["src"].to_numpy().astype(np.int64)
-            dst = batch["dst"].to_numpy().astype(np.int64)
-            od = batch["od"].to_numpy().astype(np.int64)
-            nodes_l = np.unique(np.concatenate([src, dst]))
-            n = len(nodes_l)
-            if n == 0:
-                return pd.DataFrame(
-                    {
-                        "node": np.zeros(0, np.int64),
-                        "r": np.zeros(0, np.int64),
-                    }
+        e = ewd.to_pandas()
+        if e.empty:
+            return ray.data.from_pandas(
+                pd.DataFrame(
+                    {"node": np.zeros(0, np.int64), "r": np.zeros(0, np.int64)}
                 )
-            base_l = (15 * scale) // (100 * n)
-            si = np.searchsorted(nodes_l, src)
-            di = np.searchsorted(nodes_l, dst)
-            r = np.full(n, scale // n, np.int64)
-            for _ in range(iters):
-                share = r[si] // od
-                s = np.bincount(di, weights=share, minlength=n)
-                r = base_l + (85 * s.astype(np.int64)) // 100
-            return pd.DataFrame({"node": nodes_l, "r": r})
-
-        return ewd.repartition(1).map_batches(
-            solve, batch_format="pandas", batch_size=None
-        )
+            )
+        src = e["src"].to_numpy().astype(np.int64)
+        dst = e["dst"].to_numpy().astype(np.int64)
+        od = e["od"].to_numpy().astype(np.int64)
+        nodes_l = np.unique(np.concatenate([src, dst]))
+        n = len(nodes_l)
+        base_l = (15 * scale) // (100 * n)
+        si = np.searchsorted(nodes_l, src)
+        di = np.searchsorted(nodes_l, dst)
+        r = np.full(n, scale // n, np.int64)
+        for _ in range(iters):
+            share = r[si] // od
+            s = np.bincount(di, weights=share, minlength=n)
+            r = base_l + (85 * s.astype(np.int64)) // 100
+        return ray.data.from_pandas(pd.DataFrame({"node": nodes_l, "r": r}))
 
     def node_partial(batch: pd.DataFrame) -> pd.DataFrame:
         s = np.unique(batch["src"].to_numpy().astype(np.int64))
@@ -387,7 +363,6 @@ def pagerank(
         ewd,
         node_final,
         key="node",
-        buckets=coarse_buckets,
         partial=node_partial,
     ).materialize()
     n_nodes = nodes.count()
@@ -420,7 +395,7 @@ def pagerank(
             ),
             batch_format="pandas",
         )
-        .repartition(max(1, nblocks // 4))
+        .repartition(4)
         .materialize()
     )
 
@@ -462,18 +437,17 @@ def pagerank(
     for i in range(iters):
         joined = hash_equijoin(
             ewd, ranks, left_on="src", right_on="node",
-            right_cols=("r",), coarse_buckets=coarse_buckets,
+            right_cols=("r",), coarse_buckets=64,
             left_schema_hint=ewd_schema, right_schema_hint=rank_schema,
         )
         ranks = bucket_aggregate(
             joined,
             next_rank,
             key="node",
-            buckets=coarse_buckets,
             partial=contrib,
         ).union(noin)
         if (i + 1) % 3 == 0 and i + 1 < iters:
-            ranks = ranks.repartition(nblocks)
+            ranks = ranks.repartition(16)
     return ranks
 
 
@@ -484,8 +458,6 @@ def hits(
     edges_ds,
     iters: int = 2,
     scale: int = 10**6,
-    coarse_buckets: int = 64,
-    local_max_edges: int = HITS_LOCAL_MAX_EDGES,
 ):
     """Integer-deterministic HITS hubs/authorities (Kleinberg 1999)
     over a directed edge Dataset ``(src, dst)`` — the link-analysis
@@ -511,12 +483,14 @@ def hits(
     max is a scalar off the materialized sums (zero-contribution nodes
     simply stay absent until the final nodes-left-join assembly, so no
     zero rows ride the iteration shuffles).  Adaptive local fast path
-    at <= ``local_max_edges`` deduped edges: identical formulas via
-    ``np.add.at`` int64 scatter-sums in ONE task (pytest pins both
-    paths bit-equal; ``local_max_edges=0`` forces the distributed
-    plan).  Overflow guard: ``max' * scale`` must fit int64 — enforced
-    per normalization, mirroring pagerank's 2^53 precondition.
+    at <= ``HITS_LOCAL_MAX_EDGES`` deduped edges: identical formulas via
+    ``np.add.at`` int64 scatter-sums on the driver (pytest pins both
+    paths bit-equal by patching the constant to 0).  Overflow guard:
+    ``max' * scale`` must fit int64 — enforced per normalization,
+    mirroring pagerank's 2^53 precondition.
     """
+    import ray.data
+
     from .joins import hash_equijoin
 
     if scale <= 0:
@@ -539,7 +513,6 @@ def hits(
         edges_ds,
         dedup,
         key="src",
-        buckets=coarse_buckets,
         partial=edge_partial,
     ).materialize()
 
@@ -551,47 +524,41 @@ def hits(
         }
     )
 
-    if ewd.count() <= local_max_edges:
-
-        def solve(batch: pd.DataFrame) -> pd.DataFrame:
-            src = batch["src"].to_numpy().astype(np.int64)
-            dst = batch["dst"].to_numpy().astype(np.int64)
-            nodes_l = np.unique(np.concatenate([src, dst]))
-            n = len(nodes_l)
-            if n == 0:
-                return empty
-            si = np.searchsorted(nodes_l, src)
-            di = np.searchsorted(nodes_l, dst)
-            a = np.zeros(n, np.int64)
-            h = np.full(n, scale, np.int64)
-            for _ in range(iters):
-                s = np.zeros(n, np.int64)
-                np.add.at(s, di, h[si])
-                m = int(s.max())
-                if m >= max_norm:
-                    raise ValueError(
-                        f"hits: max contribution {m} * scale overflows "
-                        "int64 — lower scale"
-                    )
-                a = (s * scale) // m if m > 0 else np.zeros(n, np.int64)
-                s2 = np.zeros(n, np.int64)
-                np.add.at(s2, si, a[di])
-                m2 = int(s2.max())
-                if m2 >= max_norm:
-                    raise ValueError(
-                        f"hits: max contribution {m2} * scale overflows "
-                        "int64 — lower scale"
-                    )
-                h = (
-                    (s2 * scale) // m2
-                    if m2 > 0
-                    else np.zeros(n, np.int64)
+    if ewd.count() <= HITS_LOCAL_MAX_EDGES:
+        e = ewd.to_pandas()
+        if e.empty:
+            return ray.data.from_pandas(empty)
+        src = e["src"].to_numpy().astype(np.int64)
+        dst = e["dst"].to_numpy().astype(np.int64)
+        nodes_l = np.unique(np.concatenate([src, dst]))
+        n = len(nodes_l)
+        si = np.searchsorted(nodes_l, src)
+        di = np.searchsorted(nodes_l, dst)
+        a = np.zeros(n, np.int64)
+        h = np.full(n, scale, np.int64)
+        for _ in range(iters):
+            s = np.zeros(n, np.int64)
+            np.add.at(s, di, h[si])
+            m = int(s.max())
+            if m >= max_norm:
+                raise ValueError(
+                    f"hits: max contribution {m} * scale overflows "
+                    "int64 — lower scale"
                 )
-            return pd.DataFrame({"node": nodes_l, "auth": a, "hub": h})
-
-        return ewd.repartition(1).map_batches(
-            solve, batch_format="pandas", batch_size=None
+            a = (s * scale) // m if m > 0 else np.zeros(n, np.int64)
+            s2 = np.zeros(n, np.int64)
+            np.add.at(s2, si, a[di])
+            m2 = int(s2.max())
+            if m2 >= max_norm:
+                raise ValueError(
+                    f"hits: max contribution {m2} * scale overflows "
+                    "int64 — lower scale"
+                )
+            h = (s2 * scale) // m2 if m2 > 0 else np.zeros(n, np.int64)
+        return ray.data.from_pandas(
+            pd.DataFrame({"node": nodes_l, "auth": a, "hub": h})
         )
+
 
     def node_partial(batch: pd.DataFrame) -> pd.DataFrame:
         n = np.unique(
@@ -612,7 +579,6 @@ def hits(
         ewd,
         node_final,
         key="node",
-        buckets=coarse_buckets,
         partial=node_partial,
     ).materialize()
 
@@ -625,7 +591,7 @@ def hits(
         (node, v) Dataset of only the nodes that received mass."""
         joined = hash_equijoin(
             ewd, vals, left_on=ship_key, right_on="node",
-            right_cols=("v",), coarse_buckets=coarse_buckets,
+            right_cols=("v",), coarse_buckets=64,
             left_schema_hint=ewd_schema, right_schema_hint=val_schema,
         )
 
@@ -646,7 +612,6 @@ def hits(
             joined,
             bucket_sum,
             key="node",
-            buckets=coarse_buckets,
             partial=contrib,
         ).materialize()
         m = sums.max("s") if sums.count() else 0
@@ -687,7 +652,7 @@ def hits(
     node_schema = {"node": np.dtype(np.int64)}
     out = hash_equijoin(
         nodes, a, left_on="node", right_on="node", right_cols=("v",),
-        how="left", coarse_buckets=coarse_buckets,
+        how="left", coarse_buckets=64,
         left_schema_hint=node_schema, right_schema_hint=val_schema,
     )
     out = out.map_batches(
@@ -704,7 +669,7 @@ def hits(
     out_schema = {"node": np.dtype(np.int64), "auth": np.dtype(np.int64)}
     out = hash_equijoin(
         out, h, left_on="node", right_on="node", right_cols=("v",),
-        how="left", coarse_buckets=coarse_buckets,
+        how="left", coarse_buckets=64,
         left_schema_hint=out_schema, right_schema_hint=val_schema,
     )
     return out.map_batches(
@@ -724,11 +689,7 @@ def hits(
 TRIANGLES_LOCAL_MAX_EDGES = 100_000
 
 
-def triangle_count(
-    pairs_ds,
-    coarse_buckets: int = 256,
-    local_max_edges: int = TRIANGLES_LOCAL_MAX_EDGES,
-) -> int:
+def triangle_count(pairs_ds) -> int:
     """Exact triangle count of an undirected pair Dataset ``(doc_a,
     doc_b)`` (doc_a < doc_b, duplicates tolerated) — the third graph op
     beside connected components and PageRank.
@@ -747,11 +708,11 @@ def triangle_count(
     count is a distributed sum.  Only the scalar total reaches the
     driver.
 
-    Adaptive fast path: at or below ``local_max_edges`` deduped edges
-    the same degree-ordered wedge algorithm runs locally as two C-level
-    pandas merges (wedge volume bounded O(E^1.5) by the orientation) —
-    identical count, ~7 shuffle barriers cheaper.  Pass
-    ``local_max_edges=0`` to force the distributed plan (pytest pins
+    Adaptive fast path: at or below ``TRIANGLES_LOCAL_MAX_EDGES``
+    deduped edges the same degree-ordered wedge algorithm runs locally
+    as two C-level pandas merges (wedge volume bounded O(E^1.5) by the
+    orientation) — identical count, ~7 shuffle barriers cheaper.  Tests
+    patch the constant to 0 to force the distributed plan (pytest pins
     both paths equal on random graphs).
     """
     import ray.data
@@ -768,11 +729,11 @@ def triangle_count(
         pairs_ds,
         dedup_edges,
         key=["doc_a", "doc_b"],
-        buckets=coarse_buckets,
+        buckets=256,
         partial=edge_partial,
     ).materialize()
 
-    if edges.count() <= local_max_edges:
+    if edges.count() <= TRIANGLES_LOCAL_MAX_EDGES:
         e = edges.to_pandas()
         if len(e) == 0:
             return 0
@@ -822,7 +783,7 @@ def triangle_count(
         edges,
         lambda g: g.groupby("node", as_index=False)["deg"].sum(),
         key="node",
-        buckets=coarse_buckets,
+        buckets=256,
         partial=deg_partial,
     ).materialize()
 
@@ -830,7 +791,7 @@ def triangle_count(
     ewd = hash_equijoin(
         hash_equijoin(
             edges, deg, left_on="doc_a", right_on="node",
-            right_cols=("deg",), coarse_buckets=coarse_buckets,
+            right_cols=("deg",),
         ).map_batches(
             lambda b: b.rename(columns={"r_deg": "deg_a"}),
             batch_format="pandas",
@@ -839,7 +800,6 @@ def triangle_count(
         left_on="doc_b",
         right_on="node",
         right_cols=("deg",),
-        coarse_buckets=coarse_buckets,
         # the lazy inner-join output would otherwise be partially
         # executed just to probe its schema
         left_schema_hint={"doc_a": i64, "doc_b": i64, "deg_a": i64},
@@ -909,7 +869,7 @@ def triangle_count(
         return pd.DataFrame({"n": [int(len(wedges.merge(e, on=["v", "w"])))]})
 
     wedges = bucket_aggregate(
-        oriented, wedge_rows, key="src", buckets=coarse_buckets
+        oriented, wedge_rows, key="src", buckets=256
     )
     tagged = wedges.union(
         oriented.map_batches(edge_key_rows, batch_format="pandas")
@@ -918,12 +878,12 @@ def triangle_count(
         tagged,
         close_count,
         key=["v", "w"],
-        buckets=coarse_buckets,
+        buckets=256,
     ).sum("n")
     return int(total or 0)
 
 
-def anchor_text_agg(links_ds, buckets: int = 64):
+def anchor_text_agg(links_ds):
     """Inlink / anchor-text field construction — the web-index build
     stage the reference got for free from its pre-built Lucene index
     (the ``inlink`` field of ``QryEval/QryParser.java:159-165`` is
@@ -958,7 +918,6 @@ def anchor_text_agg(links_ds, buckets: int = 64):
         links_ds.select_columns(["src", "dst", "j", "anchor"]),
         agg,
         key="dst",
-        buckets=buckets,
     )
 
 
@@ -1021,12 +980,7 @@ def synth_links(docs_ds, n_docs: int):
 WALKS_LOCAL_MAX_EDGES = 2_000_000
 
 
-def random_walks(
-    edges_ds,
-    steps: int = 3,
-    coarse_buckets: int = 64,
-    local_max_edges: int = WALKS_LOCAL_MAX_EDGES,
-):
+def random_walks(edges_ds, steps: int = 3):
     """Derandomized random walks — DeepWalk / node2vec corpus sampling
     (Perozzi et al. 2014; Grover & Leskovec 2016) made EXACTLY
     reproducible: one walk starts at every distinct source node, and
@@ -1054,10 +1008,11 @@ def random_walks(
     feeds both the next step and the output union).
 
     Adaptive fast path (the bounded-broadcast pattern shared with
-    pagerank/hits/triangles): at or below ``local_max_edges`` edges the
-    whole walk runs inside ONE map task with numpy searchsorted range
-    expansion — bit-identical integer argmins (forced-path pytest pins
-    it; pass ``local_max_edges=0`` to force the distributed plan).
+    pagerank/hits/triangles): at or below ``WALKS_LOCAL_MAX_EDGES``
+    edges the edge set is pulled to the driver and the whole walk runs
+    there with numpy searchsorted range expansion — bit-identical
+    integer argmins (a forced-path pytest pins it by patching the
+    constant to 0).
 
     Returns ``(start, step, node)`` with step 0..``steps``.
     """
@@ -1074,8 +1029,7 @@ def random_walks(
             }
         )
 
-    n_edges = edges_ds.count()
-    if n_edges <= local_max_edges:
+    if edges_ds.count() <= WALKS_LOCAL_MAX_EDGES:
 
         def solve(batch: pd.DataFrame) -> pd.DataFrame:
             if batch.empty:
@@ -1131,9 +1085,7 @@ def random_walks(
                 }
             )
 
-        return edges_ds.repartition(1).map_batches(
-            solve, batch_format="pandas", batch_size=None
-        )
+        return ray.data.from_pandas(solve(edges_ds.to_pandas()))
 
     # ---------------- distributed plan: one bucketed shuffle per step
     def edge_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1214,7 +1166,6 @@ def random_walks(
             inp,
             partial(_step_group, t=t),
             key=walk_key,
-            buckets=coarse_buckets,
         ).materialize()
         outs.append((t, frontier))
 
@@ -1271,8 +1222,7 @@ def _pairs_within_groups(sizes: np.ndarray):
     return left, right, gid
 
 
-def adamic_adar(edges_ds, cap: int = 64, topk: int = 50,
-                coarse_buckets: int = 256):
+def adamic_adar(edges_ds, cap: int = 64, topk: int = 50):
     """Adamic-Adar link prediction (Adamic & Adar 2003): for every node
     pair (a < b) sharing at least one neighbor, score = sum over common
     neighbors z of 1/ln(deg z) — the classic "people/items you may also
@@ -1357,14 +1307,14 @@ def adamic_adar(edges_ds, cap: int = 64, topk: int = 50,
         edges_ds,
         wedge_pairs,
         key="src",
-        buckets=coarse_buckets,
+        buckets=256,
         partial=edge_rows,
     )
     # materialize before grouped_topk: its ds.schema() probe would
     # otherwise partially EXECUTE the lazy wedge pipeline a second time
     # (the paid-for schema-on-lazy lesson)
     sums = bucket_aggregate(
-        pair_sums, sum_final, key="pair", buckets=coarse_buckets
+        pair_sums, sum_final, key="pair", buckets=256
     ).materialize()
     if sums.count() == 0:  # no wedge: an empty Dataset has no schema
         return pd.DataFrame(
@@ -1398,9 +1348,7 @@ def adamic_adar(edges_ds, cap: int = 64, topk: int = 50,
 KCORE_LOCAL_MAX_EDGES = 200_000
 
 
-def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
-               coarse_buckets: int = 64,
-               local_max_edges: int = KCORE_LOCAL_MAX_EDGES) -> pd.DataFrame:
+def kcore_peel(edges_ds, k: int = 8, rounds: int = 6) -> pd.DataFrame:
     """R-round k-core peeling (Seidman 1983 "Network structure and
     minimum degree") over the undirected distinct-neighbor graph — the
     dense-subgraph / spam-farm / community-skeleton filter: each round
@@ -1417,10 +1365,10 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
     Plan: one src-bucketed symmetrize+dedup exchange; per round ONE
     bucketed degree count and TWO semi-joins (src / dst endpoint kept
     iff its node survives) — the connected-components cost shape, R
-    times.  Adaptive local fast path at <= ``local_max_edges`` deduped
-    edges solves all rounds in one task (np.unique degree counts +
-    boolean masks), pinned bit-equal to the distributed plan;
-    ``local_max_edges=0`` forces distributed.  Returns the surviving
+    times.  Adaptive local fast path at <= ``KCORE_LOCAL_MAX_EDGES``
+    deduped edges solves all rounds on the driver (np.unique degree
+    counts + boolean masks), pinned bit-equal to the distributed plan
+    (tests patch the constant to 0 to force it).  Returns the surviving
     ``(node, degree)`` table sorted node asc (degree within the
     surviving subgraph).
     """
@@ -1442,7 +1390,6 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
         edges_ds,
         dedup,
         key="src",
-        buckets=coarse_buckets,
         partial=sym_partial,
     ).materialize()
 
@@ -1456,7 +1403,7 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
     if n_edges == 0:
         return empty
 
-    if n_edges <= local_max_edges:
+    if n_edges <= KCORE_LOCAL_MAX_EDGES:
         df = ewd.to_pandas()
         src = df["src"].to_numpy().astype(np.int64)
         dst = df["dst"].to_numpy().astype(np.int64)
@@ -1504,7 +1451,6 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
             cur,
             deg_final,
             key="src",
-            buckets=coarse_buckets,
             partial=deg_partial,
         ).materialize()  # consumed by two semi-joins
         nxt = hash_equijoin(
@@ -1513,7 +1459,7 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
             left_on="src",
             right_on="node",
             how="semi",
-            coarse_buckets=coarse_buckets,
+            coarse_buckets=64,
             left_schema_hint=schema_hint,
             right_schema_hint=surv_hint,
         )
@@ -1523,7 +1469,7 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
             left_on="dst",
             right_on="node",
             how="semi",
-            coarse_buckets=coarse_buckets,
+            coarse_buckets=64,
             left_schema_hint=schema_hint,
             right_schema_hint=surv_hint,
         ).materialize()
@@ -1549,7 +1495,6 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6,
         cur,
         final_deg,
         key="src",
-        buckets=coarse_buckets,
         partial=deg_partial,
     ).to_pandas()
     if len(out) == 0:

@@ -68,7 +68,6 @@ def interval_join(
     end: str = "end_ts",
     tie_col: str = "event_id",
     right_cols: tuple = ("event_id",),
-    coarse_buckets: int = 256,
 ):
     """Inner 1:N range join: every left row matched with EVERY right
     interval of the same ``by`` key that contains its timestamp
@@ -189,7 +188,7 @@ def interval_join(
         right_ds.map_batches(tag_right, batch_format="pandas")
     )
     return bucket_aggregate(
-        tagged, join_bucket, key=[by], buckets=coarse_buckets
+        tagged, join_bucket, key=[by], buckets=256
     )
 
 
@@ -200,7 +199,6 @@ def asof_join(
     on: str = "ts",
     tie_col: str = "event_id",
     right_cols: tuple = ("event_id",),
-    coarse_buckets: int = 256,
 ):
     """For every left row, attach the most recent right row at-or-before
     its timestamp with the same ``by`` key (backward as-of, exact matches
@@ -266,7 +264,7 @@ def asof_join(
         right_ds.map_batches(tag(1), batch_format="pandas")
     )
     return bucket_aggregate(
-        tagged, join_bucket, key=[by], buckets=coarse_buckets
+        tagged, join_bucket, key=[by], buckets=256
     )
 
 

@@ -339,15 +339,14 @@ def decode_images(ds, concurrency: int = 2, batch_size: int = 32):
     )
 
 
-def sample_frames(ds, every_n: int = 10, concurrency: int = 2,
-                  batch_size: int = 16):
+def sample_frames(ds, every_n: int = 10, concurrency: int = 2):
     """Actor-pool frame-sampling stage: uncompressed-AVI decode, then a
     pixel hash of every ``every_n``-th frame."""
     return ds.map_batches(
         FrameSampler,
         fn_constructor_kwargs={"every_n": every_n},
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=16,
         concurrency=concurrency,
     )
 

@@ -27,7 +27,6 @@ def grouped_quantiles(
     val_col: str,
     ps: list[float],
     labels: list[str],
-    coarse_buckets: int = 64,
 ):
     """Exact per-key percentiles of an integer-valued column.
 
@@ -81,7 +80,7 @@ def grouped_quantiles(
         return pd.concat(outs, ignore_index=True)
 
     return bucket_aggregate(
-        ds, final, key=by, buckets=coarse_buckets, partial=partial
+        ds, final, key=by, partial=partial
     )
 
 
@@ -92,7 +91,6 @@ def grouped_topk(
     k: int,
     ascending: bool = False,
     tie_col: str = "doc_id",
-    coarse_buckets: int = 256,
 ):
     """Exact top-k rows per ``by`` key ordered by (``val_col``
     desc|asc, ``tie_col`` asc).  Returns the input columns unchanged."""
@@ -115,7 +113,7 @@ def grouped_topk(
         return g.groupby(by, sort=False).head(k)[cols]
 
     return bucket_aggregate(
-        ds, final_topk, key=by, buckets=coarse_buckets, partial=partial_topk
+        ds, final_topk, key=by, buckets=256, partial=partial_topk
     )
 
 
@@ -127,7 +125,6 @@ def ranking_eval(
     rel_col: str,
     k: int = 10,
     max_rel: int = 2,
-    coarse_buckets: int = 256,
 ):
     """Per-query IR evaluation metrics over a (query, doc, score,
     graded-relevance) table — the distributed equivalent of trec_eval
@@ -299,12 +296,13 @@ def ranking_eval(
         ]
 
     return bucket_aggregate(
-        ds, final, key=qid_col, buckets=coarse_buckets, partial=partial
+        ds, final, key=qid_col, buckets=256, partial=partial
     )
 
 
-def bradley_terry(events_ds, iters: int = 5, scale: int = 10**6,
-                  coarse_buckets: int = 256) -> pd.DataFrame:
+def bradley_terry(
+    events_ds, iters: int = 5, scale: int = 10**6
+) -> pd.DataFrame:
     """Bradley-Terry preference-strength aggregation (Bradley & Terry
     1952) fitted by Hunter's (2004) MM iteration — the standard model
     behind RLHF preference datasets and arena-style model leaderboards.
@@ -378,7 +376,7 @@ def bradley_terry(events_ds, iters: int = 5, scale: int = 10**6,
         events_ds,
         duel_partials,
         key="user_id",
-        buckets=coarse_buckets,
+        buckets=256,
         partial=tag,
     ).to_pandas()  # bounded: <= T^2 rows per coarse bucket
     if len(pairs) == 0:

@@ -150,9 +150,9 @@ def consistent_sample(ds, k: int, key: str = "doc_id"):
     sets support Jaccard estimation (the classic bottom-k property).
 
     Two-level combiner reduce: every batch keeps its own bottom-k
-    (shuffle #1 carries <= k rows per batch, spread over ``buckets``
+    (shuffle #1 carries <= k rows per batch, spread over 64
     hash-of-h groups), each bucket keeps its bottom-k (shuffle #2
-    carries <= buckets x k rows into one final task — the global
+    carries <= 64 x k rows into one final task — the global
     bottom-k is always a subset of the per-bucket bottom-k's).  A
     single-level reduce would funnel batches x k rows into ONE task,
     which at 10^6 batches is a hot-task hazard.  Hash is the
@@ -161,7 +161,6 @@ def consistent_sample(ds, k: int, key: str = "doc_id"):
     """
     from .sketch import _hll_hash
 
-    buckets = 64
     cols = list(ds.schema().names)
 
     def bottomk(frame: pd.DataFrame) -> pd.DataFrame:
@@ -176,7 +175,7 @@ def consistent_sample(ds, k: int, key: str = "doc_id"):
         return bottomk(b)
 
     per_bucket = bucket_aggregate(
-        ds, bottomk, key="_h", buckets=buckets, partial=partial
+        ds, bottomk, key="_h", partial=partial
     )
     # one bucket: the final task sees every per-bucket bottom-k
     return bucket_aggregate(

@@ -44,7 +44,7 @@ def _topk_tiebreak(s: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return cand[order]
 
 
-def _merge_topk_ds(partials, k: int, buckets: int = 64):
+def _merge_topk_ds(partials, k: int):
     """Per-query merge of partial top-k rows as a DATASET: (cosine desc,
     vec_id asc) tie-break — frozen rule so distributed and
     single-process runs agree.  Queries hash into ``buckets`` coarse
@@ -64,7 +64,7 @@ def _merge_topk_ds(partials, k: int, buckets: int = 64):
         g = g.loc[g["rank"] <= k]
         return g[["query_id", "vec_id", "cosine", "rank"]]
 
-    return bucket_aggregate(partials, merge, key="query_id", buckets=buckets)
+    return bucket_aggregate(partials, merge, key="query_id")
 
 
 def _merge_topk(partials, k: int) -> pd.DataFrame:

@@ -39,8 +39,7 @@ _KNUTH = 2654435761
 _CMS_BASES = (131, 137, 139, 149, 151, 157)
 
 
-def cms_counts(ds, width: int = 512, depth: int = 3,
-               coarse_buckets: int = 64):
+def cms_counts(ds, width: int = 512, depth: int = 3):
     """Count-min sketch of the word-token frequency distribution over a
     ``text`` column: ``depth`` hash rows x ``width`` cells, cell value =
     total occurrences of tokens hashing there (the CM estimate of a
@@ -100,7 +99,6 @@ def cms_counts(ds, width: int = 512, depth: int = 3,
         ds,
         merge,
         key=["d", "cell"],
-        buckets=coarse_buckets,
         partial=partial,
     )
 
@@ -287,13 +285,12 @@ def bloom_member(ds, bloom_bits: np.ndarray, text_col: str = "text",
     # callback per distinct token (the sessionize 150s->11s lesson); 64
     # term buckets dedup the same rows in 64 vectorized callbacks
     return bucket_aggregate(
-        ds, dedup, key="term", buckets=64, partial=check
+        ds, dedup, key="term", partial=check
     )
 
 
 def hll_group_registers(ds, group_col: str = "event_type",
-                        key: str = "user_id", p: int = 8,
-                        coarse_buckets: int = 64):
+                        key: str = "user_id", p: int = 8):
     """Per-group HyperLogLog register tables — the mergeable approximate
     answer to "distinct users per segment" when the exact dedup shuffle
     (:func:`~searchengines_ray.stages.windows.window_unique_users`) is
@@ -334,5 +331,5 @@ def hll_group_registers(ds, group_col: str = "event_type",
         return g.astype({"bucket": "int64", "max_rho": "int64"})
 
     return bucket_aggregate(
-        ds, merge, key=group_col, buckets=coarse_buckets, partial=partial
+        ds, merge, key=group_col, partial=partial
     )

@@ -685,7 +685,7 @@ def word_entropy(ds):
     return ds.map_batches(batch_fn, batch_format="pyarrow")
 
 
-def source_kl_divergence(ds, buckets: int = 64):
+def source_kl_divergence(ds):
     """Per-source unigram KL divergence from the corpus distribution —
     the domain-shift / data-mixing diagnostic of an LLM pipeline (which
     sources' token distributions deviate most from the blend they feed).
@@ -737,7 +737,6 @@ def source_kl_divergence(ds, buckets: int = 64):
         ds,
         lambda g: g.groupby(["source", "term"], as_index=False)["cnt"].sum(),
         key="term",
-        buckets=buckets,
         partial=count_partial,
         batch_format="pyarrow",
     ).materialize()  # consumed twice: totals + contributions
@@ -786,7 +785,7 @@ def source_kl_divergence(ds, buckets: int = 64):
         return out.groupby("source", as_index=False)["kl_nano"].sum()
 
     kl = (
-        bucket_aggregate(counts, contrib, key="term", buckets=buckets)
+        bucket_aggregate(counts, contrib, key="term")
         .to_pandas()
         .groupby("source", as_index=False)["kl_nano"]
         .sum()
@@ -798,7 +797,7 @@ def source_kl_divergence(ds, buckets: int = 64):
     ).reset_index(drop=True)
 
 
-def vocab_growth(ds, steps: int = 10, buckets: int = 64):
+def vocab_growth(ds, steps: int = 10):
     """Heaps-law vocabulary-growth curve: distinct terms seen within the
     first 1/steps, 2/steps, ... of the corpus (by doc_id order) — the
     corpus-analysis tool for sizing tokenizer vocabularies and spotting
@@ -865,7 +864,6 @@ def vocab_growth(ds, steps: int = 10, buckets: int = 64):
             ds,
             bucket_hist,
             key="term",
-            buckets=buckets,
             partial=first_partial,
             batch_format="pyarrow",
         )
@@ -973,11 +971,9 @@ class PhraseBlocklist:
         )
 
 
-def phrase_filter(ds, phrases, concurrency: int = 2):
+def phrase_filter(ds, phrases):
     return ds.map_batches(
-        PhraseBlocklist(phrases),
-        batch_format="pandas",
-        concurrency=concurrency,
+        PhraseBlocklist(phrases), batch_format="pandas", concurrency=2
     )
 
 
@@ -1046,7 +1042,7 @@ def _fit_capped_unigram(ds, max_vocab: int):
     # (the round-3/5 fine-key anti-pattern — measured 6.6 s vs 1.3 s on
     # the sf0.1 toy shuffle for identical results)
     model_ds = bucket_aggregate(
-        ds, bucket_sum, key="term", buckets=64, partial=term_counts
+        ds, bucket_sum, key="term", partial=term_counts
     ).materialize()  # consumed repeatedly below — never re-execute
     n_terms = model_ds.count()
     v_eff = min(int(max_vocab), int(n_terms))
@@ -1137,7 +1133,7 @@ def unigram_lm_scores(ds, max_vocab: int = 1 << 16):
     return ds.map_batches(score, batch_format="pandas")
 
 
-def _fit_capped_bigram(ds, max_bigrams: int, buckets: int = 64):
+def _fit_capped_bigram(ds, max_bigrams: int):
     """Shared capped bigram-table fit (the bigram_lm_scores /
     kn_bigram_scores model contract — any change re-verifies BOTH
     entries): per-batch unique-bigram partial counts bucket by
@@ -1187,7 +1183,6 @@ def _fit_capped_bigram(ds, max_bigrams: int, buckets: int = 64):
             ds,
             bucket_top,
             key=lambda b: b["w1"] + " " + b["w2"],
-            buckets=buckets,
             partial=big_partial,
         )
         .sort(key=["cnt", "w1", "w2"], descending=[True, False, False])
@@ -1197,7 +1192,7 @@ def _fit_capped_bigram(ds, max_bigrams: int, buckets: int = 64):
 
 
 def bigram_lm_scores(ds, max_vocab: int = 1 << 16,
-                     max_bigrams: int = 1 << 17, buckets: int = 64):
+                     max_bigrams: int = 1 << 17):
     """Stupid-backoff bigram LM scoring (Brants et al. 2007, "Large
     Language Models in Machine Translation" — the backoff designed FOR
     distributed map-reduce LM estimation): each token position ``i >= 1``
@@ -1225,7 +1220,7 @@ def bigram_lm_scores(ds, max_vocab: int = 1 << 16,
     model_ds, topv, total, v_eff = _fit_capped_unigram(ds, max_vocab)
     denom = float(total + v_eff + 1)
 
-    topb = _fit_capped_bigram(ds, max_bigrams, buckets)
+    topb = _fit_capped_bigram(ds, max_bigrams)
 
     # context counts for the <= max_bigrams distinct w1's: one bounded
     # filter over the aggregated term-count Dataset (never a broadcast
@@ -1522,7 +1517,7 @@ def lm_quality_buckets(ds, max_vocab: int = 1 << 16):
     return spt.map_batches(assign, batch_format="pandas")
 
 
-def ngram_counts(ds, n: int = 2, top_k: int = 50, buckets: int = 64):
+def ngram_counts(ds, n: int = 2, top_k: int = 50):
     """Global top-k word n-grams by count — the LM-prep vocabulary op.
 
     Combiner-first: each batch counts its UNIQUE n-grams (flat token
@@ -1580,7 +1575,6 @@ def ngram_counts(ds, n: int = 2, top_k: int = 50, buckets: int = 64):
             ds,
             bucket_topk,
             key="ngram",
-            buckets=buckets,
             partial=partial,
             batch_format="pyarrow",
         )
@@ -1790,7 +1784,7 @@ class _BpeWordShard:
         return len(wids)
 
 
-def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
+def bpe_train(ds, num_merges: int = 4) -> pd.DataFrame:
     """Distributed byte-pair-encoding tokenizer training (Sennrich et al.
     2016) over the corpus word stream — the tokenizer-training op of an
     LLM data pipeline.
@@ -1859,7 +1853,6 @@ def bpe_train(ds, num_merges: int = 4, buckets: int = 64) -> pd.DataFrame:
         ds,
         wc_agg,
         key="word",
-        buckets=buckets,
         partial=wc_partial,
         batch_format="pyarrow",
     )
@@ -2294,8 +2287,7 @@ def ngram_contamination(ds, benchmark_texts: list[str], n: int = 5):
     return ds.map_batches(check, batch_format="pandas")
 
 
-def repeated_spans(ds, k: int = 8, min_docs: int = 2, top_k: int = 50,
-                   buckets: int = 64):
+def repeated_spans(ds, k: int = 8, min_docs: int = 2, top_k: int = 50):
     """Cross-document repeated k-gram spans — the exact-substring-dedup
     signal (long token spans shared verbatim by >= ``min_docs`` docs
     mark boilerplate / templated text a span-level dedup would cut).
@@ -2356,15 +2348,14 @@ def repeated_spans(ds, k: int = 8, min_docs: int = 2, top_k: int = 50,
 
     return (
         bucket_aggregate(
-            ds, bucket_topk, key="gram", buckets=buckets, partial=partial
+            ds, bucket_topk, key="gram", partial=partial
         )
         .sort(["n_docs", "n_occ", "gram"], descending=[True, True, False])
         .limit(top_k)
     )
 
 
-def next_word_topk(ds, k: int = 3, min_count: int = 2,
-                   buckets: int = 64):
+def next_word_topk(ds, k: int = 3, min_count: int = 2):
     """Per-prefix next-word suggestions — the query-completion table:
     for every word w1, the top-``k`` following words by exact bigram
     count, tie rule (cnt desc, w2 asc), prefixes with no
@@ -2414,7 +2405,7 @@ def next_word_topk(ds, k: int = 3, min_count: int = 2,
         return out[["w1", "w2", "cnt"]].astype({"cnt": "int64"})
 
     return bucket_aggregate(
-        ds, bucket_final, key="w1", buckets=buckets, partial=partial
+        ds, bucket_final, key="w1", partial=partial
     )
 
 
@@ -2447,8 +2438,7 @@ def _deletion_variants(w: str) -> list[str]:
     return [w] + [w[:i] + w[i + 1 :] for i in range(len(w))]
 
 
-def spell_correct(ds, queries: list[str], k: int = 3,
-                  buckets: int = 64):
+def spell_correct(ds, queries: list[str], k: int = 3):
     """Distributed spell correction: for each (lowercase ``[0-9a-z]+``)
     query string, the top-``k`` corpus vocabulary terms within edit
     distance 1, ranked (dist asc, df desc, term asc); df = number of
@@ -2556,16 +2546,15 @@ def spell_correct(ds, queries: list[str], k: int = 3,
         )
 
     variants = bucket_aggregate(
-        ds, emit_variants, key="term", buckets=buckets, partial=df_partial
+        ds, emit_variants, key="term", partial=df_partial
     )
     hits = bucket_aggregate(
-        variants, match_queries, key="variant", buckets=buckets
+        variants, match_queries, key="variant"
     )
-    return bucket_aggregate(hits, rank, key="query", buckets=buckets)
+    return bucket_aggregate(hits, rank, key="query")
 
 
-def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
-                     buckets: int = 64):
+def pmi_collocations(ds, top_k: int = 30, min_count: int = 5):
     """Top-k bigram collocations by pointwise mutual information — the
     LM-prep phrase-discovery op (pmi = ln(c_ab*T^2 / (B*c_a*c_b))).
 
@@ -2731,17 +2720,16 @@ def pmi_collocations(ds, top_k: int = 30, min_count: int = 5,
 
     return (
         bucket_aggregate(
-            bucket_aggregate(part, attach_ca, key="w", buckets=buckets),
+            bucket_aggregate(part, attach_ca, key="w"),
             attach_cb_pmi,
             key="w2",
-            buckets=buckets,
         )
         .sort(["pmi_micro", "ngram"], descending=[True, False])
         .limit(top_k)
     )
 
 
-def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
+def tfidf_keywords(ds, k: int = 3):
     """Top-k tf-idf keywords per document — distributed keyword
     extraction with no vocabulary broadcast.
 
@@ -2831,11 +2819,10 @@ def tfidf_keywords(ds, k: int = 3, buckets: int = 64):
         ds,
         attach_df,
         key="term",
-        buckets=buckets,
         partial=partial,
         batch_format="pyarrow",
     )
-    return bucket_aggregate(term_df, doc_topk, key="doc_id", buckets=buckets)
+    return bucket_aggregate(term_df, doc_topk, key="doc_id")
 
 
 _TRACKING_PREFIXES = ("utm_", "gclid=", "fbclid=")
@@ -2940,8 +2927,7 @@ def normalize_text(ds):
     return ds.map_batches(norm, batch_format="pandas")
 
 
-def cooccurrence_counts(ds, window: int = 2, top_k: int = 50,
-                        buckets: int = 64):
+def cooccurrence_counts(ds, window: int = 2, top_k: int = 50):
     """Global top-k directional skip-gram co-occurrence counts: pairs
     (a, b) where b occurs within ``window`` positions AFTER a in the
     same document — the word2vec-style context-pair op (adjacent-only
@@ -2998,7 +2984,7 @@ def cooccurrence_counts(ds, window: int = 2, top_k: int = 50,
 
     return (
         bucket_aggregate(
-            ds, bucket_topk, key="pair", buckets=buckets, partial=partial
+            ds, bucket_topk, key="pair", partial=partial
         )
         .sort(["cnt", "pair"], descending=[True, False])
         .limit(top_k)
@@ -3103,7 +3089,7 @@ def nb_classify(ds, class_col: str = "source", max_vocab: int = 2048):
         # bucket-hash agg, not a Ray-native fine-key groupby (6.6 s vs
         # 1.3 s at sf0.1 for the same 620-row result)
         kdf = bucket_aggregate(
-            ds, bucket_key_sum, key="key", buckets=64, partial=count_partial
+            ds, bucket_key_sum, key="key", partial=count_partial
         ).to_pandas()
         counts = np.zeros((V, C), dtype=np.int64)
         if len(kdf):
@@ -3153,7 +3139,7 @@ def nb_classify(ds, class_col: str = "source", max_vocab: int = 2048):
 
 
 def kn_bigram_scores(ds, max_vocab: int = 1 << 16,
-                     max_bigrams: int = 1 << 17, buckets: int = 64,
+                     max_bigrams: int = 1 << 17,
                      discount: float = 0.75):
     """Interpolated Kneser-Ney bigram LM scoring (Kneser & Ney 1995;
     Chen & Goodman 1999's interpolated variant) — the classic
@@ -3191,7 +3177,7 @@ def kn_bigram_scores(ds, max_vocab: int = 1 << 16,
     import ray
 
     _, _, _, v_eff = _fit_capped_unigram(ds, max_vocab)
-    topb = _fit_capped_bigram(ds, max_bigrams, buckets)
+    topb = _fit_capped_bigram(ds, max_bigrams)
 
     D = float(discount)
     ntypes = len(topb)
@@ -3432,8 +3418,7 @@ def heavy_hitters(ds, k: int = 100, cap: int | None = None) -> pd.DataFrame:
     return out.astype({"cnt": "int64"})
 
 
-def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200,
-                 buckets: int = 64) -> pd.DataFrame:
+def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200) -> pd.DataFrame:
     """Corpus-level clipped n-gram overlap — BLEU's modified-precision
     components (Papineni et al. 2002) between a deterministic hash split
     of the corpus (candidate = docs with Knuth bucket < ``cand_permille``
@@ -3533,7 +3518,6 @@ def bleu_overlap(ds, n_max: int = 2, cand_permille: int = 200,
         ds,
         bucket_fold,
         key="gram",
-        buckets=buckets,
         partial=partial,
         batch_format="pyarrow",
     ).to_pandas()  # bounded: buckets x n_max rows

@@ -39,7 +39,7 @@ def tumbling_window_agg(events_ds, minutes: int = 60):
     return _agg_by_window(with_w)
 
 
-def _agg_by_window(with_w, coarse_buckets: int = 64):
+def _agg_by_window(with_w):
     """Combiner-before-shuffle aggregation over (event_type, window_start)
     rows: pre-aggregate inside each batch, then ONE key-hash bucketed
     groupby with a vectorized per-bucket sum (Ray's native multi-key
@@ -67,7 +67,7 @@ def _agg_by_window(with_w, coarse_buckets: int = 64):
         return g[["event_type", "window_start", "n_events", "sum_value"]]
 
     return bucket_aggregate(
-        with_w, final, key=window_key, buckets=coarse_buckets, partial=partial
+        with_w, final, key=window_key, partial=partial
     )
 
 
@@ -127,7 +127,6 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
     bucketed form is ~13 s on the same input).
     """
     gap_s = gap_minutes * 60
-    coarse_buckets = 256
 
     def sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values("ts", kind="mergesort")
@@ -203,16 +202,15 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
         events_ds,
         sessions_bucket,
         key=["user_id", "_salt"],
-        buckets=coarse_buckets,
+        buckets=256,
         partial=add_salt,
     )
     return bucket_aggregate(
-        pass1, stitch_bucket, key="user_id", buckets=coarse_buckets
+        pass1, stitch_bucket, key="user_id", buckets=256
     )
 
 
-def funnel_stages(events_ds, stages=("view", "click", "purchase"),
-                  coarse_buckets: int = 256):
+def funnel_stages(events_ds, stages=("view", "click", "purchase")):
     """Ordered funnel analysis: how far down ``stages`` each user got,
     where stage k+1 must occur STRICTLY after the earliest time stage k
     was reached (exact int64 microseconds; the SQL mirror is a chain of
@@ -274,11 +272,11 @@ def funnel_stages(events_ds, stages=("view", "click", "purchase"),
         )
 
     return bucket_aggregate(
-        events_ds, fold, key="user_id", buckets=coarse_buckets, partial=tag
+        events_ds, fold, key="user_id", buckets=256, partial=tag
     )
 
 
-def cohort_retention(events_ds, coarse_buckets: int = 256):
+def cohort_retention(events_ds):
     """Cohort retention matrix: users grouped by first-active day
     (cohort), counted on each later active day offset.
 
@@ -322,7 +320,7 @@ def cohort_retention(events_ds, coarse_buckets: int = 256):
         return out
 
     user_cells = bucket_aggregate(
-        events_ds, per_user, key="user_id", buckets=coarse_buckets, partial=tag
+        events_ds, per_user, key="user_id", buckets=256, partial=tag
     )
     return bucket_aggregate(
         user_cells,
@@ -330,12 +328,10 @@ def cohort_retention(events_ds, coarse_buckets: int = 256):
             "n_users"
         ].sum(),
         key=["cohort_day", "offset_days"],
-        buckets=64,
     )
 
 
-def rolling_user_agg(events_ds, window_rows: int = 5,
-                     coarse_buckets: int = 256):
+def rolling_user_agg(events_ds, window_rows: int = 5):
     """Per-user moving aggregate over the last ``window_rows`` events
     (current row + window_rows-1 preceding) in (ts, event_id) order —
     the ordered-window analytic (``ROWS BETWEEN n PRECEDING AND CURRENT
@@ -385,12 +381,11 @@ def rolling_user_agg(events_ds, window_rows: int = 5,
         )
 
     return bucket_aggregate(
-        events_ds, roll, key="user_id", buckets=coarse_buckets, partial=tag
+        events_ds, roll, key="user_id", buckets=256, partial=tag
     )
 
 
-def window_unique_users(events_ds, minutes: int = 60,
-                        coarse_buckets: int = 64):
+def window_unique_users(events_ds, minutes: int = 60):
     """Exact distinct-user count per tumbling window — the DAU/HAU
     analytic.  COUNT(DISTINCT) does not pre-aggregate like a sum, so
     the plan dedups first: per-batch unique (window, user) pairs, one
@@ -439,7 +434,6 @@ def window_unique_users(events_ds, minutes: int = 60,
             events_ds,
             bucket_count,
             key=["w_us", "user_id"],
-            buckets=coarse_buckets,
             partial=pairs,
         )
         .groupby("w_us")
@@ -447,7 +441,7 @@ def window_unique_users(events_ds, minutes: int = 60,
     )
 
 
-def event_transitions(events_ds, coarse_buckets: int = 256):
+def event_transitions(events_ds):
     """Per-user ordered event-type transition counts — the Markov-chain
     / session-flow table: for each user's (ts, event_id)-ordered
     stream, count consecutive (from_type -> to_type) pairs, summed over
@@ -499,7 +493,7 @@ def event_transitions(events_ds, coarse_buckets: int = 256):
             events_ds,
             pair_partials,
             key="user_id",
-            buckets=coarse_buckets,
+            buckets=256,
             partial=tag,
         )
         .groupby("from_type")
@@ -507,8 +501,9 @@ def event_transitions(events_ds, coarse_buckets: int = 256):
     )
 
 
-def anomaly_hours(events_ds, window: int = 24, z_milli: int = 3000,
-                  coarse_buckets: int = 64) -> pd.DataFrame:
+def anomaly_hours(
+    events_ds, window: int = 24, z_milli: int = 3000
+) -> pd.DataFrame:
     """Trailing z-score anomaly detection over hourly event-type counts —
     the rate-spike monitor of an ingestion pipeline: hour h of type t is
     anomalous when its count exceeds the mean of the previous ``window``
@@ -562,7 +557,6 @@ def anomaly_hours(events_ds, window: int = 24, z_milli: int = 3000,
         events_ds,
         merge,
         key="event_type",
-        buckets=coarse_buckets,
         partial=partial,
     ).to_pandas()  # bounded: hours-in-range x types
     empty = pd.DataFrame(

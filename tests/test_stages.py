@@ -5,6 +5,21 @@ import pytest
 SF = "/root/testdata/sf0.001"
 
 
+def _spy(monkeypatch, module, name, **force):
+    """Replace ``module.name`` by a wrapper that records each call and
+    runs the original with ``force`` overriding its keyword arguments.
+    Forced-path tests use it to check that the plan they forced ran."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **{**kwargs, **force})
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def docs_ds(ray_session):
     import ray.data
@@ -176,20 +191,25 @@ def test_verify_pairs_both_paths(ray_session, monkeypatch):
             .round({"jaccard": 12})
         )
 
+    broadcast = _spy(monkeypatch, dedup, "_verify_pairs_broadcast")
     fast = run()
+    assert len(broadcast) == 1
     monkeypatch.setattr(dedup, "VERIFY_BROADCAST_MAX_PAIRS", 0)
     big = run()
+    assert len(broadcast) == 1  # the Dataset path ran
     pd.testing.assert_frame_equal(fast, big)
     assert {(1, 2)} <= set(zip(fast["doc_a"], fast["doc_b"]))
     assert (1, 4) not in set(zip(fast["doc_a"], fast["doc_b"]))
 
 
-def test_dedup_drop_ids_adaptive_paths(ray_session):
+def test_dedup_drop_ids_adaptive_paths(ray_session, monkeypatch):
     """The bounded driver union-find fast path and the distributed CC
-    path (forced with driver_max_pairs=0) must produce identical drop
-    sets; both are exact consolidations of the same pair graph."""
+    path (forced by patching DRIVER_CC_MAX_PAIRS to 0) must produce
+    identical drop sets; both are exact consolidations of the same pair
+    graph."""
     import ray.data
 
+    from searchengines_ray.stages import dedup, graph
     from searchengines_ray.stages.dedup import dedup_drop_ids
 
     chain = [(i, i + 1) for i in range(100, 140)]
@@ -203,10 +223,12 @@ def test_dedup_drop_ids_adaptive_paths(ray_session):
     want = sorted(
         set(range(101, 141)) | {3, 7} | {500, 900}
     )
+    cc = _spy(monkeypatch, graph, "connected_components")
     fast = dedup_drop_ids(ray.data.from_pandas(pairs_pd))
-    dist = dedup_drop_ids(
-        ray.data.from_pandas(pairs_pd).repartition(4), driver_max_pairs=0
-    )
+    assert cc == []
+    monkeypatch.setattr(dedup, "DRIVER_CC_MAX_PAIRS", 0)
+    dist = dedup_drop_ids(ray.data.from_pandas(pairs_pd).repartition(4))
+    assert len(cc) == 1
     assert fast.tolist() == want
     assert sorted(dist.tolist()) == want
     assert dedup_drop_ids(pairs_pd).tolist() == want
@@ -398,13 +420,14 @@ def test_synth_links_null_text(ray_session):
     assert out[out["src"] == 1]["anchor"].tolist() == ["alpha"]
 
 
-def test_keep_best_drop_ids_paths(ray_session):
+def test_keep_best_drop_ids_paths(ray_session, monkeypatch):
     """Quality-aware consolidation keeps the (quality desc, id asc)-best
     member per component — identical through the driver union-find path,
     the forced distributed-CC path, and a Dataset quality side (only
     candidate rows pulled)."""
     import ray.data
 
+    from searchengines_ray.stages import dedup, graph
     from searchengines_ray.stages.dedup import (
         dedup_keep_best_survivors,
         keep_best_drop_ids,
@@ -436,13 +459,12 @@ def test_keep_best_drop_ids_paths(ray_session):
     assert keep_best_drop_ids(pairs, dup_quality).tolist() == want
     pairs_ds = ray.data.from_pandas(pairs).repartition(3)
     quality_ds = ray.data.from_pandas(quality).repartition(2)
+    cc = _spy(monkeypatch, graph, "connected_components")
     assert keep_best_drop_ids(pairs_ds, quality_ds).tolist() == want
-    assert (
-        keep_best_drop_ids(
-            pairs_ds, quality_ds, driver_max_pairs=0
-        ).tolist()
-        == want
-    )
+    assert cc == []
+    monkeypatch.setattr(dedup, "DRIVER_CC_MAX_PAIRS", 0)
+    assert keep_best_drop_ids(pairs_ds, quality_ds).tolist() == want
+    assert len(cc) == 1
     docs = ray.data.from_pandas(
         pd.DataFrame({"doc_id": [1, 3, 7, 10, 11, 12, 500, 900, 999]}).astype(
             "int64"
@@ -715,7 +737,7 @@ def test_multimodal_stages_fail_on_one_junk_payload(ray_session):
     for stage, rows, msg in cases:
         ds = ray.data.from_items(rows[:2] + [junk] + rows[2:])
         with pytest.raises(Exception, match=msg):
-            stage(ds, concurrency=1, batch_size=2).to_pandas()
+            stage(ds, concurrency=1).to_pandas()
 
 
 def test_vocab_growth_hand_computed(ray_session):
@@ -2169,9 +2191,10 @@ def test_hash_equijoin_semi_anti(ray_session):
         hash_equijoin(lds, rds, "doc_id", "k", how="outer")
 
 
-def test_pagerank_integer_exact(ray_session):
+def test_pagerank_integer_exact(ray_session, monkeypatch):
     import ray.data
 
+    from searchengines_ray.stages import graph, joins
     from searchengines_ray.stages.graph import pagerank
 
     # star into 0, a 2-cycle, a dangling sink, duplicate edges collapse
@@ -2180,12 +2203,14 @@ def test_pagerank_integer_exact(ray_session):
     ds = ray.data.from_items(
         [{"src": np.int64(a), "dst": np.int64(b)} for a, b in edges]
     ).repartition(3)
+    joins_run = _spy(monkeypatch, joins, "hash_equijoin")
     got = (
         pagerank(ds, iters=3, scale=10**9)
         .to_pandas()
         .sort_values("node")
         .set_index("node")["r"]
     )
+    assert joins_run == []
 
     ded = sorted(set(edges))
     nodes = sorted({x for e in ded for x in e})
@@ -2202,14 +2227,16 @@ def test_pagerank_integer_exact(ray_session):
         r = {v: base + (85 * s[v]) // 100 for v in nodes}
     assert got.to_dict() == r
 
-    # the DISTRIBUTED plan (forced with local_max_edges=0) must be
-    # bit-identical to the adaptive single-task fast path above
+    # the DISTRIBUTED plan (forced by patching the constant to 0) must
+    # be bit-identical to the adaptive driver fast path above
+    monkeypatch.setattr(graph, "PAGERANK_LOCAL_MAX_EDGES", 0)
     got_dist = (
-        pagerank(ds, iters=3, scale=10**9, local_max_edges=0)
+        pagerank(ds, iters=3, scale=10**9)
         .to_pandas()
         .sort_values("node")
         .set_index("node")["r"]
     )
+    assert len(joins_run) == 3  # one rank-shipping join per iteration
     assert got_dist.to_dict() == r
 
 
@@ -2451,9 +2478,10 @@ def test_textrank_keywords_composition(ray_session):
     assert "zz" not in got  # the cap binds
 
 
-def test_hits_integer_exact_both_paths(ray_session):
+def test_hits_integer_exact_both_paths(ray_session, monkeypatch):
     import ray.data
 
+    from searchengines_ray.stages import graph, joins
     from searchengines_ray.stages.graph import hits
 
     # bipartite-ish: hubs 1-3 point at authorities 10/11, a 2-cycle,
@@ -2482,16 +2510,18 @@ def test_hits_integer_exact_both_paths(ray_session):
         m2 = max(s2.values())
         h = {v: (s2[v] * scale) // m2 if m2 > 0 else 0 for v in nodes}
 
-    for lme in (None, 0):  # adaptive local path, forced distributed
-        kw = {} if lme is None else {"local_max_edges": 0}
+    joins_run = _spy(monkeypatch, joins, "hash_equijoin")
+    for limit in (graph.HITS_LOCAL_MAX_EDGES, 0):  # local, distributed
+        monkeypatch.setattr(graph, "HITS_LOCAL_MAX_EDGES", limit)
         got = (
-            hits(ds, iters=2, **kw)
+            hits(ds, iters=2)
             .to_pandas()
             .sort_values("node")
             .set_index("node")
         )
-        assert got["auth"].to_dict() == a, kw
-        assert got["hub"].to_dict() == h, kw
+        assert got["auth"].to_dict() == a, limit
+        assert got["hub"].to_dict() == h, limit
+        assert bool(joins_run) == (limit == 0), limit
 
 
 def test_minhash_cross_pairs(ray_session):
@@ -2732,11 +2762,12 @@ def test_normalize_text(ray_session):
     assert out[3] == ""
 
 
-def test_triangle_count(ray_session):
+def test_triangle_count(ray_session, monkeypatch):
     import itertools
 
     import ray.data
 
+    from searchengines_ray.stages import graph, joins
     from searchengines_ray.stages.graph import triangle_count
 
     # K4 (4 triangles... C(4,3)=4), plus a square (0 triangles), plus a
@@ -2765,10 +2796,14 @@ def test_triangle_count(ray_session):
     ds2 = ray.data.from_items(
         [{"doc_a": int(a), "doc_b": int(b)} for a, b in sorted(edges)]
     ).repartition(4)
+    joins_run = _spy(monkeypatch, joins, "hash_equijoin")
     assert triangle_count(ds2) == want
+    assert joins_run == []
     # distributed plan (forced) must agree with the local fast path
-    assert triangle_count(ds2, local_max_edges=0) == want
-    assert triangle_count(ds, local_max_edges=0) == 4
+    monkeypatch.setattr(graph, "TRIANGLES_LOCAL_MAX_EDGES", 0)
+    assert triangle_count(ds2) == want
+    assert len(joins_run) == 2  # both endpoint-degree joins ran
+    assert triangle_count(ds) == 4
 
 
 def test_funnel_and_cohort_random_cross_check(ray_session):
@@ -3794,9 +3829,12 @@ def test_bottomk_neardup_random_vs_bruteforce(ray_session):
     assert got_d[(8, 9)][0] == got_d[(8, 9)][1]
 
 
-def test_random_walks_bruteforce_and_forced_distributed(ray_session):
+def test_random_walks_bruteforce_and_forced_distributed(
+    ray_session, monkeypatch
+):
     import ray.data
 
+    from searchengines_ray.stages import graph
     from searchengines_ray.stages.graph import random_walks
 
     M = 2147483647
@@ -3824,19 +3862,23 @@ def test_random_walks_bruteforce_and_forced_distributed(ray_session):
             want.append((s0, t, cur))
 
     ds = ray.data.from_pandas(edges).repartition(6)
+    exchanges = _spy(monkeypatch, graph, "bucket_aggregate")
     got = (
         random_walks(ds, steps=4)
         .to_pandas()
         .sort_values(["start", "step"])
         .reset_index(drop=True)
     )
+    assert exchanges == []
     assert list(got.itertuples(index=False, name=None)) == want
+    monkeypatch.setattr(graph, "WALKS_LOCAL_MAX_EDGES", 0)
     forced = (
-        random_walks(ds, steps=4, local_max_edges=0)
+        random_walks(ds, steps=4)
         .to_pandas()
         .sort_values(["start", "step"])
         .reset_index(drop=True)
     )
+    assert exchanges  # one exchange per step of the distributed plan
     assert forced.equals(got)
 
 
@@ -4559,12 +4601,16 @@ def test_lsh_registry_query_rejects_bad_blobs_and_ids(tmp_path, ray_session):
         lsh_registry_query(ray.data.from_pandas(twice), ok)
 
 
-def test_bottomk_pair_estimates_rejects_unattached_endpoint(ray_session):
+def test_bottomk_pair_estimates_rejects_unattached_endpoint(
+    ray_session, monkeypatch
+):
     """Each pair must attach exactly one sketch blob per endpoint: a
     missing or a duplicated blob raises instead of mis-pairing the
-    bucket's later rows."""
+    bucket's later rows.  Every exchange runs with ONE bucket, so all
+    pairs share the bucket."""
     import ray.data
 
+    from searchengines_ray.stages import dedup
     from searchengines_ray.stages.dedup import bottomk_pair_estimates
 
     sk = np.arange(4, dtype=np.int64).tobytes()
@@ -4573,16 +4619,19 @@ def test_bottomk_pair_estimates_rejects_unattached_endpoint(ray_session):
     )
     missing = pd.DataFrame({"doc_id": [1, 2], "sk": [sk, sk]})  # no 3
     doubled = pd.DataFrame({"doc_id": [1, 2, 3, 3], "sk": [sk] * 4})
+    exchanges = _spy(monkeypatch, dedup, "bucket_aggregate", buckets=1)
     for blobs in (missing, doubled):
         with pytest.raises(ValueError, match="exactly one"):
             bottomk_pair_estimates(
-                pairs, ray.data.from_pandas(blobs), k=4, coarse_buckets=1
+                pairs, ray.data.from_pandas(blobs), k=4
             ).to_pandas()
+    assert len(exchanges) == 4  # doc-keyed attach + pair-keyed estimate
 
 
-def test_kcore_peel_vs_bruteforce_both_paths(ray_session):
+def test_kcore_peel_vs_bruteforce_both_paths(ray_session, monkeypatch):
     import ray.data
 
+    from searchengines_ray.stages import graph, joins
     from searchengines_ray.stages.graph import kcore_peel
 
     def brute(edges, k, rounds):
@@ -4622,23 +4671,24 @@ def test_kcore_peel_vs_bruteforce_both_paths(ray_session):
     edges += edges[:10]
     df = pd.DataFrame(edges, columns=["src", "dst"])
 
+    joins_run = _spy(monkeypatch, joins, "hash_equijoin")
     for k, r in [(2, 3), (2, 50), (3, 2), (7, 4)]:
         want = brute(edges, k, r)
         got = kcore_peel(
             ray.data.from_pandas(df).repartition(5), k=k, rounds=r
         )
         assert list(zip(got["node"], got["degree"])) == want
+    assert joins_run == []
     # forced-distributed plan pinned bit-equal (small round counts:
     # each distributed round pays ~3 shuffle barriers)
+    monkeypatch.setattr(graph, "KCORE_LOCAL_MAX_EDGES", 0)
     for k, r in [(2, 3), (3, 2)]:
         want = brute(edges, k, r)
         got = kcore_peel(
-            ray.data.from_pandas(df).repartition(5),
-            k=k,
-            rounds=r,
-            local_max_edges=0,
+            ray.data.from_pandas(df).repartition(5), k=k, rounds=r
         )
         assert list(zip(got["node"], got["degree"])) == want
+        assert joins_run, (k, r)  # the semi-join rounds ran
     # all-self-loop graph -> empty with stable schema
     e = kcore_peel(
         ray.data.from_pandas(pd.DataFrame({"src": [1], "dst": [1]})), k=2
@@ -4710,3 +4760,77 @@ def test_kcenter_quantize_guard_fires_in_python_ints(ray_session):
     # inside the map task) — match on the message
     with pytest.raises(Exception, match="quantized magnitude"):
         kcenter_select(ray.data.from_pandas(big), k=2)
+
+
+# Partitioning knobs a public stage or pipeline function may still take.
+# A tuning knob (one that by the operator's contract cannot change its
+# result) stays only while a non-test caller sets it; a result parameter
+# stays because it is part of the contract.
+_KNOB_NAMES = {
+    "buckets", "coarse_buckets", "local_max_edges", "driver_max_pairs",
+    "nblocks", "block", "distinct", "_verbose",
+}
+_KNOBS_ALLOWED = {
+    # sketch.hll_registers (buckets=m), graph.connected_components (256),
+    # dedup.line_dedup (1024), pipelines/curate.py (buckets=partitions)
+    ("stages.exchange", "bucket_aggregate", "buckets"),
+    # graph.pagerank, graph.hits, graph.kcore_peel (coarse_buckets=64)
+    ("stages.joins", "hash_equijoin", "coarse_buckets"),
+    # result parameter (doc_id % buckets is the packing partition);
+    # __ray_entry__.py pack_sequences entry sets buckets=8
+    ("stages.text", "pack_sequences", "buckets"),
+    # result parameter: the hash-vector length enters every weight
+    ("stages.text", "dsir_weights", "buckets"),
+}
+
+
+def _public_functions():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import searchengines_ray.pipelines as pipelines
+    import searchengines_ray.stages as stages
+
+    for pkg in (stages, pipelines):
+        for info in pkgutil.iter_modules(pkg.__path__):
+            mod = importlib.import_module(f"{pkg.__name__}.{info.name}")
+            short = mod.__name__.removeprefix("searchengines_ray.")
+            for name, fn in vars(mod).items():
+                if (
+                    inspect.isfunction(fn)
+                    and fn.__module__ == mod.__name__
+                    and not name.startswith("_")
+                ):
+                    yield short, name, inspect.signature(fn)
+
+
+def test_no_unset_tuning_knobs():
+    """Every partition-count, fast-path bound and debug flag of a public
+    stage or pipeline function is either set by a non-test caller or
+    changes the result (``_KNOBS_ALLOWED``); fast-path bounds are module
+    constants that tests patch."""
+    seen = set()
+    for mod, name, sig in _public_functions():
+        for p in sig.parameters:
+            if p in _KNOB_NAMES:
+                seen.add((mod, name, p))
+    assert seen - _KNOBS_ALLOWED == set()
+    assert _KNOBS_ALLOWED - seen == set()  # no stale allow-list entry
+
+
+def test_no_environment_reads():
+    """No setting of the package comes from the process environment."""
+    import pathlib
+    import re
+
+    import searchengines_ray
+
+    root = pathlib.Path(searchengines_ray.__file__).parent
+    reads = [
+        f"{path.relative_to(root)}:{i}"
+        for path in sorted(root.rglob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bos\.environ\b|\bgetenv\b|\bfrom os import\b", line)
+    ]
+    assert reads == []
