@@ -559,7 +559,6 @@ def hits(
             pd.DataFrame({"node": nodes_l, "auth": a, "hub": h})
         )
 
-
     def node_partial(batch: pd.DataFrame) -> pd.DataFrame:
         n = np.unique(
             np.concatenate(
@@ -1030,62 +1029,55 @@ def random_walks(edges_ds, steps: int = 3):
         )
 
     if edges_ds.count() <= WALKS_LOCAL_MAX_EDGES:
-
-        def solve(batch: pd.DataFrame) -> pd.DataFrame:
-            if batch.empty:
-                return _empty_out()
-            s = batch["src"].to_numpy().astype(np.int64)
-            d = batch["dst"].to_numpy().astype(np.int64)
-            order = np.lexsort((d, s))
-            s, d = s[order], d[order]
-            starts = np.unique(s)
-            out_s = [starts]
-            out_t = [np.zeros(len(starts), dtype=np.int64)]
-            out_n = [starts]
-            widx = np.arange(len(starts), dtype=np.int64)
-            cur = starts.copy()
-            for t in range(1, steps + 1):
-                lo = np.searchsorted(s, cur, "left")
-                hi = np.searchsorted(s, cur, "right")
-                alive = hi > lo
-                widx, cur = widx[alive], cur[alive]
-                lo, hi = lo[alive], hi[alive]
-                if not len(cur):
-                    break
-                cnt = hi - lo
-                rep = np.repeat(np.arange(len(cur)), cnt)
-                cum = np.zeros(len(cnt), dtype=np.int64)
-                np.cumsum(cnt[:-1], out=cum[1:])
-                pos = (
-                    np.arange(int(cnt.sum()), dtype=np.int64)
-                    - np.repeat(cum, cnt)
-                    + np.repeat(lo, cnt)
-                )
-                nbr = d[pos]
-                h = ((cur[rep] * 131 + t) % M * 137 + nbr) % M
-                o = np.lexsort((nbr, h, rep))
-                first = np.ones(len(o), dtype=bool)
-                first[1:] = rep[o][1:] != rep[o][:-1]
-                nxt = nbr[o][first]
-                cur = nxt
-                out_s.append(starts[widx])
-                out_t.append(np.full(len(cur), t, dtype=np.int64))
-                out_n.append(cur.copy())
-            return pd.DataFrame(
+        edges = edges_ds.to_pandas()
+        if edges.empty:
+            return ray.data.from_pandas(_empty_out())
+        s = edges["src"].to_numpy().astype(np.int64)
+        d = edges["dst"].to_numpy().astype(np.int64)
+        order = np.lexsort((d, s))
+        s, d = s[order], d[order]
+        starts = np.unique(s)
+        out_s = [starts]
+        out_t = [np.zeros(len(starts), dtype=np.int64)]
+        out_n = [starts]
+        widx = np.arange(len(starts), dtype=np.int64)
+        cur = starts.copy()
+        for t in range(1, steps + 1):
+            lo = np.searchsorted(s, cur, "left")
+            hi = np.searchsorted(s, cur, "right")
+            alive = hi > lo
+            widx, cur = widx[alive], cur[alive]
+            lo, hi = lo[alive], hi[alive]
+            if not len(cur):
+                break
+            cnt = hi - lo
+            rep = np.repeat(np.arange(len(cur)), cnt)
+            cum = np.zeros(len(cnt), dtype=np.int64)
+            np.cumsum(cnt[:-1], out=cum[1:])
+            pos = (
+                np.arange(int(cnt.sum()), dtype=np.int64)
+                - np.repeat(cum, cnt)
+                + np.repeat(lo, cnt)
+            )
+            nbr = d[pos]
+            h = ((cur[rep] * 131 + t) % M * 137 + nbr) % M
+            o = np.lexsort((nbr, h, rep))
+            first = np.ones(len(o), dtype=bool)
+            first[1:] = rep[o][1:] != rep[o][:-1]
+            nxt = nbr[o][first]
+            cur = nxt
+            out_s.append(starts[widx])
+            out_t.append(np.full(len(cur), t, dtype=np.int64))
+            out_n.append(cur.copy())
+        return ray.data.from_pandas(
+            pd.DataFrame(
                 {
-                    "start": pd.array(
-                        np.concatenate(out_s), dtype="int64"
-                    ),
-                    "step": pd.array(
-                        np.concatenate(out_t), dtype="int64"
-                    ),
-                    "node": pd.array(
-                        np.concatenate(out_n), dtype="int64"
-                    ),
+                    "start": pd.array(np.concatenate(out_s), dtype="int64"),
+                    "step": pd.array(np.concatenate(out_t), dtype="int64"),
+                    "node": pd.array(np.concatenate(out_n), dtype="int64"),
                 }
             )
-
-        return ray.data.from_pandas(solve(edges_ds.to_pandas()))
+        )
 
     # ---------------- distributed plan: one bucketed shuffle per step
     def edge_rows(batch: pd.DataFrame) -> pd.DataFrame:

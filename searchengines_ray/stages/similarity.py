@@ -47,8 +47,8 @@ def _topk_tiebreak(s: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 def _merge_topk_ds(partials, k: int):
     """Per-query merge of partial top-k rows as a DATASET: (cosine desc,
     vec_id asc) tie-break — frozen rule so distributed and
-    single-process runs agree.  Queries hash into ``buckets`` coarse
-    groups merged by ONE vectorized pandas callback each (a
+    single-process runs agree.  Queries hash into 64 coarse groups
+    (``bucket_aggregate``'s default) merged by ONE vectorized pandas callback each (a
     groupby('query_id').map_groups here would pay one Python callback
     per query — the fine-key anti-pattern)."""
 

@@ -723,21 +723,26 @@ def test_multimodal_stages_fail_on_one_junk_payload(ray_session):
     )
 
     png_rows, _ = _png_rows(5)
+    # sample_frames batches 16 rows, so 18 AVI rows with the junk row
+    # at index 17 put it in a batch after a good one, as batch_size=2
+    # does for the two image stages.
     avi_rows = [
         {"doc_id": d,
          "payload": encode_avi([np.full((4, 5, 3), 40 + d, np.uint8)] * 3)}
-        for d in range(5)
+        for d in range(18)
     ]
     junk = {"doc_id": 99, "payload": b"\xff\xd8\xff\xe0\x00\x10JFIF"}
     cases = [
-        (decode_images, png_rows, "unknown image format"),
-        (resize_images, png_rows, "unknown image format"),
-        (sample_frames, avi_rows, "not a RIFF/AVI file"),
+        (decode_images, png_rows, 2, {"batch_size": 2},
+         "unknown image format"),
+        (resize_images, png_rows, 2, {"batch_size": 2},
+         "unknown image format"),
+        (sample_frames, avi_rows, 17, {}, "not a RIFF/AVI file"),
     ]
-    for stage, rows, msg in cases:
-        ds = ray.data.from_items(rows[:2] + [junk] + rows[2:])
+    for stage, rows, at, kwargs, msg in cases:
+        ds = ray.data.from_items(rows[:at] + [junk] + rows[at:])
         with pytest.raises(Exception, match=msg):
-            stage(ds, concurrency=1).to_pandas()
+            stage(ds, concurrency=1, **kwargs).to_pandas()
 
 
 def test_vocab_growth_hand_computed(ray_session):
