@@ -100,19 +100,14 @@ def entry() -> Any:
 def _q_term_stats_simple(sf_dir: str) -> pd.DataFrame:
     """Full SPIMI pipeline check: global (term, df, ctf) over the body field
     with the simple analyzer (lower + [0-9a-z]+ split; SQL-replicable)."""
+    import pyarrow.compute as pc
+
     from searchengines_ray.index.shard import load_termstats
 
     idx = _index_for(sf_dir, simple=True)
-    ts = load_termstats(idx)
-    rows = [
-        (t, df, ctf) for (f, t), (df, ctf) in ts.items() if f == "body"
-    ]
-    return (
-        pd.DataFrame(rows, columns=["term", "df", "ctf"])
-        .astype({"df": "int64", "ctf": "int64"})
-        .sort_values("term")
-        .reset_index(drop=True)
-    )
+    ts = load_termstats(idx)  # sorted by (field, term)
+    body = ts.filter(pc.equal(ts.column("field"), "body"))
+    return body.select(["term", "df", "ctf"]).to_pandas()
 
 
 def _q_doc_lengths(sf_dir: str) -> pd.DataFrame:

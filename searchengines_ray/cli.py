@@ -133,7 +133,6 @@ def cmd_inspect(args) -> None:
         return
     if args.termvector:
         want = args.termvector
-        fields = [args.field] if args.field else None
         found = False
         for d in segment_dirs(args.index):
             seg = Segment(d)
@@ -146,10 +145,7 @@ def cmd_inspect(args) -> None:
             for i in hits:
                 found = True
                 doc_id = int(seg.doc_ids[i])
-                fwd = seg.forward()
-                for (fd, ff), ts in sorted(fwd.items()):
-                    if fd != doc_id or (fields and ff not in fields):
-                        continue
+                for _, ff, ts in seg.term_vectors([doc_id], args.field or None):
                     print(f"# {urls[i]} field={ff} len={len(ts)}")
                     for pos, t in enumerate(ts):
                         print(f"{pos}\t{t if t else '<stopword>'}")
@@ -166,10 +162,10 @@ def cmd_inspect(args) -> None:
         total_df = total_ctf = 0
         for d in segment_dirs(args.index):
             seg = Segment(d)
-            df, ctf = seg.local_stats(field, args.term)
-            total_df += df
-            total_ctf += ctf
-            if args.postings and df:
+            df, ctf = seg.local_stats([(field, args.term)])
+            total_df += int(df[0])
+            total_ctf += int(ctf[0])
+            if args.postings and df[0]:
                 pl = seg.postings(field, args.term)
                 urls = seg.urls.take(pl.docs).to_pylist()
                 for i in range(len(pl.docs)):

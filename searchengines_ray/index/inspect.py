@@ -60,10 +60,10 @@ def postings_dump(
         df = ctf = 0
         hits: list[tuple[str, int]] = []
         for seg in segs:
-            d, c = seg.local_stats(field, term)
-            df += d
-            ctf += c
-            if d:
+            d, c = seg.local_stats([(field, term)])
+            df += int(d[0])
+            ctf += int(c[0])
+            if d[0]:
                 pl = seg.postings(field, term)
                 hits.extend(
                     zip(seg.urls.take(pl.docs).to_pylist(), pl.tfs.tolist())
@@ -91,9 +91,7 @@ def term_vector(
         if hit < 0:
             continue
         doc_id = int(seg.doc_ids[hit])
-        for (fd, ff), ts in sorted(seg.forward().items()):
-            if fd != doc_id or (field and ff != field):
-                continue
+        for _, ff, ts in seg.term_vectors([doc_id], field):
             for pos, t in enumerate(ts):
                 rows.append((url, ff, pos, t))
     return pd.DataFrame(rows, columns=["url", "field", "pos", "term"]).astype(

@@ -4,21 +4,40 @@ The Ray analog of the reference's materialized inverted lists
 (``/root/reference/QryEval/QryIop.java:50-54``, ``InvList.java:109-154``): a
 segment's postings parquet is memory-mapped once per actor (``__init__``-time,
 never per batch) and individual (field,term) lists are decoded on demand into
-numpy arrays, with an LRU-ish decode cache.
+numpy arrays.  Decoded lists (and misses) go into a per-segment cache that is
+cleared wholesale once it holds ``DECODE_CACHE_LISTS`` entries.
+
+The term dictionary stays Arrow (:class:`TermDict`), as Lucene's
+block-tree terms dictionary keeps a small in-memory index and no hash
+entry per term: the postings table is sorted by (field, term), each
+field's rows are one run, and a big-endian uint64 of each term's first 8
+bytes (8 bytes a row) orders the rows of a field the way the terms do
+(UTF-8 byte order is ``str`` order).  A key is found by bisecting its
+field's prefixes, then by exact byte comparison against the term
+column's offsets and data buffers among the rows that share its prefix.
+Opening a segment makes no Python object per term.
+
+A searcher process never imports pandas or ``pyarrow.dataset``: files are
+read with ``pq.ParquetFile(..., memory_map=True)``, numeric columns are
+numpy views of their Arrow buffers, and ``take`` gets Arrow indices
+(``tests/test_termdict.py`` checks it in a fresh process).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..analysis import FIELDS
 from . import encode
-from .build import SEGMENT_DIR, STATS_FILE
+from .build import POSTINGS_SCHEMA, SEGMENT_DIR, STATS_FILE
 
 
 _LIST_COLS = ("docs", "tfs", "positions")
@@ -26,16 +45,106 @@ _LIST_COLS = ("docs", "tfs", "positions")
 DECODE_CACHE_LISTS = 4096
 
 
+def read_parquet(path: str, columns: Optional[Sequence[str]] = None) -> pa.Table:
+    """A memory-mapped read of one parquet file (``pq.read_table`` would
+    import ``pyarrow.dataset`` and pandas)."""
+    return pq.ParquetFile(path, memory_map=True).read(columns=columns)
+
+
+def _one_chunk(col) -> pa.Array:
+    """An Array, or a column as one Array."""
+    if isinstance(col, pa.Array):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def values(col, dtype) -> np.ndarray:
+    """A numpy view of a null-free fixed-width Array or column (Arrow's
+    ``to_numpy`` would import pandas)."""
+    arr = _one_chunk(col)
+    buf = arr.buffers()[1]
+    return np.frombuffer(buf or b"", dtype=dtype)[
+        arr.offset : arr.offset + len(arr)
+    ]
+
+
+def arrow_indices(rows: np.ndarray) -> pa.Array:
+    """``rows`` as an Arrow int64 array for ``take`` (numpy indices, or
+    ``pa.array`` of them, would import pandas)."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return pa.Array.from_buffers(
+        pa.int64(), len(rows), [None, pa.py_buffer(rows)]
+    )
+
+
 def _row_views(col) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, uint8 bytes) numpy views of a ``binary`` column: row i
-    is ``bytes[offsets[i]:offsets[i + 1]]``."""
-    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    """(offsets, uint8 bytes) numpy views of a ``binary`` or ``string``
+    column: row i is ``bytes[offsets[i]:offsets[i + 1]]``."""
+    arr = _one_chunk(col)
     _, offsets, data = arr.buffers()
-    off = np.frombuffer(offsets, dtype=np.int32)
+    off = np.frombuffer(offsets or b"\0\0\0\0", dtype=np.int32)
     return (
         off[arr.offset : arr.offset + len(arr) + 1],
         np.frombuffer(data or b"", dtype=np.uint8),
     )
+
+
+class TermDict:
+    """Sorted ``(field, term)`` string columns as a term dictionary; see
+    the module docstring.  ``find`` looks up one key, ``rows`` a batch."""
+
+    def __init__(self, field_col, term_col):
+        runs = pc.run_end_encode(_one_chunk(field_col))
+        ends = runs.run_ends.to_pylist()
+        names = runs.values.to_pylist()
+        if len(set(names)) != len(names):
+            raise ValueError("term dictionary rows are not grouped by field")
+        # field -> its [start, end) rows
+        self._bounds = dict(zip(names, zip([0, *ends[:-1]], ends)))
+        off, data = _row_views(term_col)
+        # each term's first 8 bytes, zero-padded, as a big-endian uint64:
+        # within a field, ascending as the terms are
+        start, length = off[:-1].astype(np.int64), np.diff(off)
+        head = np.zeros((len(start), 8), dtype=np.uint8)
+        if len(data):
+            for j in range(8):
+                byte = data[np.minimum(start + j, len(data) - 1)]
+                head[:, j] = np.where(j < length, byte, 0)
+        # memoryviews: an item read is a Python int or bytes slice, with
+        # no numpy scalar in between (``bisect`` searches them directly)
+        self._prefix = memoryview(head.view(">u8")[:, 0].astype(np.uint64))
+        self._off = memoryview(np.ascontiguousarray(off))
+        self._data = memoryview(data)
+
+    def _term(self, row: int) -> bytes:
+        return self._data[self._off[row] : self._off[row + 1]].tobytes()
+
+    def find(self, field: str, term: str) -> int:
+        """The row of one key, -1 where absent."""
+        if field not in self._bounds:
+            return -1  # no document has the field
+        s, e = self._bounds[field]
+        raw = term.encode()
+        key = int.from_bytes(raw[:8].ljust(8, b"\0"), "big")
+        # every row sharing the prefix of a key of 8 bytes or fewer and no
+        # NUL starts with the key, so the first such row is the key if any
+        # is; any other key is binary searched among those rows
+        a = bisect.bisect_left(self._prefix, key, s, e)
+        if len(raw) > 8 or b"\0" in raw:
+            b = bisect.bisect_right(self._prefix, key, a, e)
+            while a < b:
+                m = (a + b) // 2
+                if self._term(m) < raw:
+                    a = m + 1
+                else:
+                    b = m
+        return a if a < e and self._term(a) == raw else -1
+
+    def rows(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
+        """The row of each ``(field, term)`` key, -1 where absent."""
+        return np.fromiter(
+            (self.find(f, t) for f, t in keys), dtype=np.int64, count=len(keys)
+        )
 
 
 class PostingList:
@@ -67,34 +176,23 @@ class Segment:
         self.seg_dir = seg_dir
         self.name = os.path.basename(seg_dir)
         encode.check_codec(seg_dir)
-        dm = pq.read_table(
-            os.path.join(seg_dir, "docmeta.parquet"), memory_map=True
-        )
-        self.doc_ids = dm.column("doc_id").to_numpy()
+        dm = read_parquet(os.path.join(seg_dir, "docmeta.parquet"))
+        self.doc_ids = values(dm.column("doc_id"), np.int64)
         # the docmeta url column as one Arrow string array: local doc i
         # has url ``urls[i]``
-        url = dm.column("url")
-        self.urls = (
-            url.chunk(0) if url.num_chunks == 1 else url.combine_chunks()
-        )
+        self.urls = _one_chunk(dm.column("url"))
         self.doclen = {
-            f: dm.column(f"len_{f}").to_numpy().astype(np.float64)
+            f: values(dm.column(f"len_{f}"), np.int32).astype(np.float64)
             for f in FIELDS
         }
         self.n_docs = len(self.doc_ids)
-        tbl = pq.read_table(
+        tbl = read_parquet(
             os.path.join(seg_dir, "postings.parquet"),
-            columns=["field", "term", "df", "ctf", *_LIST_COLS],
-            memory_map=True,
+            ["field", "term", "df", "ctf", *_LIST_COLS],
         )
-        # term dictionary: (field, term) -> row index
-        fields = tbl.column("field").to_pylist()
-        terms = tbl.column("term").to_pylist()
-        self._dict = {
-            (f, t): i for i, (f, t) in enumerate(zip(fields, terms))
-        }
-        self._df = tbl.column("df").to_numpy()
-        self._ctf = tbl.column("ctf").to_numpy()
+        self.terms = TermDict(tbl.column("field"), tbl.column("term"))
+        self._df = values(tbl.column("df"), np.int64)
+        self._ctf = values(tbl.column("ctf"), np.int64)
         # a posting-list decode slices these views: no per-row Arrow
         # scalar round trip
         self._views = {c: _row_views(tbl.column(c)) for c in _LIST_COLS}
@@ -117,6 +215,11 @@ class Segment:
         mask = np.isin(self.doc_ids, tomb_ids)
         self.dead = mask if mask.any() else None
 
+    def row_of(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
+        """The postings row of each ``(field, term)`` key, -1 where the
+        segment does not hold it."""
+        return self.terms.rows(keys)
+
     def _row(self, col: str, row: int) -> np.ndarray:
         off, vals = self._views[col]
         return vals[off[row] : off[row + 1]]
@@ -125,9 +228,9 @@ class Segment:
         key = (field, term)
         if key in self._cache:
             return self._cache[key]
-        row = self._dict.get(key)
+        row = self.terms.find(field, term)
         out = None
-        if row is not None:
+        if row >= 0:
             out = PostingList(
                 encode.decode_doc_ids(self._row("docs", row)).astype(np.int64),
                 encode.decode_values(self._row("tfs", row)).astype(np.int64),
@@ -139,27 +242,61 @@ class Segment:
         self._cache[key] = out
         return out
 
-    def local_stats(self, field: str, term: str) -> tuple[int, int]:
-        row = self._dict.get((field, term))
-        if row is None:
-            return 0, 0
-        return int(self._df[row]), int(self._ctf[row])
+    def local_stats(
+        self, keys: Sequence[tuple[str, str]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """This segment's (df, ctf) of each key as two int64 arrays, 0 for
+        a key it does not hold."""
+        rows = self.row_of(keys)
+        held = rows >= 0
+        df = np.zeros(len(rows), dtype=np.int64)
+        ctf = np.zeros(len(rows), dtype=np.int64)
+        df[held] = self._df[rows[held]]
+        ctf[held] = self._ctf[rows[held]]
+        return df, ctf
 
-    def forward(self):
-        """Forward index (term vectors) if built with keep_forward: dict
-        (doc_id, field) -> list[str] ('' = stopword position)."""
+    def term_vectors(
+        self, doc_ids: Sequence[int], field: Optional[str] = None
+    ) -> list[tuple[int, str, list[str]]]:
+        """Forward-index entries (index built with keep_forward) of the
+        given docs, of one field or all: ``(doc_id, field, terms)`` in
+        (doc_id, field) order, '' marking a stopword position.  A doc with
+        no entry for a field (its field is empty) has no tuple for it."""
         if self._fwd is None:
             path = os.path.join(self.seg_dir, "fwd.parquet")
-            self._fwd = {}
-            if os.path.exists(path):
-                t = pq.read_table(path, memory_map=True)
-                for d, f, ts in zip(
-                    t.column("doc_id").to_pylist(),
-                    t.column("field").to_pylist(),
-                    t.column("terms").to_pylist(),
-                ):
-                    self._fwd[(d, f)] = ts
-        return self._fwd
+            tbl = read_parquet(path) if os.path.exists(path) else None
+            if tbl is None or tbl.num_rows == 0:
+                self._fwd = (np.empty(0, dtype=np.int64), None, None)
+            else:
+                # the table's rows in (doc_id, field) order, and their
+                # doc_ids: a doc's entries are one run, found by bisection
+                order = values(
+                    pc.sort_indices(
+                        tbl,
+                        sort_keys=[
+                            ("doc_id", "ascending"),
+                            ("field", "ascending"),
+                        ],
+                    ),
+                    np.int64,
+                )
+                docs = values(tbl.column("doc_id"), np.int64)[order]
+                self._fwd = (docs, order, tbl)
+        docs, order, tbl = self._fwd
+        want = np.unique(np.asarray(doc_ids, dtype=np.int64))
+        lo = np.searchsorted(docs, want, "left").tolist()
+        hi = np.searchsorted(docs, want, "right").tolist()
+        at = [i for a, b in zip(lo, hi) for i in range(a, b)]
+        if not at:
+            return []
+        rows = arrow_indices(order[at])
+        fields = tbl.column("field").take(rows).to_pylist()
+        if field is not None:
+            at = [i for i, f in zip(at, fields) if f == field]
+            rows = arrow_indices(order[at])
+            fields = [field] * len(at)
+        terms = tbl.column("terms").take(rows).to_pylist()
+        return list(zip(docs[at].tolist(), fields, terms))
 
 
 def load_stats(index_dir: str) -> dict:
@@ -177,11 +314,9 @@ def load_tombstones(index_dir: str) -> np.ndarray:
     corpus-sized; every searcher loads them once at startup."""
     import glob
 
-    import pyarrow.parquet as pq
-
     root = os.path.join(index_dir, TOMBSTONES_DIR)
     parts = [
-        pq.read_table(p, columns=["doc_id"]).column("doc_id").to_numpy()
+        values(read_parquet(p, ["doc_id"]).column("doc_id"), np.int64)
         for p in sorted(glob.glob(os.path.join(root, "del-*.parquet")))
     ]
     if not parts:
@@ -212,31 +347,33 @@ def segment_dirs(index_dir: str) -> list[str]:
     ]
 
 
-def load_termstats(
-    index_dir: str,
-) -> dict[tuple[str, str], tuple[int, int]]:
-    """Global (field, term) -> (df, ctf) over the whole vocabulary: the
-    sum of every segment's own ``df``/``ctf`` postings columns.  Each
-    segment is the partial count; nothing else stores global df/ctf.  The
-    read is vocabulary x segments, so serving at scale uses the query-time
-    dfs phase instead (``query/engine.py``)."""
-    import pyarrow.dataset as pads
-
-    paths = [
-        os.path.join(d, "postings.parquet") for d in segment_dirs(index_dir)
-    ]
-    if not paths:
-        return {}
-    tbl = (
-        pads.dataset(paths, format="parquet")
-        .to_table(columns=["field", "term", "df", "ctf"])
+def load_termstats(index_dir: str) -> pa.Table:
+    """Global ``(field, term, df, ctf)`` over the whole vocabulary, sorted
+    by (field, term): the sum of every segment's own ``df``/``ctf``
+    postings columns.  Each segment is the partial count; nothing else
+    stores global df/ctf.  The read is vocabulary x segments, so serving
+    at scale uses the query-time dfs phase instead (``query/engine.py``).
+    Look keys up with a :class:`TermDict` over its ``field`` and ``term``
+    columns."""
+    cols = ["field", "term", "df", "ctf"]
+    empty = pa.schema([POSTINGS_SCHEMA.field(c) for c in cols]).empty_table()
+    sums = (
+        pa.concat_tables(
+            [empty]
+            + [
+                read_parquet(os.path.join(d, "postings.parquet"), cols)
+                for d in segment_dirs(index_dir)
+            ]
+        )
         .group_by(["field", "term"])
         .aggregate([("df", "sum"), ("ctf", "sum")])
     )
-    col = {c: tbl.column(c).to_pylist() for c in tbl.column_names}
-    return dict(
-        zip(
-            zip(col["field"], col["term"]),
-            zip(col["df_sum"], col["ctf_sum"]),
+    tbl = pa.table(
+        [sums.column(c) for c in ("field", "term", "df_sum", "ctf_sum")],
+        names=cols,
+    )
+    return tbl.take(
+        pc.sort_indices(
+            tbl, sort_keys=[("field", "ascending"), ("term", "ascending")]
         )
     )

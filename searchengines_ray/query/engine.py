@@ -27,10 +27,14 @@ batch, covering only the batch's query keys, never the vocabulary):
 - per-term df/ctf for exactly the batch's (field, term) keys; keys absent
   from the index are left out (readers default them).  Global df/ctf are
   the sum of the segments' own postings columns; nothing else stores
-  them.  Below ``FULL_TERMSTATS_MAX_POSTINGS`` the driver sums the whole
-  vocabulary once (``load_termstats``); at or above it, a dfs phase sums
-  the actors' shard-local dictionary stats for the new keys only, memoized
-  across batches;
+  them.  Each key is looked up once per engine and memoized
+  (``_term_memo``, absent keys too); a batch's new keys are looked up
+  together.  Below ``FULL_TERMSTATS_MAX_POSTINGS`` postings the engine
+  sums the whole vocabulary once at start-up, while the actors start
+  (``load_termstats``: a sorted Arrow (field, term, df, ctf) table), and
+  new keys are binary-searched in it with the segments' own
+  :class:`~..index.shard.TermDict`; at or above it, a dfs phase sums the
+  actors' shard-local dictionary stats for the new keys;
 - composite-Iop (#SYN/#NEAR/#WINDOW) derived df/ctf via a stats pass: every
   actor evaluates the derived lists over its segments and returns (df,ctf)
   partials, summed on the driver — matching the reference's whole-corpus
@@ -54,6 +58,10 @@ stalls each such message ~40 ms.  An actor binds on its node's IP, so a
 searcher on another node needs that port reachable from the driver (only
 single-node sessions are tested).
 
+A searcher process imports neither pandas nor ``pyarrow.dataset``
+(``index/shard.py``); pandas is imported inside :meth:`search_batch`, on
+the driver.
+
 Queries are batched: one scatter serves a whole query file, so the
 per-round-trip overhead amortizes (the reference processes queries one at a
 time in a single JVM — ``QryEval.java:1375-1419``).
@@ -73,20 +81,22 @@ from multiprocessing.connection import (
     Connection,
     Listener,
 )
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis import AnalyzerConfig, DEFAULT_ANALYZER
 from ..index.shard import (
     Segment,
+    TermDict,
+    arrow_indices,
     load_stats,
     load_termstats,
     load_tombstones,
     segment_dirs,
+    values,
 )
 from ..models import RetrievalModel
 from ..parser import Node, parse_query
@@ -101,6 +111,9 @@ from .exec import (
     segment_topk,
     topk_set,
 )
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 # below this many postings the driver sums every segment's df/ctf columns
 # once; at or above it, each new key goes through the dfs phase
@@ -187,8 +200,8 @@ class LocalSearcher:
             [_EMPTY_I64] + [s.doc_ids for s in self.segments]
         ).astype(np.int64)
         self._url_rank = np.empty(len(self._urls), dtype=np.int64)
-        self._url_rank[pc.sort_indices(self._urls).to_numpy()] = np.arange(
-            len(self._urls)
+        self._url_rank[values(pc.sort_indices(self._urls), np.int64)] = (
+            np.arange(len(self._urls))
         )
         tomb = load_tombstones(index_dir)
         if len(tomb):
@@ -204,14 +217,17 @@ class LocalSearcher:
         """Shard-local (df, ctf) sums for the given (field, term) keys — the
         'dfs phase' of distributed global statistics (dictionary lookups
         only; no posting decode)."""
-        out: dict = {}
+        df = np.zeros(len(keys), dtype=np.int64)
+        ctf = np.zeros(len(keys), dtype=np.int64)
         for seg in self.segments:
-            for key in keys:
-                df, ctf = seg.local_stats(*key)
-                if df:
-                    d0, c0 = out.get(key, (0, 0))
-                    out[key] = (d0 + df, c0 + ctf)
-        return out
+            d, c = seg.local_stats(keys)
+            df += d
+            ctf += c
+        return {
+            key: (d, c)
+            for key, d, c in zip(keys, df.tolist(), ctf.tolist())
+            if d
+        }
 
     def _caches(self, token) -> list:
         if token is None:
@@ -295,16 +311,13 @@ class LocalSearcher:
         self, doc_ids: Sequence[int], field: str
     ) -> dict[int, list[str]]:
         """Forward-index (term vector) fetch for docs held by MY segments
-        (requires the index to be built with keep_forward=True)."""
-        want = set(int(d) for d in doc_ids)
-        out: dict[int, list[str]] = {}
-        for seg in self.segments:
-            fwd = seg.forward()
-            for d in want:
-                v = fwd.get((d, field))
-                if v is not None:
-                    out[d] = v
-        return out
+        (requires the index to be built with keep_forward=True); a doc
+        with no entry for the field is left out."""
+        return {
+            d: terms
+            for seg in self.segments
+            for d, _, terms in seg.term_vectors(doc_ids, field)
+        }
 
     def search_trees(
         self,
@@ -343,7 +356,7 @@ class LocalSearcher:
         return Hits(
             counts,
             self._doc_ids[rows],
-            self._urls.take(rows),
+            self._urls.take(arrow_indices(rows)),
             np.concatenate(scores),
         )
 
@@ -368,7 +381,9 @@ class SearchEngine:
         self.index_dir = index_dir
         self.config = config
         self.stats = load_stats(index_dir)
-        self._termstats_cache: Optional[dict] = None
+        # below the limit: the driver's summed (field, term, df, ctf)
+        # table as (TermDict, df, ctf); None: the dfs phase
+        self._termstats: Optional[tuple] = None
         # (field, term) -> (df, ctf), or None when absent; across batches
         self._term_memo: dict = {}
         # str(composite Iop) -> derived (df, ctf); across batches
@@ -391,37 +406,52 @@ class SearchEngine:
             actor_cls = ray.remote(num_cpus=1)(LocalSearcher)
             self._actors = [actor_cls.remote(index_dir, s) for s in shards if s]
             authkey = secrets.token_bytes(32)
-            self._addrs = ray.get([a.listen.remote(authkey) for a in self._actors])
+            addrs = [a.listen.remote(authkey) for a in self._actors]
+            self._sum_vocabulary()  # while the actors start
+            self._addrs = ray.get(addrs)
             self._conns = [
                 _nodelay(Client(addr, authkey=authkey)) for addr in self._addrs
             ]
         else:
             self._local = LocalSearcher(index_dir, dirs)
+            self._sum_vocabulary()
 
     # ------------------------------------------------------------------ stats
 
+    def _sum_vocabulary(self) -> None:
+        """Below ``FULL_TERMSTATS_MAX_POSTINGS`` postings, sums every
+        segment's df/ctf columns once into the table that serves each new
+        key."""
+        if self.stats.get("n_postings", 0) < FULL_TERMSTATS_MAX_POSTINGS:
+            tbl = load_termstats(self.index_dir)
+            self._termstats = (
+                TermDict(tbl.column("field"), tbl.column("term")),
+                values(tbl.column("df"), np.int64),
+                values(tbl.column("ctf"), np.int64),
+            )
+
     def _term_stats(self, keys: set) -> dict:
         """Global (field, term) -> (df, ctf) for exactly ``keys``; keys
-        absent from the index are left out on both paths."""
-        if self._termstats_cache is None and (
-            self.stats.get("n_postings", 0) < FULL_TERMSTATS_MAX_POSTINGS
-        ):
-            # small index: sum the segments' columns once, reuse across
-            # query batches
-            self._termstats_cache = load_termstats(self.index_dir)
-        if self._termstats_cache is not None:
-            table = self._termstats_cache
-            return {k: table[k] for k in keys if k in table}
-
-        missing = sorted(k for k in keys if k not in self._term_memo)
-        if missing:
-            # 'dfs phase': sum the searchers' shard-local dictionary stats
-            # (exact global df/ctf, one scatter)
-            got = _sum_partials(self._scatter("term_stats_partial", missing))
-            for k in missing:
-                self._term_memo[k] = got.get(k)  # None: absent, not re-read
+        absent from the index are left out.  Each key is looked up once
+        per engine, in one batch with the call's other new keys."""
         memo = self._term_memo
+        missing = sorted(k for k in keys if k not in memo)
+        if missing:
+            memo.update(zip(missing, self._lookup(missing)))
         return {k: memo[k] for k in keys if memo[k] is not None}
+
+    def _lookup(self, keys: list) -> list:
+        """Global (df, ctf) of each key, None where absent: from the summed
+        table, or by the 'dfs phase', one scatter that sums the searchers'
+        shard-local dictionary stats."""
+        if self._termstats is None:
+            got = _sum_partials(self._scatter("term_stats_partial", keys))
+            return [got.get(k) for k in keys]
+        terms, df, ctf = self._termstats
+        return [
+            (int(df[r]), int(ctf[r])) if r >= 0 else None
+            for r in terms.rows(keys).tolist()
+        ]
 
     def _scatter(self, method: str, *args) -> list:
         """``method(*args)`` on every searcher; one result per searcher.
@@ -504,6 +534,8 @@ class SearchEngine:
         rank-identical to the oracle.
         """
         import uuid
+
+        import pandas as pd
 
         trees = [
             parse_query(text, model.default_op, self.config)

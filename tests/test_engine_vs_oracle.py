@@ -106,7 +106,7 @@ def test_inprocess_engine_matches_oracle(corpus, model_i, monkeypatch):
         res = eng.search_batch(
             [(str(i), q) for i, q in enumerate(QUERIES)], model, k=15
         )
-        assert (eng._termstats_cache is None) == (path == "dfs")
+        assert (eng._termstats is None) == (path == "dfs")
         for i, q in enumerate(QUERIES):
             want = run_query(oidx, q, model, k=15)
             got = res[res.qid == str(i)]
@@ -566,7 +566,7 @@ def test_dfs_phase_without_termstats_table(corpus, ray_session, monkeypatch):
         res = eng.search_batch(
             [(str(i), q) for i, q in enumerate(QUERIES)], model, k=15
         )
-        assert eng._termstats_cache is None
+        assert eng._termstats is None
         for i, q in enumerate(QUERIES):
             want = run_query(oidx, q, model, k=15)
             got = res[res.qid == str(i)]
@@ -582,8 +582,7 @@ def _stats_engines(out, monkeypatch):
     full-sum limit)."""
     from searchengines_ray.query import engine as engine_mod
 
-    full = SearchEngine(out, num_searchers=0)
-    full.term_stats_for([])  # sums the whole vocabulary under the real limit
+    full = SearchEngine(out, num_searchers=0)  # sums under the real limit
     monkeypatch.setattr(engine_mod, "FULL_TERMSTATS_MAX_POSTINGS", 0)
     return {"full": full, "dfs": SearchEngine(out, num_searchers=0)}
 
@@ -600,20 +599,25 @@ def test_term_stats_paths_agree(corpus, monkeypatch):
 
     out, oidx, _ = corpus
     engines = _stats_engines(out, monkeypatch)
-    lookups = []
+    lookups, loads = [], []
     real_load = engine_mod.load_termstats
     monkeypatch.setattr(
         engine_mod,
         "load_termstats",
-        lambda d: lookups.append(None) or real_load(d),
+        lambda d: loads.append(d) or real_load(d),
     )
-    for eng in engines.values():
-        local = eng._local
-        real_partial = local.term_stats_partial
+    # the keys each path looks up: the summed table's TermDict, and the
+    # dfs phase's scatter
+    for obj, method in (
+        (engines["full"]._termstats[0], "rows"),
+        (engines["dfs"]._local, "term_stats_partial"),
+    ):
         monkeypatch.setattr(
-            local,
-            "term_stats_partial",
-            lambda keys, real=real_partial: lookups.append(keys) or real(keys),
+            obj,
+            method,
+            lambda keys, real=getattr(obj, method): (
+                lookups.append(keys) or real(keys)
+            ),
         )
 
     absent = ("body", "zzzznohit")
@@ -634,11 +638,9 @@ def test_term_stats_paths_agree(corpus, monkeypatch):
         assert eng.term_stats_for(first) == want(first), name
         assert eng.term_stats_for(second) == want(second), name
         assert eng.term_stats_for(first + second) == want(first + second), name
-        if name == "full":
-            assert lookups == [], name
-        else:
-            # first: all 4 keys; second: only the 2 new ones; third: none
-            assert [len(k) for k in lookups] == [4, 2], (name, lookups)
+        # first: all 4 keys; second: only the 2 new ones; third: none
+        assert [len(k) for k in lookups] == [4, 2], (name, lookups)
+        assert set(eng._term_memo) == set(first + second), name
         for q in QUERIES:
             tree = parse_query(q, "sum")
             keys: set = set()
@@ -646,7 +648,8 @@ def test_term_stats_paths_agree(corpus, monkeypatch):
                 iter_term_keys(tree, keys)
             shipped = eng.global_stats_for([tree]).term_stats
             assert len(shipped) <= len(keys) and set(shipped) <= keys, (name, q)
-    assert engines["dfs"]._termstats_cache is None
+    assert engines["dfs"]._termstats is None
+    assert loads == []  # the full path summed once, at start-up
 
 
 def test_large_request_over_socket(corpus, ray_session):
@@ -1076,7 +1079,11 @@ def test_load_termstats_sums_the_segments(corpus):
     dirs = segment_dirs(out)
     assert len(dirs) >= 3
     want = _oracle_term_stats(oidx)
-    assert load_termstats(out) == want
+    ts = load_termstats(out)
+    col = {c: ts.column(c).to_pylist() for c in ts.column_names}
+    keys = list(zip(col["field"], col["term"]))
+    assert keys == sorted(keys)
+    assert dict(zip(keys, zip(col["df"], col["ctf"]))) == want
     held_by = Counter()
     for d in dirs:
         t = pq.read_table(f"{d}/postings.parquet", columns=["field", "term"])
