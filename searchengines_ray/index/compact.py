@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 from ..analysis import FIELDS
 from . import encode
 from .build import POSTINGS_SCHEMA, SEGMENT_DIR, STATS_FILE, _manifest_table
-from .shard import list_segments
+from .shard import _LIST_COLS, _row_views, list_segments
 
 
 def _checked_segments(index_dir: str) -> list[str]:
@@ -254,22 +254,27 @@ def _merge_group_inner(
     # per column (encode.encode_postings owns the column layout)
     post = {k: [] for k in ("field", "term", "docs", "tfs", "positions")}
     starts = [0]
-    docs_cols = [t.column("docs") for t in tbls]
-    tfs_cols = [t.column("tfs") for t in tbls]
-    pos_cols = [t.column("positions") for t in tbls]
+    # each source's encoded rows as (offsets, bytes) views, decoded as the
+    # segment reader decodes them
+    views = [{c: _row_views(t.column(c)) for c in _LIST_COLS} for t in tbls]
+
+    def row(s: int, col: str, r: int) -> np.ndarray:
+        off, data = views[s][col]
+        return data[off[r] : off[r + 1]]
+
     for gi in range(len(bounds) - 1):
         a, b = bounds[gi], bounds[gi + 1]
         fname = fld[a]
         parts_d, parts_t, parts_p = [], [], []
         for j in range(a, b):
             s, r = int(segs_np[j]), int(rows_np[j])
-            d = encode.decode_doc_ids(docs_cols[s][r].as_py()).astype(np.int64)
-            t_v = encode.decode_values(tfs_cols[s][r].as_py())
-            p_v = encode.decode_values(pos_cols[s][r].as_py())
+            d = encode._decode_blocks(row(s, "docs", r), True, np.int64)
+            t_v = encode._decode_blocks(row(s, "tfs", r), False, np.int64)
+            p_v = encode._decode_blocks(row(s, "positions", r), False, np.int32)
             if alive[s] is not None:
                 m = alive[s][d]
                 if not m.all():
-                    p_v = p_v[np.repeat(m, t_v.astype(np.int64))]
+                    p_v = p_v[np.repeat(m, t_v)]
                     d, t_v = d[m], t_v[m]
             parts_d.append(maps[s][d])
             parts_t.append(t_v)
@@ -277,7 +282,7 @@ def _merge_group_inner(
         docs = np.concatenate(parts_d).astype(np.int64)
         if len(docs) == 0:
             continue  # every posting of this term was tombstoned
-        tfs = np.concatenate(parts_t).astype(np.int64)
+        tfs = np.concatenate(parts_t)
         order = np.argsort(docs, kind="stable")
         post["field"].append(fname)
         post["term"].append(trm[a])

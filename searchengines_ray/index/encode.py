@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import numpy as np
 import pyarrow as pa
@@ -131,31 +132,37 @@ def _bw_encode(arr: np.ndarray, delta: bool) -> bytes:
     return out.tobytes()
 
 
-def _decode_blocks(buf: bytes, delta: bool) -> np.ndarray:
-    pos = 0
-    chunks = []
-    hs = _HEADER.itemsize
-    mv = memoryview(buf)
-    while pos < len(buf):
-        hdr = np.frombuffer(mv, dtype=_HEADER, count=1, offset=pos)[0]
-        pos += hs
-        count, width = int(hdr["count"]), int(hdr["width"])
-        nvals = count - 1 if delta else count
-        dt = {1: "u1", 2: "<u2", 4: "<u4", 8: "<u8"}[width]
-        body = np.frombuffer(mv, dtype=dt, count=nvals, offset=pos).astype(
-            np.uint64
-        )
-        pos += nvals * width
+_HEADER_STRUCT = struct.Struct("<QHB")  # ``_HEADER`` as one struct, for decode
+_WIDTH_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+
+
+def _decode_blocks(buf, delta: bool, dtype=np.uint64) -> np.ndarray:
+    """One encoded list (``bytes`` or a uint8 array) -> its values as
+    ``dtype``.  Headers are parsed with ``struct`` first, then every
+    block is decoded straight into one preallocated result: no
+    intermediate uint64 copy and no concatenation."""
+    heads = []
+    pos, end = 0, len(buf)
+    while pos < end:
+        base, count, width = _HEADER_STRUCT.unpack_from(buf, pos)
+        pos += _HEADER_STRUCT.size
+        heads.append((base, count, width, pos))
+        pos += (count - delta) * width
+    out = np.empty(sum(h[1] for h in heads), dtype=dtype)
+    at = 0
+    for base, count, width, pos in heads:
+        blk = out[at : at + count]
+        at += count
+        body = np.frombuffer(buf, _WIDTH_DTYPES[width], count - delta, pos)
         if delta:
-            blk = np.empty(count, dtype=np.uint64)
-            blk[0] = hdr["base"]
-            blk[1:] = hdr["base"] + np.cumsum(body)
-            chunks.append(blk)
+            # [base, deltas...] summed in place (``np.add.accumulate``:
+            # the ``np.cumsum`` wrapper costs more than a short list)
+            blk[0] = base
+            blk[1:] = body
+            np.add.accumulate(blk, out=blk)
         else:
-            chunks.append(body)
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(chunks)
+            blk[:] = body
+    return out
 
 
 def encode_doc_ids(doc_ids: np.ndarray) -> bytes:

@@ -4,8 +4,13 @@ The Ray analog of the reference's materialized inverted lists
 (``/root/reference/QryEval/QryIop.java:50-54``, ``InvList.java:109-154``): a
 segment's postings parquet is memory-mapped once per actor (``__init__``-time,
 never per batch) and individual (field,term) lists are decoded on demand into
-numpy arrays.  Decoded lists (and misses) go into a per-segment cache that is
-cleared wholesale once it holds ``DECODE_CACHE_LISTS`` entries.
+numpy arrays.  A searcher reads its segments as one :class:`SegmentSet`,
+which evaluates a query once over all of them: its lists are the segments'
+lists concatenated with their docs offset into searcher-wide rows, and it
+holds the searcher's one decode cache (misses too), cleared wholesale once
+it holds ``DECODE_CACHE_LISTS`` entries.  A list's positions stay encoded
+until first read (:class:`PostingList`), so bag-of-words scoring decodes
+docs and tfs only.
 
 The term dictionary stays Arrow (:class:`TermDict`), as Lucene's
 block-tree terms dictionary keeps a small in-memory index and no hash
@@ -148,22 +153,47 @@ class TermDict:
 
 
 class PostingList:
-    """Decoded postings of one (field, term) within a segment.
+    """Decoded postings of one (field, term) within a segment or a
+    :class:`SegmentSet`.
 
-    ``docs`` are LOCAL doc indices (int64, ascending) into the segment's doc
-    table; ``positions`` is a flat int32 array sliced by ``offsets``
-    (``offsets[i]:offsets[i+1]`` = positions of docs[i]).
+    ``docs`` are doc rows (int64, ascending) into the reader's doc table;
+    ``positions`` is a flat int32 array sliced by ``offsets``
+    (``offsets[i]:offsets[i+1]`` = positions of docs[i]).  Until
+    ``positions`` or ``offsets`` is first read, the list holds its
+    encoded position rows, one per segment in doc order; only #SYN,
+    #NEAR, #WINDOW and postings dumps read them.
     """
 
-    __slots__ = ("docs", "tfs", "positions", "offsets")
+    __slots__ = (
+        "field", "docs", "tfs", "_pos_rows", "_positions", "_offsets"
+    )
 
-    def __init__(self, docs, tfs, positions):
+    def __init__(self, field: str, docs, tfs, pos_rows: list):
+        self.field = field
         self.docs = docs
         self.tfs = tfs
-        self.positions = positions
-        self.offsets = np.concatenate(
-            ([0], np.cumsum(tfs, dtype=np.int64))
-        )
+        self._pos_rows = pos_rows
+        self._positions = None
+        self._offsets = None
+
+    @property
+    def positions(self) -> np.ndarray:
+        if self._positions is None:
+            self._positions = _cat(
+                [
+                    encode._decode_blocks(r, False, np.int32)
+                    for r in self._pos_rows
+                ]
+            )
+        return self._positions
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._offsets is None:
+            off = np.zeros(len(self.tfs) + 1, dtype=np.int64)
+            np.cumsum(self.tfs, out=off[1:])
+            self._offsets = off  # assigned whole: lists are shared
+        return self._offsets
 
     def pos_of(self, i: int) -> np.ndarray:
         return self.positions[self.offsets[i] : self.offsets[i + 1]]
@@ -181,9 +211,9 @@ class Segment:
         # the docmeta url column as one Arrow string array: local doc i
         # has url ``urls[i]``
         self.urls = _one_chunk(dm.column("url"))
+        # int32 views; a searcher scores with its SegmentSet's float64 copy
         self.doclen = {
-            f: values(dm.column(f"len_{f}"), np.int32).astype(np.float64)
-            for f in FIELDS
+            f: values(dm.column(f"len_{f}"), np.int32) for f in FIELDS
         }
         self.n_docs = len(self.doc_ids)
         tbl = read_parquet(
@@ -196,24 +226,7 @@ class Segment:
         # a posting-list decode slices these views: no per-row Arrow
         # scalar round trip
         self._views = {c: _row_views(tbl.column(c)) for c in _LIST_COLS}
-        self._cache: dict[tuple[str, str], Optional[PostingList]] = {}
         self._fwd = None
-        # tombstone mask over LOCAL doc indices (None = no deletes).
-        # Deletes are result-filters only: postings, df/ctf and doclen
-        # stats keep their pre-delete values until purge_deleted rewrites
-        # the segment (the Lucene liveDocs semantics the reference's
-        # Idx reader inherits: deleted docs vanish from results but
-        # still count in index statistics until merge).
-        self.dead: Optional[np.ndarray] = None
-
-    def set_tombstones(self, tomb_ids: np.ndarray) -> None:
-        """Install the index-level tombstone set (sorted global doc_ids);
-        computes this segment's local dead mask once."""
-        if tomb_ids is None or len(tomb_ids) == 0:
-            self.dead = None
-            return
-        mask = np.isin(self.doc_ids, tomb_ids)
-        self.dead = mask if mask.any() else None
 
     def row_of(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
         """The postings row of each ``(field, term)`` key, -1 where the
@@ -224,23 +237,22 @@ class Segment:
         off, vals = self._views[col]
         return vals[off[row] : off[row + 1]]
 
+    def _decode(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Postings row ``row``'s docs and tfs, as int64 arrays of their
+        own."""
+        docs = encode._decode_blocks(self._row("docs", row), True, np.int64)
+        tfs = encode._decode_blocks(self._row("tfs", row), False, np.int64)
+        return docs, tfs
+
     def postings(self, field: str, term: str) -> Optional[PostingList]:
-        key = (field, term)
-        if key in self._cache:
-            return self._cache[key]
+        """One key's list over this segment's local docs, None where the
+        segment does not hold it.  Uncached: a searcher reads its lists
+        through its :class:`SegmentSet`."""
         row = self.terms.find(field, term)
-        out = None
-        if row >= 0:
-            out = PostingList(
-                encode.decode_doc_ids(self._row("docs", row)).astype(np.int64),
-                encode.decode_values(self._row("tfs", row)).astype(np.int64),
-                encode.decode_values(self._row("positions", row))
-                .astype(np.int32),
-            )
-        if len(self._cache) >= DECODE_CACHE_LISTS:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+        if row < 0:
+            return None
+        docs, tfs = self._decode(row)
+        return PostingList(field, docs, tfs, [self._row("positions", row)])
 
     def local_stats(
         self, keys: Sequence[tuple[str, str]]
@@ -297,6 +309,81 @@ class Segment:
             fields = [field] * len(at)
         terms = tbl.column("terms").take(rows).to_pylist()
         return list(zip(docs[at].tolist(), fields, terms))
+
+
+_UNSEEN = object()  # a key the decode cache has no entry for
+
+
+def _cat(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class SegmentSet:
+    """A searcher's segments read as one index: row i of the set is
+    segment s's local doc ``i - base[s]``, where segment s holds rows
+    ``base[s]:base[s + 1]``.
+
+    ``doc_ids``, ``urls`` and ``doclen`` are the segments' arrays
+    concatenated in segment order; ``dead`` masks the tombstoned rows (None
+    when none is).  ``postings`` is each holding segment's list with its
+    docs offset by the segment's base, concatenated in segment order, and
+    it owns the searcher's one decode cache (misses cached too), cleared
+    wholesale once it holds ``DECODE_CACHE_LISTS`` keys.
+
+    Deletes are result filters only: postings, df/ctf and doclen keep
+    their pre-delete values until ``purge_deleted`` rewrites the segments
+    (the Lucene liveDocs semantics the reference's Idx reader inherits:
+    deleted docs vanish from results but still count in index statistics
+    until merge)."""
+
+    def __init__(
+        self,
+        segments: Sequence[Segment],
+        tombstones: Optional[np.ndarray] = None,
+    ):
+        self.segments = list(segments)
+        self.base = np.cumsum([0] + [s.n_docs for s in self.segments])
+        self._bases = self.base[:-1].tolist()
+        self.n_docs = int(self.base[-1])
+        self.doc_ids = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [s.doc_ids for s in self.segments]
+        ).astype(np.int64, copy=False)
+        self.urls = pa.chunked_array(
+            [s.urls for s in self.segments], type=pa.string()
+        ).combine_chunks()
+        self.doclen = {
+            f: np.concatenate(
+                [np.empty(0)] + [s.doclen[f] for s in self.segments],
+                dtype=np.float64,
+            )
+            for f in FIELDS
+        }
+        self.dead: Optional[np.ndarray] = None
+        if tombstones is not None and len(tombstones):
+            dead = np.isin(self.doc_ids, tombstones)
+            self.dead = dead if dead.any() else None
+        self._cache: dict[tuple[str, str], Optional[PostingList]] = {}
+
+    def postings(self, field: str, term: str) -> Optional[PostingList]:
+        key = (field, term)
+        out = self._cache.get(key, _UNSEEN)
+        if out is not _UNSEEN:
+            return out
+        docs, tfs, pos = [], [], []
+        for seg, base in zip(self.segments, self._bases):
+            row = seg.terms.find(field, term)
+            if row >= 0:
+                d, t = seg._decode(row)
+                if base:
+                    d += base
+                docs.append(d)
+                tfs.append(t)
+                pos.append(seg._row("positions", row))
+        out = PostingList(field, _cat(docs), _cat(tfs), pos) if docs else None
+        if len(self._cache) >= DECODE_CACHE_LISTS:
+            self._cache.clear()
+        self._cache[key] = out
+        return out
 
 
 def load_stats(index_dir: str) -> dict:

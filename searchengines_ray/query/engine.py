@@ -3,19 +3,21 @@
 The Ray analog of the reference's static ``Idx.INDEXREADER``
 (``QryEval/Idx.java:32``): each searcher actor (a :class:`LocalSearcher`
 under ``ray.remote``) memory-maps its assigned segments ONCE in
-``__init__`` (never per query) and serves per-segment top-k; the driver
-scatters parsed query trees to all actors and merges their top-k sets
-under the (score desc, url asc) key — the scatter/gather architecture of
-SURVEY.md §3.4.
+``__init__`` (never per query), reads them as one index
+(:class:`~..index.shard.SegmentSet`) and serves each query's top-k over
+all of them; the driver scatters parsed query trees to all actors and
+merges their top-k sets under the (score desc, url asc) key — the
+scatter/gather architecture of SURVEY.md §3.4.
 
 Hits travel as columns, never as per-row tuples:
-- a segment's scorer returns ``(local docs, scores)`` arrays
-  (:func:`~.exec.segment_topk`); every query is scored exhaustively,
-  document-complete over each segment, as the reference scores it
+- a searcher evaluates each query ONCE over its segment set, whose rows
+  are its segments' docs in segment order, and its scorer returns
+  ``(rows, scores)`` arrays (:func:`~.exec.segment_topk`); every query is
+  scored exhaustively, document-complete, as the reference scores it
   (``QryEval/Qry.java:16-31``);
 - a searcher holds one url column, one doc_id array and one integer url
-  rank over all of its segments, keeps each query's top-k set with ties
-  at the boundary broken on that rank, and returns ONE :class:`Hits` per
+  rank over all of its rows, keeps each query's top-k set with ties at
+  the boundary broken on that rank, and returns ONE :class:`Hits` per
   batch (per-query counts, ``doc_id``, ``url``, ``score``);
 - the driver concatenates the searchers' columns, makes one stable Arrow
   sort by (query, score desc, url asc) — the only url-string comparison —
@@ -36,11 +38,14 @@ batch, covering only the batch's query keys, never the vocabulary):
   :class:`~..index.shard.TermDict`; at or above it, a dfs phase sums the
   actors' shard-local dictionary stats for the new keys;
 - composite-Iop (#SYN/#NEAR/#WINDOW) derived df/ctf via a stats pass: every
-  actor evaluates the derived lists over its segments and returns (df,ctf)
-  partials, summed on the driver — matching the reference's whole-corpus
-  derived lists (``InvList.java:163-178``).  Keyed by the Iop's string
-  form and memoized across batches like the term keys: the segments are
-  fixed for the engine's life and tombstones filter hits, not statistics.
+  actor evaluates the derived lists over its segment set and returns
+  (df,ctf) partials, summed on the driver — matching the reference's
+  whole-corpus derived lists (``InvList.java:163-178``).  Keyed by the
+  Iop's string form and memoized across batches like the term keys: the
+  segments are fixed for the engine's life and tombstones filter hits,
+  not statistics.  Within a searcher the derived lists themselves are
+  cached in ONE Iop cache per searcher (``LocalSearcher._cache``), which
+  the stats pass and the scoring pass of a batch share.
 
 Transport: Ray places the searcher actors, reserves one CPU for each and
 kills them, but carries no query traffic.  At start-up each actor opens a
@@ -90,6 +95,7 @@ import pyarrow.compute as pc
 from ..analysis import AnalyzerConfig, DEFAULT_ANALYZER
 from ..index.shard import (
     Segment,
+    SegmentSet,
     TermDict,
     arrow_indices,
     load_stats,
@@ -109,7 +115,6 @@ from .exec import (
     iter_term_keys,
     outer_iops,
     segment_topk,
-    topk_set,
 )
 
 if TYPE_CHECKING:
@@ -188,30 +193,21 @@ class LocalSearcher:
         self.stats = load_stats(index_dir)
         dirs = list(seg_dirs) if seg_dirs is not None else segment_dirs(index_dir)
         self.segments = [Segment(d) for d in dirs]
-        # searcher-wide doc rows: segment i holds rows base[i]:base[i + 1].
-        # One url column, one doc_id array and one url rank (position in
-        # url order) over all of them; hits travel as row indices until
-        # search_trees gathers their columns
-        self._base = np.cumsum([0] + [s.n_docs for s in self.segments])
-        self._urls = pa.chunked_array(
-            [s.urls for s in self.segments], type=pa.string()
-        ).combine_chunks()
-        self._doc_ids = np.concatenate(
-            [_EMPTY_I64] + [s.doc_ids for s in self.segments]
-        ).astype(np.int64)
-        self._url_rank = np.empty(len(self._urls), dtype=np.int64)
-        self._url_rank[values(pc.sort_indices(self._urls), np.int64)] = (
-            np.arange(len(self._urls))
+        # the segments read as one index of searcher-wide doc rows; hits
+        # travel as row indices until search_trees gathers their columns
+        self.reader = SegmentSet(self.segments, load_tombstones(index_dir))
+        # each row's position in url order: ties at the k boundary break
+        # on integers
+        urls = self.reader.urls
+        self._url_rank = np.empty(len(urls), dtype=np.int64)
+        self._url_rank[values(pc.sort_indices(urls), np.int64)] = np.arange(
+            len(urls)
         )
-        tomb = load_tombstones(index_dir)
-        if len(tomb):
-            for seg in self.segments:
-                seg.set_tombstones(tomb)
-        # composite-Iop memo: PERSISTENT per-segment caches (see _caches —
-        # size-bounded, evicted only at batch boundaries); the stats pass,
-        # the scoring pass, and warm repeat batches share one evaluation
+        # composite-Iop memo: one PERSISTENT cache (see _cache — size-
+        # bounded, evicted only at batch boundaries); the stats pass, the
+        # scoring pass, and warm repeat batches share one evaluation
         self._iop_token = None
-        self._iop_caches: list[dict] = []
+        self._iop_cache: dict = {}
 
     def term_stats_partial(self, keys: Sequence[tuple]) -> dict:
         """Shard-local (df, ctf) sums for the given (field, term) keys — the
@@ -229,25 +225,23 @@ class LocalSearcher:
             if d
         }
 
-    def _caches(self, token) -> list:
+    def _cache(self, token) -> Optional[dict]:
         if token is None:
-            return [None] * len(self.segments)
-        if not self._iop_caches:
-            self._iop_caches = [{} for _ in self.segments]
+            return None
         # PERSISTENT across batches (a warm server re-serving a positional
         # query must not re-decode its position lists): entries are keyed
         # by the op subtree's string form, which is deterministic, so
         # reuse is always exact.  Bounded: evict wholesale past 256
-        # distinct op shapes per segment (cache entries are per-segment
-        # doc/position arrays — memory ∝ shapes x segment size) — but
-        # ONLY at a batch boundary (token change): the stats pass and the
+        # distinct op shapes (entries are doc/position arrays over the
+        # searcher's rows — memory ∝ shapes x searcher size) — but ONLY
+        # at a batch boundary (token change): the stats pass and the
         # scoring pass of one batch must share their entries, or every
-        # composite op decodes twice per batch.
+        # composite op is evaluated twice per batch.
         if token != self._iop_token:
             self._iop_token = token
-            if any(len(c) > 256 for c in self._iop_caches):
-                self._iop_caches = [{} for _ in self.segments]
-        return self._iop_caches
+            if len(self._iop_cache) > 256:
+                self._iop_cache = {}
+        return self._iop_cache
 
     def call(self, request: bytes) -> bytes:
         """The actor entry point of every scatter: ``request`` is a pickled
@@ -299,12 +293,11 @@ class LocalSearcher:
         for tree in trees:
             if tree is not None:
                 outer_iops(tree, iops)
+        cache = self._cache(token)
         out: dict = {}
-        for seg, cache in zip(self.segments, self._caches(token)):
-            for key, node in iops.items():
-                ev = eval_iop(node, seg, cache)
-                df, ctf = out.get(key, (0, 0))
-                out[key] = (df + ev.local_df, ctf + ev.local_ctf)
+        for key, node in iops.items():
+            ev = eval_iop(node, self.reader, cache)
+            out[key] = (ev.local_df, ev.local_ctf)
         return out
 
     def term_vectors(
@@ -329,34 +322,24 @@ class LocalSearcher:
     ) -> Hits:
         """Per-query partial top-k over THIS searcher's segments, as the
         columns of one :class:`Hits` for the whole batch (each query's top-k
-        set, unordered — the gather orders it)."""
+        set, unordered — the gather orders it).  Each query is evaluated
+        once, over the segments read as one index."""
         counts = np.zeros(len(trees), dtype=np.int64)
         rows, scores = [_EMPTY_I64], [_EMPTY_F64]
-        caches = self._caches(token)
+        cache = self._cache(token)
         for qi, tree in enumerate(trees):
             if tree is None:
                 continue
-            q_rows, q_scores = [_EMPTY_I64], [_EMPTY_F64]
-            for seg, cache, base in zip(self.segments, caches, self._base):
-                rank = self._url_rank[base : base + seg.n_docs]
-                ev = eval_sop(tree, seg, g, model, cache)
-                d, sc = segment_topk(ev, seg, k, rank)
-                q_rows.append(d + base)
-                q_scores.append(sc)
-            d, sc = topk_set(
-                np.concatenate(q_rows),
-                np.concatenate(q_scores),
-                k,
-                self._url_rank,
-            )
+            ev = eval_sop(tree, self.reader, g, model, cache)
+            d, sc = segment_topk(ev, self.reader, k, self._url_rank)
             counts[qi] = len(d)
             rows.append(d)
             scores.append(sc)
         rows = np.concatenate(rows)
         return Hits(
             counts,
-            self._doc_ids[rows],
-            self._urls.take(arrow_indices(rows)),
+            self.reader.doc_ids[rows],
+            self.reader.urls.take(arrow_indices(rows)),
             np.concatenate(scores),
         )
 
@@ -542,7 +525,7 @@ class SearchEngine:
             for _, text in queries
         ]
         # fresh token = batch boundary marker for the persistent Iop cache
-        # (eviction happens only when the token CHANGES — see _caches)
+        # (eviction happens only when the token CHANGES — see _cache)
         token = uuid.uuid4().hex
         # g covers only this batch's keys and rides in the scatter's one
         # pickled request, written once to each searcher's connection

@@ -1,9 +1,12 @@
-"""Vectorized query evaluation over one segment.
+"""Vectorized query evaluation over one searcher's segments.
 
 The distributed engine's analog of the reference's DAAT loop
 (``/root/reference/QryEval/QryEval.java:1172-1178``): instead of a per-doc
-iterator protocol, each operator materializes numpy arrays over the segment's
-candidate docs and combines them with Arrow/numpy kernels.
+iterator protocol, each operator materializes numpy arrays over the
+candidate docs of a :class:`~..index.shard.SegmentSet` (``seg`` below: a
+searcher's segments read as one index, docs as searcher-wide rows) and
+combines them with Arrow/numpy kernels.  A query is evaluated once per
+searcher, not once per segment.
 
 EXACT-FLOAT contract with the oracle (SURVEY.md §7.5): per-doc scores must be
 bit-identical to :mod:`searchengines_ray.oracle`.  Rules observed here:
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..index.shard import Segment
+from ..index.shard import PostingList, SegmentSet
 from ..models import BM25, Indri, RankedBoolean, RetrievalModel, UnrankedBoolean
 from ..parser import Node
 from ..positional import (
@@ -73,10 +76,10 @@ _EMPTY_I32 = np.empty(0, dtype=np.int32)
 
 @dataclass
 class EvalIop:
-    """Derived inverted list over one segment (local doc indices)."""
+    """Derived inverted list over a searcher's rows."""
 
     field: str
-    docs: np.ndarray  # int64 local doc idx, ascending
+    docs: np.ndarray  # int64 searcher row, ascending
     tfs: np.ndarray  # int64
     positions: np.ndarray  # int32 flat
     offsets: np.ndarray  # int64, len(docs)+1
@@ -100,13 +103,13 @@ def _empty_iop(field: str) -> EvalIop:
 
 
 def eval_iop(
-    node: Node, seg: Segment, cache: Optional[dict] = None
-) -> EvalIop:
+    node: Node, seg: SegmentSet, cache: Optional[dict] = None
+) -> EvalIop | PostingList:
     if node.op == "term":
+        # the list itself: its positions are decoded only if an operator
+        # reads them
         pl = seg.postings(node.field, node.term)
-        if pl is None:
-            return _empty_iop(node.field)
-        return EvalIop(node.field, pl.docs, pl.tfs, pl.positions, pl.offsets)
+        return _empty_iop(node.field) if pl is None else pl
 
     # per-batch memo: the engine evaluates every composite Iop TWICE per
     # query batch (stats pass + scoring pass) — the derived list is
@@ -241,7 +244,7 @@ def _pow_arr(base: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass
 class EvalSop:
-    docs: np.ndarray  # int64 local idx, sorted
+    docs: np.ndarray  # int64 searcher row, sorted
     scores: np.ndarray  # float64
     default: Callable[[np.ndarray], np.ndarray]  # Indri no-match scores
 
@@ -252,7 +255,7 @@ def _zero_default(docs: np.ndarray) -> np.ndarray:
 
 def eval_sop(
     node: Node,
-    seg: Segment,
+    seg: SegmentSet,
     g: GlobalStats,
     model: RetrievalModel,
     iop_cache: Optional[dict] = None,
@@ -397,7 +400,7 @@ def eval_sop(
 
 def _score_leaf(
     node: Node,
-    seg: Segment,
+    seg: SegmentSet,
     g: GlobalStats,
     model: RetrievalModel,
     iop_cache: Optional[dict] = None,
@@ -472,11 +475,11 @@ def topk_set(
 
 
 def segment_topk(
-    ev: EvalSop, seg: Segment, k: Optional[int], url_rank: np.ndarray
+    ev: EvalSop, seg: SegmentSet, k: Optional[int], url_rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment top-k set of an evaluated query: ``(local docs,
-    scores)``, unordered (the searcher and the gather order them).
-    ``url_rank`` orders the segment's local docs by url."""
+    """Top-k set of a query evaluated over a searcher's segments:
+    ``(rows, scores)``, unordered (the gather orders them).  ``url_rank``
+    orders the rows by url."""
     docs, scores = ev.docs, ev.scores
     if seg.dead is not None and len(docs):
         # tombstoned docs drop BEFORE truncation (a deleted doc must not

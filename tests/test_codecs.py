@@ -58,6 +58,58 @@ def test_docids_roundtrip():
         assert np.array_equal(got, ids)
 
 
+def _widths(buf: bytes, delta: bool) -> list:
+    """The byte width of each block of an encoded list, in order."""
+    out, pos = [], 0
+    while pos < len(buf):
+        _, count, width = encode._HEADER_STRUCT.unpack_from(buf, pos)
+        out.append(width)
+        pos += encode._HEADER_STRUCT.size + (count - delta) * width
+    return out
+
+
+def test_decode_blocks_to_each_dtype():
+    """The reader's decode (``_decode_blocks`` straight to int64 docs and
+    tfs, int32 positions, from bytes or a uint8 view) agrees with the
+    encoder: one value, exactly one block, one block and one value, and
+    multi-block lists mixing every width, in delta and absolute mode."""
+    rng = np.random.default_rng(20261020)
+    bounds = ((0, 1 << 8), (1 << 8, 1 << 16), (1 << 16, 1 << 31),
+              (1 << 33, 1 << 40))
+    one_of_each = np.concatenate(
+        [rng.integers(lo, hi, 128) for lo, hi in bounds]
+    ).astype(np.uint64)
+    cases = {
+        "one": np.array([7], dtype=np.uint64),
+        "128": rng.integers(0, 300, 128).astype(np.uint64),
+        "129": rng.integers(0, 300, 129).astype(np.uint64),
+        # blocks of width 1, 2, 4, 8, then 4, 2, 1 again
+        "mixed": np.concatenate([one_of_each, one_of_each[::-1][128:]]),
+    }
+    for name, vals in cases.items():
+        docs = np.cumsum(vals, dtype=np.uint64)  # deltas: vals[1:]
+        positions = vals % np.uint64(1 << 31)  # int32 holds positions
+        for delta, want, dtypes, widths in (
+            (True, docs, (np.uint64, np.int64), {1, 2, 4, 8}),
+            (False, vals, (np.uint64, np.int64), {1, 2, 4, 8}),
+            (False, positions, (np.int32,), {1, 2, 4}),
+        ):
+            buf = (encode.encode_doc_ids if delta else encode.encode_values)(
+                want
+            )
+            if name == "mixed":
+                assert set(_widths(buf, delta)) == widths
+            for dtype in dtypes:
+                for src in (buf, np.frombuffer(buf, dtype=np.uint8)):
+                    got = encode._decode_blocks(src, delta, dtype)
+                    assert got.dtype == dtype, (name, delta, dtype)
+                    assert np.array_equal(got.astype(np.uint64), want), (
+                        name, delta, dtype,
+                    )
+                    got[:1] = 0  # an array of its own, not a buffer view
+    assert encode._decode_blocks(b"", True, np.int64).dtype == np.int64
+
+
 def _pages(n: int, seed: int, prefix: str = "") -> pa.Table:
     tbl = synth_pages(n=n, seed=seed, vocab=120, dup_frac=0.0).drop_columns(
         ["html"]

@@ -180,7 +180,7 @@ from searchengines_ray.query.engine import LocalSearcher
 with open(sys.argv[2], "rb") as f:
     requests = pickle.load(f)
 searcher = LocalSearcher(sys.argv[1])
-assert any(seg.dead is not None for seg in searcher.segments)
+assert searcher.reader.dead is not None
 replies = [searcher.call(r) for r in requests]
 loaded = [m for m in ("pandas", "pyarrow.dataset") if m in sys.modules]
 with open(sys.argv[3], "wb") as f:
