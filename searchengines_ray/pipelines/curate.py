@@ -81,9 +81,7 @@ def curate_corpus(
         batch_format="pandas",
     ).materialize()  # object-store resident; feeds three downstream scans
 
-    pairs = minhash_dedup_pairs_ds(
-        filtered, threshold=minhash_threshold
-    ).materialize()  # bounded (verified pairs); consumed by CC + count
+    pairs = minhash_dedup_pairs_ds(filtered, threshold=minhash_threshold)
     drop = dedup_drop_ids(pairs)  # distributed connected components
     dref = ray.put(drop)
 

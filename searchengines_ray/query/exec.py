@@ -74,15 +74,46 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 
 
-@dataclass
 class EvalIop:
-    """Derived inverted list over a searcher's rows."""
+    """Derived inverted list over a searcher's rows.
 
-    field: str
-    docs: np.ndarray  # int64 searcher row, ascending
-    tfs: np.ndarray  # int64
-    positions: np.ndarray  # int32 flat
-    offsets: np.ndarray  # int64, len(docs)+1
+    ``docs`` are searcher rows (int64, ascending), ``tfs`` int64, and
+    ``positions`` a flat int32 array sliced by ``offsets`` (int64,
+    ``len(docs) + 1``).  A #SYN list holds its argument lists instead of
+    positions and merges theirs on first read, as
+    :class:`~..index.shard.PostingList` decodes on first read: only
+    #NEAR and #WINDOW read positions.
+    """
+
+    __slots__ = ("field", "docs", "tfs", "_positions", "_offsets", "_syn")
+
+    def __init__(self, field: str, docs, tfs, positions=None, syn=()):
+        self.field = field
+        self.docs = docs
+        self.tfs = tfs
+        self._positions = positions
+        self._offsets = None
+        self._syn = syn
+
+    @property
+    def positions(self) -> np.ndarray:
+        if self._positions is None:
+            # per doc: the arguments' positions, sorted
+            kids = self._syn
+            docs = np.concatenate(
+                [np.repeat(k.docs, k.tfs.astype(np.int64)) for k in kids]
+            )
+            pos = np.concatenate([k.positions for k in kids])
+            self._positions = pos[np.lexsort((pos, docs))].astype(np.int32)
+        return self._positions
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._offsets is None:
+            off = np.zeros(len(self.tfs) + 1, dtype=np.int64)
+            np.cumsum(self.tfs, out=off[1:])
+            self._offsets = off  # assigned whole: lists are shared
+        return self._offsets
 
     def pos_of(self, i: int) -> np.ndarray:
         return self.positions[self.offsets[i] : self.offsets[i + 1]]
@@ -97,9 +128,7 @@ class EvalIop:
 
 
 def _empty_iop(field: str) -> EvalIop:
-    return EvalIop(
-        field, _EMPTY_I64, _EMPTY_I64, _EMPTY_I32, np.zeros(1, dtype=np.int64)
-    )
+    return EvalIop(field, _EMPTY_I64, _EMPTY_I64, _EMPTY_I32)
 
 
 def eval_iop(
@@ -127,20 +156,16 @@ def eval_iop(
         return ev
 
     if node.op == "syn":
-        # union; per-doc positions = arg-order concat then sorted
+        # docs: the union; tf: the sum of the arguments' tfs (one position
+        # holds one term)
         if all(len(k.docs) == 0 for k in kids):
             return _done(_empty_iop(field))
-        all_docs = np.concatenate(
-            [np.repeat(k.docs, k.tfs.astype(np.int64)) for k in kids]
+        docs, inv = np.unique(
+            np.concatenate([k.docs for k in kids]), return_inverse=True
         )
-        all_pos = np.concatenate([k.positions for k in kids])
-        order = np.lexsort((all_pos, all_docs))
-        all_docs, all_pos = all_docs[order], all_pos[order]
-        docs, tfs = np.unique(all_docs, return_counts=True)
-        offsets = np.concatenate(([0], np.cumsum(tfs)))
-        return _done(
-            EvalIop(field, docs, tfs, all_pos.astype(np.int32), offsets)
-        )
+        tfs = np.zeros(len(docs), dtype=np.int64)
+        np.add.at(tfs, inv, np.concatenate([k.tfs for k in kids]))
+        return _done(EvalIop(field, docs, tfs, syn=kids))
 
     if node.op in ("near", "window"):
         if any(len(k.docs) == 0 for k in kids):
@@ -174,15 +199,8 @@ def eval_iop(
         hit = tfs_all > 0
         if not hit.any():
             return _done(_empty_iop(field))
-        tfs = tfs_all[hit]
         return _done(
-            EvalIop(
-                field,
-                common[hit],
-                tfs,
-                pos_emit.astype(np.int32),
-                np.concatenate(([0], np.cumsum(tfs))),
-            )
+            EvalIop(field, common[hit], tfs_all[hit], pos_emit.astype(np.int32))
         )
     raise ValueError(f"not an Iop: {node.op}")
 

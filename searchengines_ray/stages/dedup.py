@@ -734,11 +734,6 @@ def minhash_candidate_pairs_ds(
             )
         return pd.concat(frames, ignore_index=True)
 
-    # one materialize only, at the pair list (bounded):
-    # verify consumes it TWICE (id extraction + slot rows) and a lazy
-    # dataset re-executes the whole signature chain per consumer.  A
-    # single downstream consumer does NOT re-execute (measured on this
-    # Ray), so the intermediate band-row stages stay lazy/streaming.
     return bucket_aggregate(
         ds,
         coarse_pairs,
@@ -746,7 +741,7 @@ def minhash_candidate_pairs_ds(
         buckets=1024,
         partial=band_rows,
         batch_format="pyarrow",
-    ).materialize()
+    )
 
 
 def minhash_dedup_pairs_ds(
@@ -1181,12 +1176,12 @@ def substring_dedup(ds, k: int = 8):
     2^31-1, empty => 0) — so the oracle verifies the exact kept stream,
     not just counts.
 
-    Plan (three bucketed exchanges + one equi-join, no driver
+    Plan (three bucket-hash exchanges, the last an equi-join; no driver
     structures): (1) per-batch gram-occurrence explode — gram strings
-    built once per UNIQUE gram of the batch; (2) gram-bucket groupby
-    marks non-first occurrences with one vectorized sort+duplicated per
-    coarse bucket; (3) doc-bucketed
-    groupby folds each doc's duplicate start positions into ONE bytes
+    built once per UNIQUE gram of the batch — as the combiner of (2) a
+    gram-bucketed exchange that marks non-first occurrences with one
+    vectorized sort+duplicated per coarse bucket; (3) a doc-bucketed
+    exchange folds each doc's duplicate start positions into ONE bytes
     row (int64 ``tobytes`` — variable-length arrays ride shuffles as
     bytes); (4) a left :func:`~searchengines_ray.stages.joins.
     hash_equijoin` onto the documents and a final vectorized sweep

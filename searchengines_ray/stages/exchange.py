@@ -1,24 +1,30 @@
 """The bucket-hash exchange: the one shuffle shape of the package.
 
 Every key-grouped aggregate of the curation operators has the same
-plan: a map-side combiner shrinks each batch to
-per-key partials, each partial row is tagged with a coarse bucket of its
-key, one ``groupby(bucket)`` shuffle brings every row of a key to one
-task, and a vectorized per-bucket pandas ``final`` finishes the
-aggregate.  A few dozen coarse buckets bound per-group Python overhead;
-Ray-native groupby on the fine key would run one callback per key.
+plan: a map-side combiner shrinks each block to per-key partials, each
+partial row is tagged with a coarse bucket of its key, a hash exchange
+brings every row of a bucket to one task, and a vectorized per-bucket
+pandas ``final`` finishes the aggregate.  A few dozen coarse buckets
+bound per-group Python overhead; Ray-native groupby on the fine key
+would run one callback per key.
 
 - :func:`bucket_of` is the only shuffle-key hash.  Strings hash as
   ``crc32(utf-8) % n``; integers as ``(uint64(x) * 2654435761) % n``
   (Knuth multiplicative).  The LSH registry's writer and reader both use
   it, so its value is also that registry's on-disk hive partition.
-- :func:`bucket_aggregate` runs combiner + tag in one ``map_batches``
-  task, shuffles on the bucket, and hands ``final`` the bucket's rows
-  without the bucket column.  Chained exchanges are nested calls.
+- :func:`bucket_aggregate` is two rounds of plain Ray tasks that the
+  driver coordinates; no Ray Data shuffle operator runs.  The map round
+  runs one task per input block: combiner, tag, and a split into range
+  partitions of the bucket space.  The reduce round runs one task per
+  partition that received rows and calls ``final`` once per bucket.
+  The result holds the reducers' frames as block refs, so it is never
+  re-executed.  Chained exchanges are nested calls.
 """
 
 from __future__ import annotations
 
+import functools
+import traceback
 import zlib
 
 import numpy as np
@@ -62,45 +68,151 @@ def _keys(batch, key):
     return k
 
 
-def _tag(batch, key, buckets: int):
+def _guard(body, n: int, *args) -> list:
+    """Run ``body`` as a task with ``n`` returns, the first a status.
+    An error becomes that status instead of a failed task: the driver
+    raises it once, as its own type, and no orphaned error object is
+    logged as unhandled."""
+    try:
+        return body(*args)
+    except Exception as e:
+        e.add_note(f"raised in a bucket_aggregate task:\n{traceback.format_exc()}")
+        return [e] + [None] * (n - 1)
+
+
+@functools.cache
+def _task():
+    import ray
+
+    return ray.remote(_guard)
+
+
+def _raise_any(statuses: list) -> None:
+    for s in statuses:
+        if isinstance(s, BaseException):
+            raise s
+
+
+def _split(block, fns, buckets: int, parts: int, batch_format: str) -> list:
+    """Map task: combine one block, tag its rows with their bucket and
+    cut them into ``parts`` range partitions of the bucket space.
+    Returns the per-partition row counts, then the partitions (None
+    where empty)."""
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    pa.set_cpu_count(1)
+    partial, key, _ = fns
+    acc = BlockAccessor.for_block(block)
+    # a copy, as map_batches hands over: a combiner may write its batch
+    batch = BlockAccessor.for_block(
+        acc.slice(0, acc.num_rows(), copy=True)
+    ).to_batch_format(batch_format)
+    if partial is not None:
+        batch = partial(batch)
     b = bucket_of(_keys(batch, key), buckets)
+    part = b * parts // buckets
+    order = np.argsort(part, kind="stable")
+    counts = np.bincount(part, minlength=parts)
     if isinstance(batch, pd.DataFrame):
         # insert, not setitem: a combiner's filtered frame would warn
         batch.insert(len(batch.columns), _BUCKET, b)
-        return batch
-    import pyarrow as pa
+        take = batch.take
+    else:
+        batch = batch.append_column(_BUCKET, pa.array(b))
+        take = lambda idx: batch.take(pa.array(idx))  # noqa: E731
+    ends = np.cumsum(counts)
+    return [counts] + [
+        take(order[e - c : e]) if c else None for c, e in zip(counts, ends)
+    ]
 
-    return batch.append_column(_BUCKET, pa.array(b))
+
+def _reduce(fns, *pieces) -> list:
+    """Reduce task: ``final`` of every bucket of one partition, in
+    ascending bucket order, concatenated.  Returns its row count, then
+    the frame."""
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    pa.set_cpu_count(1)
+    final = fns[2]
+    if isinstance(pieces[0], pd.DataFrame):
+        rows = pd.concat(pieces, ignore_index=True)
+    else:
+        rows = BlockAccessor.for_block(
+            pa.concat_tables(pieces, promote_options="default")
+        ).to_pandas()
+    b = rows.pop(_BUCKET).to_numpy()
+    order = np.argsort(b, kind="stable")
+    ends = np.flatnonzero(np.diff(b[order])).tolist() + [len(b) - 1]
+    outs, start = [], 0
+    for end in ends:
+        group = rows.take(order[start : end + 1])  # the group's own frame
+        group.index = pd.RangeIndex(len(group))
+        outs.append(final(group))
+        start = end + 1
+    # as Ray's block builder does: empty outputs only when all are empty
+    outs = [o for o in outs if len(o)] or outs[-1:]
+    out = pd.concat(outs, ignore_index=True) if len(outs) > 1 else outs[0]
+    out.index = pd.RangeIndex(len(out))
+    return [len(out), out]
 
 
 def bucket_aggregate(
     ds, final, *, key, buckets: int = 64, partial=None, batch_format="pandas"
 ):
-    """``groupby(bucket_of(key)).map_groups(final)`` with an optional
-    map-side combiner.
+    """``final`` of each ``bucket_of(key)`` group, as a hash exchange of
+    plain Ray tasks, with an optional map-side combiner.
 
-    ``buckets`` is the number of coarse shuffle groups; it never changes
-    the result.  ``partial`` (a function of one ``batch_format`` batch,
-    pandas or pyarrow) runs first; without it the input batches are
-    tagged as they are.  ``key`` names the column to hash; a list of
-    integer (or datetime) columns is one composite int64 key; a function
-    of the (combined) batch returns the keys itself.  ``final`` gets one
-    bucket's rows as a pandas frame (every row of a key is in one call)
-    and returns a pandas frame; the bucket column never reaches it or
-    the output.
+    ``buckets`` is the number of coarse groups; it never changes the
+    result.  ``partial`` (a function of one ``batch_format`` batch,
+    pandas or pyarrow) runs once per input block first; without it the
+    input blocks are tagged as they are.  ``key`` names the column to
+    hash; a list of integer (or datetime) columns is one composite int64
+    key; a function of the (combined) batch returns the keys itself.
+    ``final`` gets one bucket's rows as a pandas frame of its own (every
+    row of a key is in one call; rows keep input order) and returns a
+    pandas frame; the bucket column never reaches it or the output.
+
+    The call runs the exchange: the input's blocks are produced (a lazy
+    upstream runs as one map-only execution), one map task per non-empty
+    block splits its rows into ``P = min(blocks, buckets)`` partitions
+    of the bucket space (``bucket * P // buckets``), and one reduce task
+    per partition that received rows calls ``final`` per non-empty
+    bucket, in ascending bucket order.  The result is a materialized
+    Dataset of the reducers' frames that have rows, in bucket order (all
+    empty: the last frame, which keeps ``final``'s columns; no rows
+    reached a reducer: one empty block without a schema).  An error
+    raised by ``partial``, ``key`` or ``final`` is raised here, once, as
+    its own type.
     """
+    import ray
+    import ray.data
 
-    def tag(batch):
-        if partial is not None:
-            batch = partial(batch)
-        return _tag(batch, key, buckets)
-
-    def run(group: pd.DataFrame) -> pd.DataFrame:
-        del group[_BUCKET]  # the group is this task's own frame
-        return final(group)
-
-    return (
-        ds.map_batches(tag, batch_format=batch_format)
-        .groupby(_BUCKET)
-        .map_groups(run, batch_format="pandas")
-    )
+    blocks = [
+        ref
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
+    parts = min(len(blocks), buckets)
+    fns = ray.put((partial, key, final))
+    split = _task().options(num_returns=parts + 1)
+    maps = [
+        split.remote(_split, parts + 1, ref, fns, buckets, parts, batch_format)
+        for ref in blocks
+    ]
+    counts = ray.get([m[0] for m in maps])
+    _raise_any(counts)
+    reduce = _task().options(num_returns=2)
+    outs = []
+    for p in range(parts):
+        pieces = [m[p + 1] for m, c in zip(maps, counts) if c[p]]
+        if pieces:
+            outs.append(reduce.remote(_reduce, 2, fns, *pieces))
+    if not outs:
+        return ray.data.from_pandas(pd.DataFrame())
+    rows = ray.get([o[0] for o in outs])
+    _raise_any(rows)
+    frames = [o[1] for o, n in zip(outs, rows) if n] or [outs[-1][1]]
+    return ray.data.from_pandas_refs(frames)

@@ -7,8 +7,8 @@ is the scale ceiling — a capped candidate set silently under-dedups.  Here
 the pair list stays a Ray Dataset end-to-end:
 
 - **min-label propagation**: per round every node adopts the minimum label
-  in its closed neighborhood (one reduce-side join via union + coarse-bucket
-  ``map_groups``, then a combiner-backed ``groupby(node).min``);
+  in its closed neighborhood (one reduce-side join via union + a
+  coarse-bucket exchange, then a node-keyed exchange taking the min);
 - **pointer jumping**: labels then flatten one hop (label <- label(label)),
   so a path component collapses in O(log diameter) rounds, not O(diameter);
 - **convergence** is detected from the monotone label sum (labels are node
@@ -161,8 +161,7 @@ def connected_components(pairs_ds, max_iters: int = 64):
         labels = (
             bucket_aggregate(cands, min_label, key="node", buckets=256)
             .repartition(nblocks)
-            .materialize()  # bounded (one row per node); an unmaterialized
-            # chain re-executes under each round's groupby sampling
+            .materialize()  # bounded (one row per node)
         )
         iters += 1
         # labels monotonically decrease, so an unchanged sum after the
@@ -306,13 +305,13 @@ def pagerank(
         return g[["src", "dst", "od"]]
 
     # one src-keyed shuffle: exact (src,dst) dedup (duplicates share a
-    # src so they co-locate) + outdegree in the same map_groups
+    # src so they co-locate) + outdegree in the same final
     ewd = bucket_aggregate(
         edges_ds,
         dedup_with_deg,
         key="src",
         partial=edge_partial,
-    ).materialize()
+    )
 
     if ewd.count() <= PAGERANK_LOCAL_MAX_EDGES:
         # bounded fast path: all iterations on the driver, identical
@@ -364,7 +363,7 @@ def pagerank(
         node_final,
         key="node",
         partial=node_partial,
-    ).materialize()
+    )
     n_nodes = nodes.count()
     if n_nodes == 0:
         return nodes.map_batches(
@@ -514,7 +513,7 @@ def hits(
         dedup,
         key="src",
         partial=edge_partial,
-    ).materialize()
+    )
 
     empty = pd.DataFrame(
         {
@@ -579,7 +578,7 @@ def hits(
         node_final,
         key="node",
         partial=node_partial,
-    ).materialize()
+    )
 
     ewd_schema = {"src": np.dtype(np.int64), "dst": np.dtype(np.int64)}
     val_schema = {"node": np.dtype(np.int64), "v": np.dtype(np.int64)}
@@ -612,7 +611,7 @@ def hits(
             bucket_sum,
             key="node",
             partial=contrib,
-        ).materialize()
+        )
         m = sums.max("s") if sums.count() else 0
         m = int(m) if m is not None else 0
         if m >= max_norm:
@@ -730,7 +729,7 @@ def triangle_count(pairs_ds) -> int:
         key=["doc_a", "doc_b"],
         buckets=256,
         partial=edge_partial,
-    ).materialize()
+    )
 
     if edges.count() <= TRIANGLES_LOCAL_MAX_EDGES:
         e = edges.to_pandas()
@@ -784,7 +783,7 @@ def triangle_count(pairs_ds) -> int:
         key="node",
         buckets=256,
         partial=deg_partial,
-    ).materialize()
+    )
 
     i64 = np.dtype(np.int64)
     ewd = hash_equijoin(
@@ -1158,7 +1157,7 @@ def random_walks(edges_ds, steps: int = 3):
             inp,
             partial(_step_group, t=t),
             key=walk_key,
-        ).materialize()
+        )
         outs.append((t, frontier))
 
     def stamp(batch: pd.DataFrame, t: int) -> pd.DataFrame:
@@ -1302,12 +1301,7 @@ def adamic_adar(edges_ds, cap: int = 64, topk: int = 50):
         buckets=256,
         partial=edge_rows,
     )
-    # materialize before grouped_topk: its ds.schema() probe would
-    # otherwise partially EXECUTE the lazy wedge pipeline a second time
-    # (the paid-for schema-on-lazy lesson)
-    sums = bucket_aggregate(
-        pair_sums, sum_final, key="pair", buckets=256
-    ).materialize()
+    sums = bucket_aggregate(pair_sums, sum_final, key="pair", buckets=256)
     if sums.count() == 0:  # no wedge: an empty Dataset has no schema
         return pd.DataFrame(
             {
@@ -1383,7 +1377,7 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6) -> pd.DataFrame:
         dedup,
         key="src",
         partial=sym_partial,
-    ).materialize()
+    )
 
     empty = pd.DataFrame(
         {
@@ -1444,7 +1438,7 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6) -> pd.DataFrame:
             deg_final,
             key="src",
             partial=deg_partial,
-        ).materialize()  # consumed by two semi-joins
+        )
         nxt = hash_equijoin(
             cur,
             survivors,
@@ -1464,7 +1458,7 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6) -> pd.DataFrame:
             coarse_buckets=64,
             left_schema_hint=schema_hint,
             right_schema_hint=surv_hint,
-        ).materialize()
+        )
         n_next = nxt.count()
         if n_next == 0:
             return empty

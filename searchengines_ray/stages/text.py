@@ -739,7 +739,7 @@ def source_kl_divergence(ds):
         key="term",
         partial=count_partial,
         batch_format="pyarrow",
-    ).materialize()  # consumed twice: totals + contributions
+    )
 
     # per-source totals: n_sources rows — the only driver structure
     totals = (
@@ -1043,7 +1043,7 @@ def _fit_capped_unigram(ds, max_vocab: int):
     # the sf0.1 toy shuffle for identical results)
     model_ds = bucket_aggregate(
         ds, bucket_sum, key="term", partial=term_counts
-    ).materialize()  # consumed repeatedly below — never re-execute
+    )
     n_terms = model_ds.count()
     v_eff = min(int(max_vocab), int(n_terms))
     if n_terms == 0:

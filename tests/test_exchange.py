@@ -131,3 +131,175 @@ def test_bucket_aggregate_chained_and_composite_key(ray_session):
     assert list(per_a.columns) == ["a", "v"]
     got = dict(zip(per_a["a"].tolist(), per_a["v"].tolist()))
     assert got == df.groupby("a")["v"].sum().to_dict()
+
+
+@pytest.fixture
+def ray_log(caplog):
+    """caplog over Ray's loggers, which do not propagate to the root."""
+    import logging
+
+    loggers = [logging.getLogger("ray"), logging.getLogger("ray.data")]
+    for lg in loggers:
+        lg.addHandler(caplog.handler)
+    yield caplog
+    for lg in loggers:
+        lg.removeHandler(caplog.handler)
+
+
+def _logged(caplog, needle: str) -> list:
+    return [r.getMessage() for r in caplog.records if needle in r.getMessage()]
+
+
+def _blocks(df: pd.DataFrame, n: int):
+    import ray.data
+
+    return ray.data.from_pandas(
+        [df.iloc[p] for p in np.array_split(np.arange(len(df)), n)]
+    )
+
+
+def test_two_keys_over_eight_blocks(ray_session, ray_log):
+    """Most of the 8 partitions get no rows, and contribute no block."""
+    import ray.data
+
+    df = pd.DataFrame({"key": ["a", "b"] * 40, "v": np.arange(80)})
+    ds = _blocks(df, 8)
+    assert ds.num_blocks() == 8
+    final, partial_pd, _ = _fns()
+    got = bucket_aggregate(ds, final, key="key", buckets=64, partial=partial_pd)
+    parts = set((bucket_of(["a", "b"], 64) * 8 // 64).tolist())
+    assert got.num_blocks() == len(parts) <= 2
+    want = sorted(df.groupby("key")["v"].sum().items())
+    assert [(k, int(v)) for k, v in _rows(got)] == want
+    doubled = got.map_batches(
+        lambda b: b.assign(total=b["total"] * 2), batch_format="pandas"
+    ).to_pandas()
+    assert sorted(doubled["total"].tolist()) == sorted(2 * v for _, v in want)
+    assert _logged(ray_log, "different schema") == []
+    # a zero-row input block, here without columns, emits nothing
+    with_empty = ray.data.from_pandas(
+        [df.iloc[:40], pd.DataFrame(), df.iloc[40:]]
+    )
+    got = bucket_aggregate(with_empty, final, key="key", partial=partial_pd)
+    assert [(k, int(v)) for k, v in _rows(got)] == want
+
+
+def test_nested_exchange_over_mostly_empty_partitions(ray_session, ray_log):
+    """A first exchange whose finals mostly return column-less empty
+    frames feeds a second one keyed on a column those frames lack."""
+    df = pd.DataFrame(
+        {"doc_a": np.arange(64) % 16, "doc_b": np.arange(64), "v": 1}
+    )
+    ds = _blocks(df, 8)
+    hot = {3, 11}
+
+    def keep_hot(g: pd.DataFrame) -> pd.DataFrame:
+        g = g[g["doc_a"].isin(hot)]
+        return g if len(g) else pd.DataFrame()
+
+    first = bucket_aggregate(ds, keep_hot, key="doc_a", buckets=16)
+    assert first.count() == 8
+    second = bucket_aggregate(
+        first,
+        lambda g: g.groupby("doc_b", as_index=False)["v"].sum(),
+        key="doc_b",
+        buckets=16,
+    )
+    got = sorted(second.to_pandas()[["doc_b", "v"]].itertuples(index=False, name=None))
+    assert got == [(b, 1) for b in sorted(df.loc[df["doc_a"].isin(hot), "doc_b"])]
+
+    # every frame empty: the result keeps final's columns, and a nested
+    # exchange over it calls nothing
+    none = bucket_aggregate(ds, lambda g: g.iloc[0:0][["doc_a"]], key="doc_a")
+    assert none.count() == 0 and none.schema().names == ["doc_a"]
+    calls = bucket_aggregate(
+        none, lambda g: pd.DataFrame({"n": [len(g)]}), key="doc_a"
+    )
+    assert calls.count() == 0 and calls.to_pandas().empty
+    assert _logged(ray_log, "different schema") == []
+
+
+def test_lazy_union_input(ray_session, ray_log):
+    """Two side-tagged lazy map stages, union-ed, as hash_equijoin feeds
+    the exchange: both run in one execution and meet by key."""
+    rng = np.random.default_rng(11)
+    left = pd.DataFrame({"k": rng.integers(0, 30, 200), "x": np.arange(200)})
+    right = pd.DataFrame({"k": np.arange(0, 30, 2), "y": np.arange(0, 30, 2) * 10})
+
+    def tag(side: int):
+        def run(b: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame(
+                {
+                    "k": b["k"].to_numpy(),
+                    "val": b["x" if side == 0 else "y"].to_numpy(),
+                    "_side": np.int8(side),
+                }
+            )
+
+        return run
+
+    tagged = _blocks(left, 3).map_batches(tag(0), batch_format="pandas").union(
+        _blocks(right, 2).map_batches(tag(1), batch_format="pandas")
+    )
+
+    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        lhs = g.loc[g["_side"] == 0, ["k", "val"]].rename(columns={"val": "x"})
+        rhs = g.loc[g["_side"] == 1, ["k", "val"]].rename(columns={"val": "y"})
+        return lhs.merge(rhs, on="k")
+
+    got = bucket_aggregate(tagged, join_bucket, key="k", buckets=8).to_pandas()
+    want = left.merge(right, on="k")
+    assert sorted(got[["k", "x", "y"]].itertuples(index=False, name=None)) == sorted(
+        want[["k", "x", "y"]].itertuples(index=False, name=None)
+    )
+    assert _logged(ray_log, "different schema") == []
+
+
+def test_final_once_per_bucket_in_bucket_order(ray_session):
+    """``final`` runs once per non-empty bucket (one output row per call),
+    in ascending bucket order, over the bucket's rows in input order."""
+    keys = (np.arange(300) * 7) % 101
+    ds = _blocks(pd.DataFrame({"k": keys, "i": np.arange(300)}), 5)
+
+    def final(g: pd.DataFrame) -> pd.DataFrame:
+        b = bucket_of(g["k"], 16)
+        i = g["i"].to_numpy()
+        return pd.DataFrame(
+            {
+                "bucket": [int(b[0])],
+                "distinct": [len(set(b.tolist()))],
+                "rows": [len(g)],
+                "ordered": [bool(np.all(np.diff(i) > 0))],
+            }
+        )
+
+    out = bucket_aggregate(ds, final, key="k", buckets=16).to_pandas()
+    b = bucket_of(keys, 16)
+    assert out["bucket"].tolist() == sorted(set(b.tolist()))
+    assert out["rows"].tolist() == np.bincount(b)[out["bucket"]].tolist()
+    assert set(out["distinct"]) == {1} and out["ordered"].all()
+
+
+def test_errors_raise_as_their_own_type(ray_session, ray_log):
+    """A ValueError in ``final`` or ``partial`` reaches the caller as a
+    ValueError, raised once: no task error is left to be logged as
+    unhandled."""
+    import gc
+    import time
+
+    ds = _blocks(pd.DataFrame({"key": list("abcdefgh") * 4, "v": 1}), 4)
+    final, partial_pd, _ = _fns()
+
+    def bad_final(g):
+        raise ValueError("bad final")
+
+    def bad_partial(b):
+        raise ValueError("bad partial")
+
+    with pytest.raises(ValueError, match="bad final"):
+        bucket_aggregate(ds, bad_final, key="key", buckets=8)
+    with pytest.raises(ValueError, match="bad partial"):
+        bucket_aggregate(ds, final, key="key", buckets=8, partial=bad_partial)
+    gc.collect()
+    time.sleep(1.0)
+    assert _logged(ray_log, "Unhandled error") == []

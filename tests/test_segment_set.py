@@ -303,3 +303,30 @@ def test_inspect_postings_output(index, capsys):
         ctf += int(tfs.sum())
     want.append(f"body:alpha\tdf={df}\tctf={ctf}")
     assert got == "\n".join(want) + "\n"
+
+
+def test_syn_decodes_positions_only_when_read(index, monkeypatch):
+    """A #SYN's docs and tfs come from its arguments' docs and tfs; its
+    positions are merged only when a #NEAR or #WINDOW reads them."""
+    out, oracle = index
+    seen = _count_position_decodes(monkeypatch)
+    syn = ["#SYN(alpha beta)", "#SUM(#SYN(alpha gamma) tieword)"]
+    for model in (BM25(), Indri()):
+        SearchEngine(out).search_batch([(q, q) for q in syn], model, k=K)
+    assert seen == []
+
+    dead = set(load_tombstones(out).tolist())
+    nested = [
+        "#SYN(alpha beta)",
+        "#NEAR/2(#SYN(alpha gamma) beta)",
+        "#WINDOW/3(beta #SYN(gamma alpha))",
+        "#SYN(#NEAR/1(alpha beta) gamma)",
+    ]
+    res = SearchEngine(out).search_batch(
+        [(str(i), q) for i, q in enumerate(nested)], BM25(), k=None
+    )
+    for i, q in enumerate(nested):
+        got = res[res.qid == str(i)]
+        rows = list(zip(got.doc_id.tolist(), got.url.tolist(), got.score.tolist()))
+        assert rows and rows == _want(oracle, dead, q, BM25(), None), q
+    assert seen  # the positional operators read their arguments' positions

@@ -4773,7 +4773,7 @@ def test_kcenter_quantize_guard_fires_in_python_ints(ray_session):
 # stays because it is part of the contract.
 _KNOB_NAMES = {
     "buckets", "coarse_buckets", "local_max_edges", "driver_max_pairs",
-    "nblocks", "block", "distinct", "_verbose",
+    "nblocks", "block", "distinct", "_verbose", "reducers", "num_partitions",
 }
 _KNOBS_ALLOWED = {
     # sketch.hll_registers (buckets=m), graph.connected_components (256),
