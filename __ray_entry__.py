@@ -2050,7 +2050,7 @@ def _q_similarity_join(sf_dir: str) -> pd.DataFrame:
     embeddings table — O(n*P) replicated block join, never O(n^2) shuffle."""
     from searchengines_ray.stages.similarity import cosine_similarity_join
 
-    out = cosine_similarity_join(_emb(sf_dir), threshold=0.4, partitions=4)
+    out = cosine_similarity_join(_emb(sf_dir), threshold=0.4)
     df = out.to_pandas()
     df["cosine_r"] = np.floor(df.pop("cosine").to_numpy() * 1e4) / 1e4
     return (
@@ -2120,7 +2120,6 @@ def _q_image_decode_real(sf_dir: str) -> pd.DataFrame:
 
     imgs = decode_images(
         docs.map_batches(plant, batch_format="pyarrow"),
-        concurrency=2,
         batch_size=64,
     ).to_pandas()
     f = np.stack([np.asarray(x) for x in imgs["features"]])
@@ -2171,8 +2170,6 @@ def _q_image_resize_real(sf_dir: str) -> pd.DataFrame:
     out = resize_images(
         docs.map_batches(plant, batch_format="pyarrow"),
         max_dim=64,
-        concurrency=2,
-        batch_size=32,
     ).to_pandas()
     return (
         out[["doc_id", "out_w", "out_h", "resized_hash"]]
@@ -2692,7 +2689,7 @@ def _q_knn_join(sf_dir: str) -> pd.DataFrame:
     left = emb.map_batches(
         lambda b: b.loc[b["vec_id"] % 50 == 0], batch_format="pandas"
     )
-    out = knn_join(left, emb, k=5, partitions=4).to_pandas()
+    out = knn_join(left, emb, k=5).to_pandas()
     return (
         out[["query_id", "vec_id", "rank"]]
         .sort_values(["query_id", "rank"])
@@ -2742,7 +2739,7 @@ def _q_left_outer_join(sf_dir: str) -> pd.DataFrame:
     """Distributed LEFT OUTER equi-join (hash_equijoin how='left'):
     every document row survives; label payload from the vec_id%3==0
     slice of embeddings, unmatched rows take the typed -1 placeholder.
-    One coarse key-hash shuffle."""
+    One key-hash exchange."""
     import ray.data
 
     from searchengines_ray.stages.joins import hash_equijoin
@@ -2906,7 +2903,6 @@ def _q_audio_features(sf_dir: str) -> pd.DataFrame:
 
     out = featurize_audio(
         docs.map_batches(plant, batch_format="pyarrow"),
-        concurrency=2,
         batch_size=64,
         frame_abs_threshold=1 << 20,
     ).to_pandas()
@@ -3231,7 +3227,6 @@ def _q_frame_sample_real(sf_dir: str) -> pd.DataFrame:
     frames = sample_frames(
         docs.map_batches(plant, batch_format="pyarrow"),
         every_n=3,
-        concurrency=2,
     ).to_pandas()
     return (
         frames.sort_values(["doc_id", "frame_idx"])
@@ -3721,8 +3716,8 @@ def _q_hll_group(sf_dir: str) -> pd.DataFrame:
     """Per-event-type HLL register tables over user_id (stages/sketch.py
     hll_group_registers) — mergeable approximate distinct-users-per-
     segment sketches; batches contribute <= groups x 256 register rows
-    regardless of row count, merge = register-wise max in coarse
-    group-hash buckets.  Same pinned avalanche-hash contract as
+    regardless of row count, merge = register-wise max after one
+    group-hash exchange.  Same pinned avalanche-hash contract as
     hll_registers."""
     import ray.data
 

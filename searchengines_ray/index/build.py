@@ -340,17 +340,15 @@ def dedup_pages(ds):
     """Exact dedup of pages by url, keep-first by (warc_ts) — required by
     Common-Crawl-style recrawls (SURVEY.md §2.10).
 
-    Shuffle keyed on a COARSE url-hash bucket (all recrawls of a url share a
-    bucket) after an in-batch partial dedup; within each bucket the keep-first
-    runs as one vectorized pandas pass.  A per-url ``groupby("url")`` pays
-    Python overhead per URL (measured 16s for 100k urls vs ~1s bucketed)."""
+    One url-hash exchange (all recrawls of a url meet in one reduce
+    partition) after an in-batch partial dedup; each partition's keep-first
+    runs as one vectorized pandas pass."""
     from ..stages.exchange import bucket_aggregate
 
     return bucket_aggregate(
         ds,
         _bucket_keep_first,
         key="url",
-        buckets=512,
         partial=_batch_dedup,
         batch_format="pyarrow",
     )

@@ -98,16 +98,13 @@ def curate_corpus(
     if out_dir is None:
         return curated, stats
 
-    def write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def write_bucket(b: int, group: pd.DataFrame) -> tuple:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        b = int(bucket_of(group["doc_id"].iloc[:1], partitions)[0])
         dest = os.path.join(out_dir, f"bucket={b}")
         if os.path.exists(os.path.join(dest, "MANIFEST.json")):
-            return pd.DataFrame(
-                {"bucket": [b], "n_docs": [len(group)], "resumed": [True]}
-            )
+            return b, len(group), True
         # tmp lives OUTSIDE the bucket= namespace so partition-globbing
         # readers never see partial output; orphans are swept on entry
         tmp = os.path.join(out_dir, f".tmp-bucket-{b}-{os.getpid()}")
@@ -125,8 +122,16 @@ def curate_corpus(
             import shutil
 
             shutil.rmtree(tmp, ignore_errors=True)
+        return b, len(g), False
+
+    def hive_bucket(rows) -> np.ndarray:
+        return bucket_of(rows["doc_id"], partitions)
+
+    def write_buckets(rows: pd.DataFrame) -> pd.DataFrame:
+        hb = hive_bucket(rows)
         return pd.DataFrame(
-            {"bucket": [b], "n_docs": [len(g)], "resumed": [False]}
+            [write_bucket(int(b), rows[hb == b]) for b in np.unique(hb)],
+            columns=["bucket", "n_docs", "resumed"],
         )
 
     os.makedirs(out_dir, exist_ok=True)
@@ -136,8 +141,9 @@ def curate_corpus(
     for d in os.listdir(out_dir):
         if d.startswith(".tmp-bucket-"):
             _shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
+    # keyed on the hive bucket, so each bucket's docs meet in one reducer
     manifests = bucket_aggregate(
-        curated, write_bucket, key="doc_id", buckets=partitions
+        curated, write_buckets, key=hive_bucket
     ).to_pandas()
     if manifests.empty:  # empty curated set: zero buckets, stable stats
         stats.update(n_docs=0, n_buckets=0, resumed_buckets=0)

@@ -539,7 +539,6 @@ def _verify_pairs_broadcast(
         ds,
         partial(_verify_group, threshold=threshold),
         key=_PAIR,
-        buckets=256,
         partial=shingle_slot_rows,
     )
 
@@ -671,10 +670,9 @@ def minhash_verify_pairs_ds(
         pairs_ds.map_batches(slot_rows, batch_format="pandas")
     )
     return bucket_aggregate(
-        bucket_aggregate(rows, attach, key="jd", buckets=256),
+        bucket_aggregate(rows, attach, key="jd"),
         partial(_verify_group, threshold=threshold),
         key=_PAIR,
-        buckets=256,
     )
 
 
@@ -706,17 +704,14 @@ def minhash_candidate_pairs_ds(
     # an INSTANCE (stateless elastic tasks), not an actor pool: the state is
     # a few hundred ints (cheap pickle), and a fixed-size pool both caps the
     # signature stage's parallelism and risks starving the read stage.
-    # Arrow-native fused stage: text -> signature -> band rows (+ coarse
-    # bucket) in one pyarrow map_batches — zero pandas conversions and no
-    # intermediate signature block (was three pandas stages).
+    # Arrow-native fused stage: text -> signature -> band rows in one
+    # pyarrow combiner — zero pandas conversions and no intermediate
+    # signature block (was three pandas stages).
     band_rows = MinHashBandRows(num_perm=num_perm, shingle=shingle, bands=bands)
 
-    # COARSE-bucket shuffle: most (band, band_hash) buckets are singletons,
-    # and a per-LSH-bucket map_groups pays Python overhead per group (~docs x
-    # bands groups).  Shuffling on bucket_of(band_hash, 1024) gives a few
-    # thousand groups, and the fine grouping runs vectorized in pandas inside
-    # each coarse group.
-    def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    # most (band, band_hash) LSH buckets are singletons: one vectorized
+    # size count per reduce partition drops them before any per-bucket work
+    def partition_pairs(group: pd.DataFrame) -> pd.DataFrame:
         sizes = group.groupby(["band", "band_hash"])["doc_id"].transform(
             "size"
         )
@@ -736,9 +731,8 @@ def minhash_candidate_pairs_ds(
 
     return bucket_aggregate(
         ds,
-        coarse_pairs,
+        partition_pairs,
         key="band_hash",
-        buckets=1024,
         partial=band_rows,
         batch_format="pyarrow",
     )
@@ -1031,7 +1025,7 @@ def _explode_lines(batch: pd.DataFrame, min_chars: int) -> pd.DataFrame:
 
 def _reassemble_lines(group: pd.DataFrame) -> pd.DataFrame:
     """Surviving lines rejoined per doc in line order: ONE vectorized
-    sort + join per coarse doc bucket (a per-document map_groups would
+    sort + join per reduce partition (a per-document map_groups would
     pay a Python callback + pandas frame per doc — 10^9 tiny frames at
     corpus scale)."""
     g = group.loc[group["line_idx"] >= 0].sort_values(
@@ -1059,11 +1053,10 @@ def _line_exchange(ds, min_chars: int, mark):
         ds,
         mark,
         key=_line_key,
-        buckets=1024,
         partial=lambda b: _explode_lines(b, min_chars),
     )
     return bucket_aggregate(
-        marked, _reassemble_lines, key="doc_id", buckets=1024
+        marked, _reassemble_lines, key="doc_id"
     )
 
 
@@ -1078,8 +1071,8 @@ def line_dedup(ds, min_chars: int = 10):
     Fully distributed two-shuffle plan: lines explode with their
     (doc_id, line_idx) key, a hash-bucketed groupby marks each line
     occurrence keep/drop (keeper = min (doc_id, line_idx) per line text,
-    vectorized inside coarse buckets), and a second groupby — coarse
-    doc-hash buckets, ONE vectorized sort + string-agg per bucket, never a
+    vectorized per reduce partition), and a second groupby — doc-hashed,
+    ONE vectorized sort + string-agg per partition, never a
     per-document Python group — reassembles docs.  Short lines bucket by
     doc (they skip dedup, so co-location by content buys nothing and a
     constant bucket would funnel every short line into one task).  The
@@ -1119,8 +1112,8 @@ def boilerplate_filter(
 
     Same fully distributed two-shuffle plan as line_dedup: lines explode
     with (doc_id, line_idx), a hash-bucketed groupby computes each line
-    text's DISTINCT-doc count (one vectorized sort + reduceat per coarse
-    bucket — never a per-line Python group, never a driver-side bad-line
+    text's DISTINCT-doc count (one vectorized sort + reduceat per reduce
+    partition — never a per-line Python group, never a driver-side bad-line
     set), and a doc-bucketed groupby reassembles survivors in order.  A
     doc whose every line was boilerplate survives as ``(doc_id, '')``.
     Returns a Dataset ``(doc_id, text)``."""
@@ -1180,7 +1173,7 @@ def substring_dedup(ds, k: int = 8):
     structures): (1) per-batch gram-occurrence explode — gram strings
     built once per UNIQUE gram of the batch — as the combiner of (2) a
     gram-bucketed exchange that marks non-first occurrences with one
-    vectorized sort+duplicated per coarse bucket; (3) a doc-bucketed
+    vectorized sort+duplicated per reduce partition; (3) a doc-bucketed
     exchange folds each doc's duplicate start positions into ONE bytes
     row (int64 ``tobytes`` — variable-length arrays ride shuffles as
     bytes); (4) a left :func:`~searchengines_ray.stages.joins.
@@ -1262,7 +1255,6 @@ def substring_dedup(ds, k: int = 8):
         ),
         fold_pos,
         key="doc_id",
-        buckets=1024,
     )
 
     joined = hash_equijoin(
@@ -1479,7 +1471,7 @@ def simhash_dup_pairs(ds, max_hamming: int = 3):
             }
         )
 
-    def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def partition_pairs(group: pd.DataFrame) -> pd.DataFrame:
         frames = [
             bucket_pairs(g)
             for _, g in group.groupby(["band", "band_val"])
@@ -1494,11 +1486,8 @@ def simhash_dup_pairs(ds, max_hamming: int = 3):
             )
         return pd.concat(frames, ignore_index=True)
 
-    # coarse-bucket shuffle (see minhash_candidate_pairs_ds): per-group
-    # Python overhead amortizes over ~1k coarse groups instead of one per
-    # LSH bucket
     pairs = bucket_aggregate(
-        sh, coarse_pairs, key="band_val", buckets=1024, partial=band_rows
+        sh, partition_pairs, key="band_val", partial=band_rows
     )
     out = _pairs_pandas(pairs, {"doc_a": "int64", "doc_b": "int64"})
     return out.drop_duplicates(["doc_a", "doc_b"]).reset_index(drop=True)
@@ -1609,12 +1598,8 @@ def embedding_neardup_pairs(
             )
         return pd.concat(frames, ignore_index=True) if frames else empty
 
-    # coarse-bucket both exchanges (native multi-key groupby = sorted
-    # exchange + one Python callback per LSH bucket / per pair key —
-    # the measured ~4x-slow shape); all rows of an LSH bucket still
-    # co-locate because the key is (table, bucket)
-
-    def coarse_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    # all rows of an LSH bucket co-locate: the key is (table, bucket)
+    def partition_pairs(group: pd.DataFrame) -> pd.DataFrame:
         frames = [
             bucket_pairs(sub)
             for _, sub in group.groupby(["table", "bucket"], sort=False)
@@ -1625,9 +1610,7 @@ def embedding_neardup_pairs(
             else bucket_pairs(group)
         )
 
-    pairs = bucket_aggregate(
-        rows, coarse_pairs, key=["table", "bucket"]
-    )
+    pairs = bucket_aggregate(rows, partition_pairs, key=["table", "bucket"])
 
     def maxpair(group: pd.DataFrame) -> pd.DataFrame:
         return group.groupby(
@@ -1779,13 +1762,13 @@ def allpairs_jaccard_ds(
         return pd.concat(frames, ignore_index=True)
 
     shingle_df = bucket_aggregate(
-        ds, attach_df, key="sh", buckets=1024, partial=sh_rows
+        ds, attach_df, key="sh", partial=sh_rows
     )
     prefix_rows = bucket_aggregate(
-        shingle_df, prefixes, key="doc_id", buckets=1024
+        shingle_df, prefixes, key="doc_id"
     )
     pairs = bucket_aggregate(
-        prefix_rows, cand_pairs, key="sh", buckets=1024
+        prefix_rows, cand_pairs, key="sh"
     )
     # verify collapses duplicate candidates (groups by pair) and applies
     # the exact n-gram Jaccard >= threshold filter
@@ -2109,7 +2092,7 @@ def bottomk_neardup(
         return pd.concat(frames, ignore_index=True)
 
     pairs = bucket_aggregate(
-        sk, cand_pairs, key="sh", buckets=256, partial=sh_rows
+        sk, cand_pairs, key="sh", partial=sh_rows
     )
     return bottomk_pair_estimates(
         pairs, sk, k=k, min_inter=min_inter
@@ -2243,10 +2226,9 @@ def bottomk_pair_estimates(pairs, blobs_ds, k: int = 16,
         blobs_ds.map_batches(blob_rows, batch_format="pandas")
     )
     return bucket_aggregate(
-        bucket_aggregate(rows, attach, key="doc", buckets=256),
+        bucket_aggregate(rows, attach, key="doc"),
         estimate,
         key=_PAIR,
-        buckets=256,
     )
 
 

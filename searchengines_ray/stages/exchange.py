@@ -1,12 +1,11 @@
 """The bucket-hash exchange: the one shuffle shape of the package.
 
 Every key-grouped aggregate of the curation operators has the same
-plan: a map-side combiner shrinks each block to per-key partials, each
-partial row is tagged with a coarse bucket of its key, a hash exchange
-brings every row of a bucket to one task, and a vectorized per-bucket
-pandas ``final`` finishes the aggregate.  A few dozen coarse buckets
-bound per-group Python overhead; Ray-native groupby on the fine key
-would run one callback per key.
+plan: a map-side combiner shrinks each block to per-key partials, a hash
+exchange brings every row of a key to one reduce task, and one
+vectorized pandas ``final`` over all of that task's rows finishes the
+aggregate.  A ``final`` groups by its fine key itself; Ray-native
+groupby on the fine key would run one callback per key.
 
 - :func:`bucket_of` is the only shuffle-key hash.  Strings hash as
   ``crc32(utf-8) % n``; integers as ``(uint64(x) * 2654435761) % n``
@@ -14,9 +13,9 @@ would run one callback per key.
   it, so its value is also that registry's on-disk hive partition.
 - :func:`bucket_aggregate` is two rounds of plain Ray tasks that the
   driver coordinates; no Ray Data shuffle operator runs.  The map round
-  runs one task per input block: combiner, tag, and a split into range
-  partitions of the bucket space.  The reduce round runs one task per
-  partition that received rows and calls ``final`` once per bucket.
+  runs one task per input block: combiner, then a split into ``P``
+  partitions by ``bucket_of(key, P)``.  The reduce round runs one task
+  per partition that received rows and calls ``final`` once over them.
   The result holds the reducers' frames as block refs, so it is never
   re-executed.  Chained exchanges are nested calls.
 """
@@ -30,7 +29,6 @@ import zlib
 import numpy as np
 import pandas as pd
 
-_BUCKET = "_bucket"
 _KNUTH = np.uint64(2654435761)
 
 
@@ -93,9 +91,9 @@ def _raise_any(statuses: list) -> None:
             raise s
 
 
-def _split(block, fns, buckets: int, parts: int, batch_format: str) -> list:
-    """Map task: combine one block, tag its rows with their bucket and
-    cut them into ``parts`` range partitions of the bucket space.
+def _split(block, fns, parts: int, batch_format: str) -> list:
+    """Map task: combine one block and cut its rows into ``parts``
+    partitions by ``bucket_of(key, parts)``, each in input order.
     Returns the per-partition row counts, then the partitions (None
     where empty)."""
     import pyarrow as pa
@@ -110,16 +108,12 @@ def _split(block, fns, buckets: int, parts: int, batch_format: str) -> list:
     ).to_batch_format(batch_format)
     if partial is not None:
         batch = partial(batch)
-    b = bucket_of(_keys(batch, key), buckets)
-    part = b * parts // buckets
+    part = bucket_of(_keys(batch, key), parts)
     order = np.argsort(part, kind="stable")
     counts = np.bincount(part, minlength=parts)
     if isinstance(batch, pd.DataFrame):
-        # insert, not setitem: a combiner's filtered frame would warn
-        batch.insert(len(batch.columns), _BUCKET, b)
         take = batch.take
     else:
-        batch = batch.append_column(_BUCKET, pa.array(b))
         take = lambda idx: batch.take(pa.array(idx))  # noqa: E731
     ends = np.cumsum(counts)
     return [counts] + [
@@ -128,63 +122,46 @@ def _split(block, fns, buckets: int, parts: int, batch_format: str) -> list:
 
 
 def _reduce(fns, *pieces) -> list:
-    """Reduce task: ``final`` of every bucket of one partition, in
-    ascending bucket order, concatenated.  Returns its row count, then
-    the frame."""
+    """Reduce task: ``final`` over every row of one partition, the
+    pieces in map-task order.  Returns its row count, then the frame."""
     import pyarrow as pa
     from ray.data.block import BlockAccessor
 
     pa.set_cpu_count(1)
-    final = fns[2]
     if isinstance(pieces[0], pd.DataFrame):
         rows = pd.concat(pieces, ignore_index=True)
     else:
         rows = BlockAccessor.for_block(
             pa.concat_tables(pieces, promote_options="default")
         ).to_pandas()
-    b = rows.pop(_BUCKET).to_numpy()
-    order = np.argsort(b, kind="stable")
-    ends = np.flatnonzero(np.diff(b[order])).tolist() + [len(b) - 1]
-    outs, start = [], 0
-    for end in ends:
-        group = rows.take(order[start : end + 1])  # the group's own frame
-        group.index = pd.RangeIndex(len(group))
-        outs.append(final(group))
-        start = end + 1
-    # as Ray's block builder does: empty outputs only when all are empty
-    outs = [o for o in outs if len(o)] or outs[-1:]
-    out = pd.concat(outs, ignore_index=True) if len(outs) > 1 else outs[0]
+    out = fns[2](rows)
     out.index = pd.RangeIndex(len(out))
     return [len(out), out]
 
 
-def bucket_aggregate(
-    ds, final, *, key, buckets: int = 64, partial=None, batch_format="pandas"
-):
-    """``final`` of each ``bucket_of(key)`` group, as a hash exchange of
+def bucket_aggregate(ds, final, *, key, partial=None, batch_format="pandas"):
+    """``final`` of each reduce partition's rows, as a hash exchange of
     plain Ray tasks, with an optional map-side combiner.
 
-    ``buckets`` is the number of coarse groups; it never changes the
-    result.  ``partial`` (a function of one ``batch_format`` batch,
-    pandas or pyarrow) runs once per input block first; without it the
-    input blocks are tagged as they are.  ``key`` names the column to
-    hash; a list of integer (or datetime) columns is one composite int64
-    key; a function of the (combined) batch returns the keys itself.
-    ``final`` gets one bucket's rows as a pandas frame of its own (every
-    row of a key is in one call; rows keep input order) and returns a
-    pandas frame; the bucket column never reaches it or the output.
+    ``partial`` (a function of one ``batch_format`` batch, pandas or
+    pyarrow) runs once per input block first; without it the input
+    blocks are split as they are.  ``key`` names the column to hash; a
+    list of integer (or datetime) columns is one composite int64 key; a
+    function of the (combined) batch returns the keys itself.  ``final``
+    gets all rows of one partition as a pandas frame of its own, so it
+    must group by its key itself: every row of a key is in one call, and
+    a key's rows keep input order.  It returns a pandas frame.
 
     The call runs the exchange: the input's blocks are produced (a lazy
     upstream runs as one map-only execution), one map task per non-empty
-    block splits its rows into ``P = min(blocks, buckets)`` partitions
-    of the bucket space (``bucket * P // buckets``), and one reduce task
-    per partition that received rows calls ``final`` per non-empty
-    bucket, in ascending bucket order.  The result is a materialized
-    Dataset of the reducers' frames that have rows, in bucket order (all
-    empty: the last frame, which keeps ``final``'s columns; no rows
-    reached a reducer: one empty block without a schema).  An error
-    raised by ``partial``, ``key`` or ``final`` is raised here, once, as
-    its own type.
+    block splits its rows into ``P`` partitions by ``bucket_of(key,
+    P)``, with ``P`` the number of non-empty blocks, and one reduce task
+    per partition that received rows calls ``final`` once.  The result
+    is a materialized Dataset of the reducers' frames that have rows, in
+    partition order (all empty: the last frame, which keeps ``final``'s
+    columns; no rows reached a reducer: one empty block without a
+    schema).  An error raised by ``partial``, ``key`` or ``final`` is
+    raised here, once, as its own type.
     """
     import ray
     import ray.data
@@ -195,11 +172,11 @@ def bucket_aggregate(
         for ref, meta in bundle.blocks
         if meta.num_rows != 0
     ]
-    parts = min(len(blocks), buckets)
+    parts = len(blocks)
     fns = ray.put((partial, key, final))
     split = _task().options(num_returns=parts + 1)
     maps = [
-        split.remote(_split, parts + 1, ref, fns, buckets, parts, batch_format)
+        split.remote(_split, parts + 1, ref, fns, parts, batch_format)
         for ref in blocks
     ]
     counts = ray.get([m[0] for m in maps])

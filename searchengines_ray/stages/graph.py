@@ -8,15 +8,15 @@ the pair list stays a Ray Dataset end-to-end:
 
 - **min-label propagation**: per round every node adopts the minimum label
   in its closed neighborhood (one reduce-side join via union + a
-  coarse-bucket exchange, then a node-keyed exchange taking the min);
+  key-hash exchange, then a node-keyed exchange taking the min);
 - **pointer jumping**: labels then flatten one hop (label <- label(label)),
   so a path component collapses in O(log diameter) rounds, not O(diameter);
 - **convergence** is detected from the monotone label sum (labels are node
   ids and only ever decrease), a single scalar aggregate per round — the
   driver never materializes nodes, edges, or labels.
 
-Partitioning assumption: per-round shuffles carry edge-count rows; coarse
-node-hash buckets bound per-group Python overhead the same way the LSH
+Partitioning assumption: per-round shuffles carry edge-count rows; each
+reduce partition groups its nodes in one vectorized pass, as the LSH
 stages do.
 """
 
@@ -156,10 +156,10 @@ def connected_components(pairs_ds, max_iters: int = 64):
         lrows = labels.map_batches(label_rows, batch_format="pandas")
         # 1) min over closed neighborhood (combiner-backed groupby.min)
         cands = bucket_aggregate(
-            edges.union(lrows), propagate, key="key", buckets=256
+            edges.union(lrows), propagate, key="key"
         )
         labels = (
-            bucket_aggregate(cands, min_label, key="node", buckets=256)
+            bucket_aggregate(cands, min_label, key="node")
             .repartition(nblocks)
             .materialize()  # bounded (one row per node)
         )
@@ -185,7 +185,7 @@ def connected_components(pairs_ds, max_iters: int = 64):
                 labels.map_batches(label_rows, batch_format="pandas")
             )
             labels = (
-                bucket_aggregate(reqs, jump, key="key", buckets=256)
+                bucket_aggregate(reqs, jump, key="key")
                 .repartition(nblocks)
                 .materialize()
             )
@@ -436,7 +436,7 @@ def pagerank(
     for i in range(iters):
         joined = hash_equijoin(
             ewd, ranks, left_on="src", right_on="node",
-            right_cols=("r",), coarse_buckets=64,
+            right_cols=("r",),
             left_schema_hint=ewd_schema, right_schema_hint=rank_schema,
         )
         ranks = bucket_aggregate(
@@ -589,7 +589,7 @@ def hits(
         (node, v) Dataset of only the nodes that received mass."""
         joined = hash_equijoin(
             ewd, vals, left_on=ship_key, right_on="node",
-            right_cols=("v",), coarse_buckets=64,
+            right_cols=("v",),
             left_schema_hint=ewd_schema, right_schema_hint=val_schema,
         )
 
@@ -650,7 +650,7 @@ def hits(
     node_schema = {"node": np.dtype(np.int64)}
     out = hash_equijoin(
         nodes, a, left_on="node", right_on="node", right_cols=("v",),
-        how="left", coarse_buckets=64,
+        how="left",
         left_schema_hint=node_schema, right_schema_hint=val_schema,
     )
     out = out.map_batches(
@@ -667,7 +667,7 @@ def hits(
     out_schema = {"node": np.dtype(np.int64), "auth": np.dtype(np.int64)}
     out = hash_equijoin(
         out, h, left_on="node", right_on="node", right_cols=("v",),
-        how="left", coarse_buckets=64,
+        how="left",
         left_schema_hint=out_schema, right_schema_hint=val_schema,
     )
     return out.map_batches(
@@ -727,7 +727,6 @@ def triangle_count(pairs_ds) -> int:
         pairs_ds,
         dedup_edges,
         key=["doc_a", "doc_b"],
-        buckets=256,
         partial=edge_partial,
     )
 
@@ -781,7 +780,6 @@ def triangle_count(pairs_ds) -> int:
         edges,
         lambda g: g.groupby("node", as_index=False)["deg"].sum(),
         key="node",
-        buckets=256,
         partial=deg_partial,
     )
 
@@ -867,7 +865,7 @@ def triangle_count(pairs_ds) -> int:
         return pd.DataFrame({"n": [int(len(wedges.merge(e, on=["v", "w"])))]})
 
     wedges = bucket_aggregate(
-        oriented, wedge_rows, key="src", buckets=256
+        oriented, wedge_rows, key="src"
     )
     tagged = wedges.union(
         oriented.map_batches(edge_key_rows, batch_format="pandas")
@@ -876,7 +874,6 @@ def triangle_count(pairs_ds) -> int:
         tagged,
         close_count,
         key=["v", "w"],
-        buckets=256,
     ).sum("n")
     return int(total or 0)
 
@@ -1298,10 +1295,9 @@ def adamic_adar(edges_ds, cap: int = 64, topk: int = 50):
         edges_ds,
         wedge_pairs,
         key="src",
-        buckets=256,
         partial=edge_rows,
     )
-    sums = bucket_aggregate(pair_sums, sum_final, key="pair", buckets=256)
+    sums = bucket_aggregate(pair_sums, sum_final, key="pair")
     if sums.count() == 0:  # no wedge: an empty Dataset has no schema
         return pd.DataFrame(
             {
@@ -1445,7 +1441,6 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6) -> pd.DataFrame:
             left_on="src",
             right_on="node",
             how="semi",
-            coarse_buckets=64,
             left_schema_hint=schema_hint,
             right_schema_hint=surv_hint,
         )
@@ -1455,7 +1450,6 @@ def kcore_peel(edges_ds, k: int = 8, rounds: int = 6) -> pd.DataFrame:
             left_on="dst",
             right_on="node",
             how="semi",
-            coarse_buckets=64,
             left_schema_hint=schema_hint,
             right_schema_hint=surv_hint,
         )

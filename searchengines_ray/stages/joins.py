@@ -5,9 +5,9 @@ event with ``right.ts <= left.ts`` for the same key — is not expressible
 with Ray Data's equality join.  Composition used here (documented
 partitioning assumption, same as the window stages):
 
-- tag both sides, union, one hash shuffle on the join KEY (coarse buckets
-  bound per-group Python overhead; all rows of a key land in one bucket),
-- inside each bucket one vectorized ``pandas.merge_asof`` over the
+- tag both sides, union, one hash exchange on the join KEY (all rows of a
+  key land in one reduce partition),
+- inside each partition one vectorized ``pandas.merge_asof`` over the
   key-sorted frames (C-level galloping merge, no per-row Python).
 
 Assumption: a single key's rows fit one task (same contract as
@@ -187,9 +187,7 @@ def interval_join(
     tagged = left_ds.map_batches(tag_left, batch_format="pandas").union(
         right_ds.map_batches(tag_right, batch_format="pandas")
     )
-    return bucket_aggregate(
-        tagged, join_bucket, key=[by], buckets=256
-    )
+    return bucket_aggregate(tagged, join_bucket, key=[by])
 
 
 def asof_join(
@@ -263,9 +261,7 @@ def asof_join(
     tagged = left_ds.map_batches(tag(0), batch_format="pandas").union(
         right_ds.map_batches(tag(1), batch_format="pandas")
     )
-    return bucket_aggregate(
-        tagged, join_bucket, key=[by], buckets=256
-    )
+    return bucket_aggregate(tagged, join_bucket, key=[by])
 
 
 def hash_equijoin(
@@ -274,7 +270,6 @@ def hash_equijoin(
     left_on: str,
     right_on: str,
     right_cols: tuple = (),
-    coarse_buckets: int = 256,
     how: str = "inner",
     left_schema_hint: dict | None = None,
     right_schema_hint: dict | None = None,
@@ -291,9 +286,9 @@ def hash_equijoin(
 
     Plan: tag-union both sides into ONE block schema (typed placeholders
     from :func:`_placeholder`, so union blocks concat without dtype
-    drift), a single key-hash shuffle on coarse buckets, then one
-    vectorized ``pandas.merge`` per bucket.  All rows of a key land in
-    one bucket; the hot-key contract is the caller's (salt the key or
+    drift), a single key-hash exchange, then one vectorized
+    ``pandas.merge`` per reduce partition.  All rows of a key land in
+    one partition; the hot-key contract is the caller's (salt the key or
     broadcast the small side via ``ray.put`` instead — the pattern the
     query engine uses for corpus stats).  Output: the left columns plus
     ``r_<col>`` for each of ``right_cols``.  Join keys must share an
@@ -376,9 +371,7 @@ def hash_equijoin(
         right_ds.map_batches(tag_right, batch_format="pandas")
     )
     # the right key rides in the left_on column of the tagged rows
-    return bucket_aggregate(
-        tagged, join_bucket, key=left_on, buckets=coarse_buckets
-    )
+    return bucket_aggregate(tagged, join_bucket, key=left_on)
 
 
 def broadcast_join(

@@ -9,9 +9,10 @@ skip them.  The stages are actor-pool ``map_batches`` (decoder state
 loaded once per actor in ``__init__``) with small batch sizes for wide
 binary rows and typed metadata columns.
 
-Scale notes: binary payloads dominate block size — callers should pass
-``batch_size`` small (e.g. 32) and keep ``batch_format="pyarrow"`` so bytes
-stay zero-copy in the object store; blocks spill instead of heaping.
+Scale notes: binary payloads dominate block size — batches stay small
+(32 rows, 16 for video) and ``batch_format="pyarrow"`` keeps bytes
+zero-copy in the object store; blocks spill instead of heaping.  Each
+stage runs a pool of 2 actors.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class AudioFeaturizer:
         )
 
 
-def featurize_audio(ds, concurrency: int = 2, batch_size: int = 32,
+def featurize_audio(ds, batch_size: int = 32,
                     frame_abs_threshold: int = 1 << 22):
     """Actor-pool audio featurize stage (small batches — WAV payloads
     dominate block size)."""
@@ -177,7 +178,7 @@ def featurize_audio(ds, concurrency: int = 2, batch_size: int = 32,
         fn_constructor_kwargs={"frame_abs_threshold": frame_abs_threshold},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=2,
     )
 
 
@@ -329,17 +330,17 @@ class FrameSampler:
         )
 
 
-def decode_images(ds, concurrency: int = 2, batch_size: int = 32):
+def decode_images(ds, batch_size: int = 32):
     """Actor-pool PNG/BMP decode stage (state loaded once per actor)."""
     return ds.map_batches(
         ImageDecoder,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=2,
     )
 
 
-def sample_frames(ds, every_n: int = 10, concurrency: int = 2):
+def sample_frames(ds, every_n: int = 10):
     """Actor-pool frame-sampling stage: uncompressed-AVI decode, then a
     pixel hash of every ``every_n``-th frame."""
     return ds.map_batches(
@@ -347,7 +348,7 @@ def sample_frames(ds, every_n: int = 10, concurrency: int = 2):
         fn_constructor_kwargs={"every_n": every_n},
         batch_format="pyarrow",
         batch_size=16,
-        concurrency=concurrency,
+        concurrency=2,
     )
 
 
@@ -405,14 +406,13 @@ class ImageResizer:
         )
 
 
-def resize_images(ds, max_dim: int = 128, concurrency: int = 2,
-                  batch_size: int = 32):
+def resize_images(ds, max_dim: int = 128):
     """Actor-pool decode + nearest-neighbor resize stage (config held per
     actor, small batches because binary payloads dominate block size)."""
     return ds.map_batches(
         ImageResizer,
         fn_constructor_kwargs={"max_dim": max_dim},
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=32,
+        concurrency=2,
     )

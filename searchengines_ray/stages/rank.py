@@ -4,7 +4,7 @@ language, top-N products per user, ...).
 Combiner-first plan — the canonical "pre-aggregate before the shuffle"
 pattern: every batch keeps at most k rows per key it contains (vectorized
 sort + groupby.head, no per-key Python), so the single key-hash shuffle
-moves O(keys_in_batch x k) rows, never the corpus; each coarse bucket
+moves O(keys_in_batch x k) rows, never the corpus; each reduce partition
 then finalizes the exact global top-k per key the same way.
 
 Tie rule (frozen, SQL-replicable): rows order by (val_col desc|asc,
@@ -113,7 +113,7 @@ def grouped_topk(
         return g.groupby(by, sort=False).head(k)[cols]
 
     return bucket_aggregate(
-        ds, final_topk, key=by, buckets=256, partial=partial_topk
+        ds, final_topk, key=by, partial=partial_topk
     )
 
 
@@ -155,7 +155,7 @@ def ranking_eval(
 
     One shuffle: per-batch combiner keeps top-k rows per qid plus
     per-(batch,qid) relevance-grade partial counts piggybacked on the
-    first kept row, then one coarse-bucket groupby finalizes both.
+    first kept row, then one key-hash exchange finalizes both.
     Grades must be integers in [0, max_rel].
     """
     import math
@@ -296,7 +296,7 @@ def ranking_eval(
         ]
 
     return bucket_aggregate(
-        ds, final, key=qid_col, buckets=256, partial=partial
+        ds, final, key=qid_col, partial=partial
     )
 
 
@@ -376,9 +376,8 @@ def bradley_terry(
         events_ds,
         duel_partials,
         key="user_id",
-        buckets=256,
         partial=tag,
-    ).to_pandas()  # bounded: <= T^2 rows per coarse bucket
+    ).to_pandas()  # bounded: <= T^2 rows per reduce partition
     if len(pairs) == 0:
         return pd.DataFrame(
             {

@@ -149,16 +149,16 @@ def consistent_sample(ds, k: int, key: str = "doc_id"):
     consistent across runs/partitionings, and two corpora's bottom-k
     sets support Jaccard estimation (the classic bottom-k property).
 
-    Two-level combiner reduce: every batch keeps its own bottom-k
-    (shuffle #1 carries <= k rows per batch, spread over 64
-    hash-of-h groups), each bucket keeps its bottom-k (shuffle #2
-    carries <= 64 x k rows into one final task — the global
-    bottom-k is always a subset of the per-bucket bottom-k's).  A
-    single-level reduce would funnel batches x k rows into ONE task,
-    which at 10^6 batches is a hot-task hazard.  Hash is the
-    Knuth-xor-Knuth avalanche chain (stages/sketch.py contract) so the
-    SQL mirror is ``ORDER BY h, key LIMIT k``.
+    Two-level combiner reduce: every block keeps its own bottom-k, each
+    reduce partition of one exchange on the hash keeps its bottom-k, and
+    the driver keeps the bottom-k of those at most k x P rows (P the
+    block count) — the global bottom-k is always a subset of the
+    per-partition bottom-k's.  Hash is the Knuth-xor-Knuth avalanche
+    chain (stages/sketch.py contract) so the SQL mirror is
+    ``ORDER BY h, key LIMIT k``.
     """
+    import ray.data
+
     from .sketch import _hll_hash
 
     cols = list(ds.schema().names)
@@ -174,13 +174,8 @@ def consistent_sample(ds, k: int, key: str = "doc_id"):
         b["_h"] = _hll_hash(batch[key].to_numpy())
         return bottomk(b)
 
-    per_bucket = bucket_aggregate(
-        ds, bottomk, key="_h", partial=partial
-    )
-    # one bucket: the final task sees every per-bucket bottom-k
-    return bucket_aggregate(
-        per_bucket, lambda g: bottomk(g)[cols], key="_h", buckets=1
-    )
+    rows = bucket_aggregate(ds, bottomk, key="_h", partial=partial).to_pandas()
+    return ray.data.from_pandas(bottomk(rows)[cols] if len(rows) else rows)
 
 
 def mixture_plan(

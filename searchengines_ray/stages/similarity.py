@@ -47,10 +47,8 @@ def _topk_tiebreak(s: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 def _merge_topk_ds(partials, k: int):
     """Per-query merge of partial top-k rows as a DATASET: (cosine desc,
     vec_id asc) tie-break — frozen rule so distributed and
-    single-process runs agree.  Queries hash into 64 coarse groups
-    (``bucket_aggregate``'s default) merged by ONE vectorized pandas callback each (a
-    groupby('query_id').map_groups here would pay one Python callback
-    per query — the fine-key anti-pattern)."""
+    single-process runs agree.  One vectorized pandas merge per reduce
+    partition of a ``query_id`` exchange."""
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -116,19 +114,17 @@ def cosine_topk(emb_ds, queries: np.ndarray, k: int = 10) -> pd.DataFrame:
     )
 
 
-def cosine_similarity_join(
-    emb_ds, threshold: float, partitions: int = 8
-):
+def cosine_similarity_join(emb_ds, threshold: float):
     """Exact all-pairs similarity join: pairs with cosine >= threshold.
 
-    Every vector replicates to the ``partitions`` partition-pairs that
-    contain its partition (``p = vec_id % P``), so the shuffle is O(n*P)
-    rows — never O(n^2) — and each of the P(P+1)/2 pair-groups runs ONE
+    Every vector replicates to the P = 4 partition-pairs that contain
+    its partition (``p = vec_id % P``), so the shuffle is O(n*P) rows —
+    never O(n^2) — and each of the P(P+1)/2 pair-groups runs ONE
     blockwise matmul.  Partitioning assumption: ~n/P vectors fit one
-    group; pick P ~ n / sqrt(per-task budget) at scale.  Returns a Dataset
-    ``(doc_a, doc_b, cosine)`` with doc_a < doc_b.
+    group; at scale P would grow to ~n / sqrt(per-task budget).  Returns
+    a Dataset ``(doc_a, doc_b, cosine)`` with doc_a < doc_b.
     """
-    P = partitions
+    P = 4
 
     def expand(batch: pd.DataFrame) -> pd.DataFrame:
         vecs = _normalize(_as_matrix(batch["embedding"]))
@@ -203,7 +199,7 @@ def cosine_similarity_join(
     )
 
 
-def knn_join(left_ds, right_ds, k: int = 5, partitions: int = 8):
+def knn_join(left_ds, right_ds, k: int = 5):
     """Exact k-nearest-neighbor JOIN between two embedding datasets: for
     every LEFT vector the top-k RIGHT vectors by cosine — the two-sided
     variant of :func:`cosine_topk` (whose query side is a driver-held
@@ -212,7 +208,7 @@ def knn_join(left_ds, right_ds, k: int = 5, partitions: int = 8):
     reference embedding corpus).
 
     Plan (the :func:`cosine_similarity_join` replication shape, made
-    asymmetric): the right side partitions by ``vec_id % P`` (each row
+    asymmetric, P = 4): the right side partitions by ``vec_id % P`` (each row
     to ONE group); every left row replicates to ALL P groups — the
     shuffle is O(nL * P + nR) rows, never O(nL * nR).  Each group runs
     one blockwise matmul and keeps a per-left partial top-k (combiner,
@@ -220,10 +216,10 @@ def knn_join(left_ds, right_ds, k: int = 5, partitions: int = 8):
     query-bucketed vectorized merge folds the P partials.  Returns a
     DATASET ``(query_id, vec_id, cosine, rank)`` with query_id = left
     vec_id — nL*k rows is corpus-sized when the left is, so it never
-    lands on the driver here.  Pick P ~ sqrt(nR x nL / per-task
-    budget) at scale.
+    lands on the driver here.  At scale P would grow to ~sqrt(nR x nL /
+    per-task budget).
     """
-    P = partitions
+    P = 4
 
     def expand_left(batch: pd.DataFrame) -> pd.DataFrame:
         vecs = _normalize(_as_matrix(batch["embedding"]))

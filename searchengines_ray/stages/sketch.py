@@ -169,7 +169,7 @@ def hll_registers(ds, key: str = "doc_id", p: int = 8):
         return g.astype({"bucket": "int64", "max_rho": "int64"})
 
     return bucket_aggregate(
-        ds, merge, key="bucket", buckets=m, partial=partial
+        ds, merge, key="bucket", partial=partial
     )
 
 
@@ -208,7 +208,7 @@ def bloom_build(ds, text_col: str = "text", m: int = 1 << 17,
     and the identical membership verdicts.
 
     Scale shape: each batch contributes its distinct SET BIT INDICES
-    (<= batch_vocab * k ints, capped by m); one coarse distinct
+    (<= batch_vocab * k ints, capped by m); one hash-exchange distinct
     aggregation; the driver holds the m-bit array only.
     """
 
@@ -281,12 +281,7 @@ def bloom_member(ds, bloom_bits: np.ndarray, text_col: str = "text",
     def dedup(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates("term")[["term", "in_bloom"]]
 
-    # coarse dedup: the fine-key groupby('term') shape costs one Python
-    # callback per distinct token (the sessionize 150s->11s lesson); 64
-    # term buckets dedup the same rows in 64 vectorized callbacks
-    return bucket_aggregate(
-        ds, dedup, key="term", partial=check
-    )
+    return bucket_aggregate(ds, dedup, key="term", partial=check)
 
 
 def hll_group_registers(ds, group_col: str = "event_type",
@@ -300,8 +295,8 @@ def hll_group_registers(ds, group_col: str = "event_type",
     without re-reading data.
 
     Same exact-integer hash/rho contract as :func:`hll_registers` (the
-    SQL-pinned avalanche hash); the merge is a coarse group-hash bucket +
-    vectorized per-bucket pandas max (never a Ray-native fine-key
+    SQL-pinned avalanche hash); the merge is a group-hash exchange +
+    vectorized per-partition pandas max (never a Ray-native fine-key
     groupby).  Returns a Dataset ``(group_col, bucket, max_rho)``.
     """
     m = 1 << p

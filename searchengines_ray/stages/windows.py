@@ -120,9 +120,9 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
     ``salt_hours=None`` falls back to the single-pass one-group-per-user
     plan.
 
-    Both passes shuffle on COARSE HASH BUCKETS and vectorize across
-    keys inside each bucket (one sort + shift-compare + C-level
-    groupby-agg per bucket) — a per-(user, salt) ``map_groups`` ran
+    Both passes are hash exchanges that vectorize across keys inside
+    each reduce partition (one sort + shift-compare + C-level
+    groupby-agg per partition) — a per-(user, salt) ``map_groups`` ran
     one Python callback per key (~46k tiny frames at sf0.1, 150 s; the
     bucketed form is ~13 s on the same input).
     """
@@ -202,11 +202,10 @@ def sessionize(events_ds, gap_minutes: int = 30, salt_hours: int | None = 24):
         events_ds,
         sessions_bucket,
         key=["user_id", "_salt"],
-        buckets=256,
         partial=add_salt,
     )
     return bucket_aggregate(
-        pass1, stitch_bucket, key="user_id", buckets=256
+        pass1, stitch_bucket, key="user_id"
     )
 
 
@@ -219,10 +218,10 @@ def funnel_stages(events_ds, stages=("view", "click", "purchase")):
     Returns ``(user_id, reached)`` for every user with >= 1 event,
     ``reached`` in 0..len(stages).
 
-    Plan: events shuffle ONCE on a user-hash coarse bucket; inside each
-    bucket every stage transition is a vectorized merge + groupby-min
-    over that stage's rows only (no per-user Python, no per-event
-    scan per stage).  Users never span buckets, so the fold is exact.
+    Plan: events shuffle ONCE on a user-hash exchange; inside each
+    reduce partition every stage transition is a vectorized merge +
+    groupby-min over that stage's rows only (no per-user Python, no per-event
+    scan per stage).  Users never span partitions, so the fold is exact.
     """
 
     def tag(batch: pd.DataFrame) -> pd.DataFrame:
@@ -272,7 +271,7 @@ def funnel_stages(events_ds, stages=("view", "click", "purchase")):
         )
 
     return bucket_aggregate(
-        events_ds, fold, key="user_id", buckets=256, partial=tag
+        events_ds, fold, key="user_id", partial=tag
     )
 
 
@@ -320,7 +319,7 @@ def cohort_retention(events_ds):
         return out
 
     user_cells = bucket_aggregate(
-        events_ds, per_user, key="user_id", buckets=256, partial=tag
+        events_ds, per_user, key="user_id", partial=tag
     )
     return bucket_aggregate(
         user_cells,
@@ -381,7 +380,7 @@ def rolling_user_agg(events_ds, window_rows: int = 5):
         )
 
     return bucket_aggregate(
-        events_ds, roll, key="user_id", buckets=256, partial=tag
+        events_ds, roll, key="user_id", partial=tag
     )
 
 
@@ -446,7 +445,7 @@ def event_transitions(events_ds):
     / session-flow table: for each user's (ts, event_id)-ordered
     stream, count consecutive (from_type -> to_type) pairs, summed over
     all users.  One user-keyed shuffle builds per-user orderings
-    (vectorized shift inside each coarse bucket, no per-user Python),
+    (vectorized shift inside each reduce partition, no per-user Python),
     partial pair counts ride to a small (from, to)-keyed groupby.
     """
 
@@ -493,7 +492,6 @@ def event_transitions(events_ds):
             events_ds,
             pair_partials,
             key="user_id",
-            buckets=256,
             partial=tag,
         )
         .groupby("from_type")

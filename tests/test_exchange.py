@@ -1,12 +1,14 @@
 """The bucket-hash exchange (stages/exchange.py): the one shuffle-key hash
-and the combiner + bucket + per-bucket finalize primitive."""
+and the combiner + hash-partition + per-partition finalize primitive."""
 
+import os
 import zlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from searchengines_ray.stages.exchange import bucket_aggregate, bucket_of
 
@@ -83,7 +85,7 @@ def test_bucket_aggregate_pandas_and_arrow_partials_agree(blocks, ray_session):
     for partial, fmt in ((None, "pandas"), (partial_pd, "pandas"),
                          (partial_pa, "pyarrow")):
         got = bucket_aggregate(
-            ds, final, key="key", buckets=8, partial=partial,
+            ds, final, key="key", partial=partial,
             batch_format=fmt,
         )
         out = got.to_pandas()
@@ -101,7 +103,7 @@ def test_bucket_aggregate_empty_input(ray_session):
     final, partial_pd, partial_pa = _fns()
     for partial, fmt in ((partial_pd, "pandas"), (partial_pa, "pyarrow")):
         got = bucket_aggregate(
-            empty, final, key="key", buckets=8, partial=partial,
+            empty, final, key="key", partial=partial,
             batch_format=fmt,
         )
         assert _rows(got) == []
@@ -120,13 +122,11 @@ def test_bucket_aggregate_chained_and_composite_key(ray_session):
         ds,
         lambda g: g.groupby(["a", "b"], as_index=False)["v"].sum(),
         key=["a", "b"],
-        buckets=6,
     )
     per_a = bucket_aggregate(
         pairs,
         lambda g: g.groupby("a", as_index=False)["v"].sum(),
         key="a",
-        buckets=3,
     ).to_pandas()
     assert list(per_a.columns) == ["a", "v"]
     got = dict(zip(per_a["a"].tolist(), per_a["v"].tolist()))
@@ -166,8 +166,8 @@ def test_two_keys_over_eight_blocks(ray_session, ray_log):
     ds = _blocks(df, 8)
     assert ds.num_blocks() == 8
     final, partial_pd, _ = _fns()
-    got = bucket_aggregate(ds, final, key="key", buckets=64, partial=partial_pd)
-    parts = set((bucket_of(["a", "b"], 64) * 8 // 64).tolist())
+    got = bucket_aggregate(ds, final, key="key", partial=partial_pd)
+    parts = set(bucket_of(["a", "b"], 8).tolist())
     assert got.num_blocks() == len(parts) <= 2
     want = sorted(df.groupby("key")["v"].sum().items())
     assert [(k, int(v)) for k, v in _rows(got)] == want
@@ -197,13 +197,12 @@ def test_nested_exchange_over_mostly_empty_partitions(ray_session, ray_log):
         g = g[g["doc_a"].isin(hot)]
         return g if len(g) else pd.DataFrame()
 
-    first = bucket_aggregate(ds, keep_hot, key="doc_a", buckets=16)
+    first = bucket_aggregate(ds, keep_hot, key="doc_a")
     assert first.count() == 8
     second = bucket_aggregate(
         first,
         lambda g: g.groupby("doc_b", as_index=False)["v"].sum(),
         key="doc_b",
-        buckets=16,
     )
     got = sorted(second.to_pandas()[["doc_b", "v"]].itertuples(index=False, name=None))
     assert got == [(b, 1) for b in sorted(df.loc[df["doc_a"].isin(hot), "doc_b"])]
@@ -247,7 +246,7 @@ def test_lazy_union_input(ray_session, ray_log):
         rhs = g.loc[g["_side"] == 1, ["k", "val"]].rename(columns={"val": "y"})
         return lhs.merge(rhs, on="k")
 
-    got = bucket_aggregate(tagged, join_bucket, key="k", buckets=8).to_pandas()
+    got = bucket_aggregate(tagged, join_bucket, key="k").to_pandas()
     want = left.merge(right, on="k")
     assert sorted(got[["k", "x", "y"]].itertuples(index=False, name=None)) == sorted(
         want[["k", "x", "y"]].itertuples(index=False, name=None)
@@ -255,29 +254,30 @@ def test_lazy_union_input(ray_session, ray_log):
     assert _logged(ray_log, "different schema") == []
 
 
-def test_final_once_per_bucket_in_bucket_order(ray_session):
-    """``final`` runs once per non-empty bucket (one output row per call),
-    in ascending bucket order, over the bucket's rows in input order."""
+def test_final_once_per_partition(ray_session):
+    """``final`` runs once per reduce partition that received rows (at
+    most P = 5, the non-empty block count), sees every row of a key in
+    that one call, and gets a key's rows in input order."""
     keys = (np.arange(300) * 7) % 101
     ds = _blocks(pd.DataFrame({"k": keys, "i": np.arange(300)}), 5)
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
-        b = bucket_of(g["k"], 16)
-        i = g["i"].to_numpy()
-        return pd.DataFrame(
-            {
-                "bucket": [int(b[0])],
-                "distinct": [len(set(b.tolist()))],
-                "rows": [len(g)],
-                "ordered": [bool(np.all(np.diff(i) > 0))],
-            }
+        out = g.groupby("k", as_index=False).agg(
+            rows=("i", "size"),
+            ordered=("i", lambda i: bool(np.all(np.diff(i) > 0))),
         )
+        out["call"] = os.urandom(8).hex()
+        return out
 
-    out = bucket_aggregate(ds, final, key="k", buckets=16).to_pandas()
-    b = bucket_of(keys, 16)
-    assert out["bucket"].tolist() == sorted(set(b.tolist()))
-    assert out["rows"].tolist() == np.bincount(b)[out["bucket"]].tolist()
-    assert set(out["distinct"]) == {1} and out["ordered"].all()
+    out = bucket_aggregate(ds, final, key="k").to_pandas()
+    parts = bucket_of(keys, 5)
+    assert out["call"].nunique() == len(set(parts.tolist())) <= 5
+    for _, c in out.groupby("call"):
+        assert len(set(bucket_of(c["k"], 5).tolist())) == 1
+    assert out["k"].is_unique and set(out["k"]) == set(keys.tolist())
+    counts = np.bincount(keys)
+    assert out["rows"].tolist() == counts[out["k"]].tolist()
+    assert out["ordered"].all()
 
 
 def test_errors_raise_as_their_own_type(ray_session, ray_log):
@@ -297,9 +297,107 @@ def test_errors_raise_as_their_own_type(ray_session, ray_log):
         raise ValueError("bad partial")
 
     with pytest.raises(ValueError, match="bad final"):
-        bucket_aggregate(ds, bad_final, key="key", buckets=8)
+        bucket_aggregate(ds, bad_final, key="key")
     with pytest.raises(ValueError, match="bad partial"):
-        bucket_aggregate(ds, final, key="key", buckets=8, partial=bad_partial)
+        bucket_aggregate(ds, final, key="key", partial=bad_partial)
     gc.collect()
     time.sleep(1.0)
     assert _logged(ray_log, "Unhandled error") == []
+
+
+_GROUP_COLS = {
+    "string": ["s"],
+    "int": ["a"],
+    "composite": ["a", "b"],
+    "callable": ["a", "b"],
+}
+
+
+def _exchange_key(kind: str):
+    if kind == "string":
+        return "s"
+    if kind == "int":
+        return "a"
+    if kind == "composite":
+        return ["a", "b"]
+    # works on a pandas frame and on a pyarrow table
+    return lambda b: np.asarray(b["a"]) * 5 + np.asarray(b["b"])
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 30), min_size=1, max_size=9),
+    kind=st.sampled_from(sorted(_GROUP_COLS)),
+    combiner=st.sampled_from(["none", "pandas", "pyarrow"]),
+    seed=st.integers(0, 2**16),
+)
+def test_bucket_aggregate_matches_pandas_groupby(
+    ray_session, sizes, kind, combiner, seed
+):
+    """Against a pandas ``groupby`` oracle: 1-9 input blocks (zero-row
+    ones with and without columns), no, pandas and Arrow combiners,
+    string, int, composite and callable keys.  Each key leaves exactly
+    one output row, so no key was split across ``final`` calls; without
+    a combiner every key's rows also arrive in input order."""
+    import ray.data
+
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    a, b = rng.integers(0, 7, n), rng.integers(0, 5, n)
+    df = pd.DataFrame(
+        {
+            "s": [f"k{x}" for x in a * 5 + b],
+            "a": a,
+            "b": b,
+            "v": rng.integers(0, 100, n),
+            "i": np.arange(n),
+        }
+    )
+    bounds = np.cumsum([0] + sizes)
+    frames = [
+        df.iloc[lo:hi] if hi > lo or j % 2 else pd.DataFrame()
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    cols = _GROUP_COLS[kind]
+
+    def partial_pd(t: pd.DataFrame) -> pd.DataFrame:
+        return t.groupby(cols, as_index=False)["v"].sum()
+
+    def partial_pa(t: pa.Table) -> pa.Table:
+        agg = t.group_by(cols).aggregate([("v", "sum")])
+        return pa.table({**{c: agg.column(c) for c in cols},
+                         "v": agg.column("v_sum")})
+
+    def final(g: pd.DataFrame) -> pd.DataFrame:
+        per = g.groupby(cols, as_index=False)
+        out = per["v"].sum()
+        if "i" in g.columns:
+            out["ordered"] = per["i"].agg(
+                lambda i: bool(np.all(np.diff(i) > 0))
+            )["i"]
+        return out
+
+    partial, fmt = {
+        "none": (None, "pandas"),
+        "pandas": (partial_pd, "pandas"),
+        "pyarrow": (partial_pa, "pyarrow"),
+    }[combiner]
+    got = bucket_aggregate(
+        ray.data.from_pandas(frames),
+        final,
+        key=_exchange_key(kind),
+        partial=partial,
+        batch_format=fmt,
+    ).to_pandas()
+    want = df.groupby(cols, as_index=False)["v"].sum()
+    if n == 0:
+        assert got.empty
+        return
+    assert not got.duplicated(cols).any()
+
+    def rows(frame):
+        return sorted(frame[cols + ["v"]].itertuples(index=False, name=None))
+
+    assert rows(got) == rows(want)
+    if combiner == "none":
+        assert got["ordered"].all()

@@ -356,10 +356,22 @@ def test_curate_corpus_resumable(tmp_path, ray_session):
     assert 200 not in got and 201 not in got
     assert 100 in got and 101 not in got
     assert stats["n_dropped"] >= 1 and stats["n_buckets"] >= 1
-    # partition-level resume: delete one bucket, rerun, only it rewritten
+    # one bucket=<b> directory per hive bucket, holding exactly its docs
     import os
 
+    import pyarrow.parquet as pq
+
+    from searchengines_ray.stages.exchange import bucket_of
+
+    hive = dict(zip(got, bucket_of(np.asarray(got), 4).tolist()))
     buckets = sorted(d for d in os.listdir(out) if d.startswith("bucket="))
+    assert buckets == sorted(f"bucket={b}" for b in set(hive.values()))
+    assert stats["n_buckets"] == len(set(hive.values())) == len(buckets)
+    for d in buckets:
+        b = int(d.removeprefix("bucket="))
+        ids = pq.read_table(os.path.join(out, d, "part.parquet"))["doc_id"]
+        assert ids.to_pylist() == sorted(i for i, h in hive.items() if h == b)
+    # partition-level resume: delete one bucket, rerun, only it rewritten
     shutil.rmtree(os.path.join(out, buckets[0]))
     ds2 = ray.data.from_items(rows)
     _, stats2 = curate_corpus(

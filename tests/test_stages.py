@@ -655,7 +655,7 @@ def test_multimodal_stubs(ray_session):
     ds = ray.data.from_items(rows)
 
     def decoded():
-        out = decode_images(ds, concurrency=2, batch_size=4).to_pandas()
+        out = decode_images(ds, batch_size=4).to_pandas()
         return out.sort_values("doc_id").reset_index(drop=True)
 
     dec = decoded()
@@ -673,8 +673,7 @@ def test_multimodal_stubs(ray_session):
     pd.testing.assert_frame_equal(dec, decoded())
 
     def resized():
-        out = resize_images(ds, max_dim=8, concurrency=2,
-                            batch_size=4).to_pandas()
+        out = resize_images(ds, max_dim=8).to_pandas()
         return out.sort_values("doc_id").reset_index(drop=True)
 
     rs = resized()
@@ -723,9 +722,11 @@ def test_multimodal_stages_fail_on_one_junk_payload(ray_session):
     )
 
     png_rows, _ = _png_rows(5)
-    # sample_frames batches 16 rows, so 18 AVI rows with the junk row
-    # at index 17 put it in a batch after a good one, as batch_size=2
-    # does for the two image stages.
+    # resize_images batches 32 rows and sample_frames 16, so the junk
+    # row at index 33 of 35 PNG rows and at index 17 of 18 AVI rows
+    # lands in a batch after a good one, as batch_size=2 does for
+    # decode_images.
+    many_png = [dict(r, doc_id=d) for d, r in enumerate(png_rows * 7)]
     avi_rows = [
         {"doc_id": d,
          "payload": encode_avi([np.full((4, 5, 3), 40 + d, np.uint8)] * 3)}
@@ -735,14 +736,13 @@ def test_multimodal_stages_fail_on_one_junk_payload(ray_session):
     cases = [
         (decode_images, png_rows, 2, {"batch_size": 2},
          "unknown image format"),
-        (resize_images, png_rows, 2, {"batch_size": 2},
-         "unknown image format"),
+        (resize_images, many_png, 33, {}, "unknown image format"),
         (sample_frames, avi_rows, 17, {}, "not a RIFF/AVI file"),
     ]
     for stage, rows, at, kwargs, msg in cases:
         ds = ray.data.from_items(rows[:at] + [junk] + rows[at:])
         with pytest.raises(Exception, match=msg):
-            stage(ds, concurrency=1, **kwargs).to_pandas()
+            stage(ds, **kwargs).to_pandas()
 
 
 def test_vocab_growth_hand_computed(ray_session):
@@ -870,9 +870,7 @@ def test_avi_codec_roundtrip_and_real_sampler(ray_session):
             want[(d, i)] = int(
                 hashlib.sha256(fr[i].tobytes()).hexdigest()[:15], 16
             )
-    got = sample_frames(
-        ray.data.from_items(rows), every_n=2, concurrency=2
-    ).to_pandas()
+    got = sample_frames(ray.data.from_items(rows), every_n=2).to_pandas()
     assert {
         (int(r.doc_id), int(r.frame_idx)): int(r.frame_hash)
         for r in got.itertuples()
@@ -979,7 +977,7 @@ def test_similarity_join_exact(ray_session):
     ]
     ds = ray.data.from_items(rows)
     got = (
-        cosine_similarity_join(ds, threshold=0.5, partitions=4)
+        cosine_similarity_join(ds, threshold=0.5)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
@@ -3259,7 +3257,7 @@ def test_knn_join_matches_cosine_topk(ray_session):
     ).astype(np.float64)
     want = cosine_topk(emb, queries, k=5)  # query_id = positional 0..3
     left = ray.data.from_pandas(left_df)
-    got = knn_join(left, emb, k=5, partitions=3).to_pandas()
+    got = knn_join(left, emb, k=5).to_pandas()
     qids = left_df["vec_id"].tolist()
     for pos, qid in enumerate(qids):
         w = want[want.query_id == pos].sort_values("rank")
@@ -4611,12 +4609,19 @@ def test_bottomk_pair_estimates_rejects_unattached_endpoint(
 ):
     """Each pair must attach exactly one sketch blob per endpoint: a
     missing or a duplicated blob raises instead of mis-pairing the
-    bucket's later rows.  Every exchange runs with ONE bucket, so all
-    pairs share the bucket."""
+    reducer's later rows.  Every exchange gets ONE input block, so all
+    pairs share one reducer."""
     import ray.data
 
     from searchengines_ray.stages import dedup
     from searchengines_ray.stages.dedup import bottomk_pair_estimates
+
+    exchanges = []
+    real = dedup.bucket_aggregate
+
+    def one_block(ds, *args, **kwargs):
+        exchanges.append(ds)
+        return real(ray.data.from_pandas(ds.to_pandas()), *args, **kwargs)
 
     sk = np.arange(4, dtype=np.int64).tobytes()
     pairs = ray.data.from_pandas(
@@ -4624,7 +4629,7 @@ def test_bottomk_pair_estimates_rejects_unattached_endpoint(
     )
     missing = pd.DataFrame({"doc_id": [1, 2], "sk": [sk, sk]})  # no 3
     doubled = pd.DataFrame({"doc_id": [1, 2, 3, 3], "sk": [sk] * 4})
-    exchanges = _spy(monkeypatch, dedup, "bucket_aggregate", buckets=1)
+    monkeypatch.setattr(dedup, "bucket_aggregate", one_block)
     for blobs in (missing, doubled):
         with pytest.raises(ValueError, match="exactly one"):
             bottomk_pair_estimates(
@@ -4774,13 +4779,11 @@ def test_kcenter_quantize_guard_fires_in_python_ints(ray_session):
 _KNOB_NAMES = {
     "buckets", "coarse_buckets", "local_max_edges", "driver_max_pairs",
     "nblocks", "block", "distinct", "_verbose", "reducers", "num_partitions",
+    "concurrency", "partitions",
 }
 _KNOBS_ALLOWED = {
-    # sketch.hll_registers (buckets=m), graph.connected_components (256),
-    # dedup.line_dedup (1024), pipelines/curate.py (buckets=partitions)
-    ("stages.exchange", "bucket_aggregate", "buckets"),
-    # graph.pagerank, graph.hits, graph.kcore_peel (coarse_buckets=64)
-    ("stages.joins", "hash_equijoin", "coarse_buckets"),
+    # result parameter: the hive bucket=<b> layout of the written corpus
+    ("pipelines.curate", "curate_corpus", "partitions"),
     # result parameter (doc_id % buckets is the packing partition);
     # __ray_entry__.py pack_sequences entry sets buckets=8
     ("stages.text", "pack_sequences", "buckets"),
