@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 
 from ..analysis import _ASCII_LOWER
-from .exchange import bucket_aggregate, bucket_of
+from .exchange import bucket_aggregate, bucket_of, run_tasks
 
 _WORD = re.compile(r"[0-9a-z]+")
 
@@ -2255,56 +2255,110 @@ def _sketch_hash_rows(batch: pd.DataFrame, parts: int) -> pd.DataFrame:
     )
 
 
+# the registry's two layouts: directory, hive column, file columns, row order
+_REGISTRY_LAYOUTS = (
+    ("hashes", "hp", ["sh", "doc_id"], ["sh", "doc_id"]),
+    ("sketches", "dp", ["doc_id", "sk"], ["doc_id"]),
+)
+
+
 def lsh_registry_write(ds, path: str, k: int = 16, shingle: int = 4,
                        parts: int = 32) -> dict:
     """Persist a near-duplicate REGISTRY for incremental ingestion: the
     corpus's bottom-k shingle sketches written as two hive-partitioned
-    parquet layouts under ``path`` —
+    parquet layouts under ``path``, ONE file per partition —
 
-    - ``hashes/hp=<p>/`` — exploded ``(sh, doc_id)`` sketch-hash rows,
-      partitioned by ``hp = bucket_of(sh, parts)``: the candidate-probe side
-      (docs sharing any bottom-k hash are near-dup candidates);
-    - ``sketches/dp=<p>/`` — per-doc sketch blobs ``(doc_id, sk)``,
-      partitioned by ``dp = bucket_of(doc_id, parts)``: the verification
-      side;
+    - ``hashes/hp=<p>/part.parquet`` — exploded ``(sh, doc_id)``
+      sketch-hash rows, partitioned by ``hp = bucket_of(sh, parts)``:
+      the candidate-probe side (docs sharing any bottom-k hash are
+      near-dup candidates);
+    - ``sketches/dp=<p>/part.parquet`` — per-doc sketch blobs ``(doc_id,
+      sk)``, partitioned by ``dp = bucket_of(doc_id, parts)``: the
+      verification side;
 
-    plus ``meta.json`` (k, shingle, parts).  Both writes stream
-    (``write_parquet``, never a driver materialize).
-    :func:`lsh_registry_query` then dedups an INCOMING batch against the
-    registry reading ONLY the partitions its own hashes / candidate docs
-    touch (partition pruning — the IVF probed-bytes story), without
-    recomputing or rescanning the corpus.  Returns the meta dict.
+    plus ``meta.json`` (k, shingle, parts).  Plan: each sketch batch's
+    map task emits both layouts' rows, tagged ``hp`` or ``parts + dp``;
+    ONE exchange keyed on that tag brings each partition's rows to one
+    reducer, which writes every partition it receives as its file, rows
+    sorted, so a retried reducer rewrites the same files.  Nothing is
+    pulled to the driver.  A corpus with no sketches leaves both layouts
+    empty.  :func:`lsh_registry_query` then dedups an INCOMING batch
+    against the registry reading ONLY the partitions its own hashes /
+    candidate docs touch (partition pruning — the IVF probed-bytes
+    story), without recomputing or rescanning the corpus.  Returns the
+    meta dict.
     """
     import json
-    import os
 
-    sk = bottomk_sketch_rows(ds, k=k, shingle=shingle).materialize()
-
-    def hash_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return _sketch_hash_rows(batch, parts)
-
-    def blob_part(batch: pd.DataFrame) -> pd.DataFrame:
+    def layout_rows(batch: pd.DataFrame) -> pd.DataFrame:
+        h = _sketch_hash_rows(batch, parts)
         ids = batch["doc_id"].to_numpy().astype(np.int64)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "doc_id": pd.array(ids, dtype="int64"),
-                "sk": pd.array(list(batch["sk"]), dtype="object"),
-                "dp": pd.array(bucket_of(ids, parts), dtype="int64"),
+                "part": np.concatenate(
+                    [h["hp"].to_numpy(), parts + bucket_of(ids, parts)]
+                ),
+                "sh": np.concatenate(
+                    [h["sh"].to_numpy(), np.zeros(len(ids), np.int64)]
+                ),
+                "doc_id": np.concatenate([h["doc_id"].to_numpy(), ids]),
+                "sk": [None] * len(h) + list(batch["sk"]),
             }
         )
-        return out
 
-    os.makedirs(path, exist_ok=True)
-    sk.map_batches(hash_rows, batch_format="pandas").write_parquet(
-        os.path.join(path, "hashes"), partition_cols=["hp"]
-    )
-    sk.map_batches(blob_part, batch_format="pandas").write_parquet(
-        os.path.join(path, "sketches"), partition_cols=["dp"]
+    def write(rows: pd.DataFrame) -> pd.DataFrame:
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        part = rows["part"].to_numpy()
+        for v in np.unique(part):
+            layout, col, cols, by = _REGISTRY_LAYOUTS[v // parts]
+            d = os.path.join(path, layout, f"{col}={v % parts}")
+            os.makedirs(d, exist_ok=True)
+            g = rows.loc[part == v, cols].sort_values(by)
+            pq.write_table(
+                pa.Table.from_pandas(g, preserve_index=False),
+                os.path.join(d, "part.parquet"),
+            )
+        return pd.DataFrame()
+
+    for layout, *_ in _REGISTRY_LAYOUTS:
+        os.makedirs(os.path.join(path, layout), exist_ok=True)
+    bucket_aggregate(
+        bottomk_sketch_rows(ds, k=k, shingle=shingle),
+        write,
+        key="part",
+        partial=layout_rows,
     )
     meta = {"k": k, "shingle": shingle, "parts": parts}
     with open(os.path.join(path, "meta.json"), "w") as f:
         json.dump(meta, f)
     return meta
+
+
+def _probe_partition(part_dir: str, s_sh: np.ndarray,
+                     s_doc: np.ndarray) -> np.ndarray:
+    """Probe task: the distinct ``(incoming, registry)`` doc-id pairs
+    sharing a sketch hash, as an ``(n, 2)`` int64 array, between every
+    ``(sh, doc_id)`` row of one ``hashes/hp=<p>/`` directory (all of its
+    files) and the incoming hashes ``s_sh`` (sorted, their doc ids
+    ``s_doc`` alongside), by ``np.searchsorted`` ranges."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(part_dir, columns=["sh", "doc_id"])
+    rsh = t.column("sh").to_numpy().astype(np.int64)
+    lo = np.searchsorted(s_sh, rsh, side="left")
+    cnt = np.searchsorted(s_sh, rsh, side="right") - lo
+    # row i of the registry pairs with incoming s_doc[lo[i]:lo[i]+cnt[i]]
+    off = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    pairs = np.stack(
+        [
+            s_doc[np.arange(len(off), dtype=np.int64) + off],
+            np.repeat(t.column("doc_id").to_numpy().astype(np.int64), cnt),
+        ],
+        axis=1,
+    )
+    return np.unique(pairs, axis=0)
 
 
 def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
@@ -2319,10 +2373,11 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
     Plan:
 
     1. sketch the incoming docs once, to the driver (O(incoming x k));
-    2. probe: ONE pruned scan of the ``hashes/hp=<p>/`` partitions whose
-       ``hp`` appears in the batch (``PathPartitionFilter``), each
-       registry ``(sh, doc_id)`` row joined in its read task against the
-       batch's sorted hash array by ``np.searchsorted`` ranges; the
+    2. probe: one plain Ray task per ``hashes/hp=<p>/`` directory whose
+       ``hp`` appears in the batch (:func:`_probe_partition`): it reads
+       every file of the directory with pyarrow and joins each registry
+       ``(sh, doc_id)`` row against the batch's sorted hash array (put
+       in the object store once) by ``np.searchsorted`` ranges; the
        candidate ``(new, registry)`` pairs come back deduplicated;
     3. verify: an in-process point lookup of the candidate registry
        blobs (only the ``sketches/dp=<p>/`` partitions holding them, read
@@ -2330,11 +2385,13 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
        union-bottom-k estimate (:func:`_union_bottomk`) over all pairs.
 
     Driver memory is O(incoming x k) plus the candidate pairs and their
-    registry blobs.  Kept pairs satisfy ``inter >= min_inter`` and
-    ``inter * tden >= tnum * denom`` (estimated jaccard >= tnum/tden,
-    integer-exact).  Raises ``ValueError`` when incoming doc ids repeat,
-    when incoming and registry doc ids overlap, or when a candidate
-    registry doc does not have exactly one stored blob.
+    registry blobs.  No Ray Data execution reads the registry, and an
+    error in a probe task is raised here as its own type.  Kept pairs
+    satisfy ``inter >= min_inter`` and ``inter * tden >= tnum * denom``
+    (estimated jaccard >= tnum/tden, integer-exact).  Raises
+    ``ValueError`` when incoming doc ids repeat, when incoming and
+    registry doc ids overlap, or when a candidate registry doc does not
+    have exactly one stored blob.
     Returns a pandas DataFrame ``(doc_id, reg_doc_id, inter, denom)``
     sorted (doc_id, reg_doc_id).  With ``return_stats=True`` also returns
     a dict of probed/total partition counts and bytes for both layouts
@@ -2344,8 +2401,7 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
 
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import ray.data
-    from ray.data.datasource.partitioning import PathPartitionFilter
+    import ray
 
     with open(os.path.join(path, "meta.json")) as f:
         meta = json.load(f)
@@ -2403,41 +2459,15 @@ def lsh_registry_query(new_ds, path: str, tnum: int = 1, tden: int = 2,
     s_sh = nh["sh"].to_numpy()[order]
     s_doc = nh["doc_id"].to_numpy()[order]
 
-    def probe(batch: dict) -> dict:
-        rsh = batch["sh"].astype(np.int64)
-        lo = np.searchsorted(s_sh, rsh, side="left")
-        cnt = np.searchsorted(s_sh, rsh, side="right") - lo
-        # row i of the registry pairs with incoming s_doc[lo[i]:lo[i]+cnt[i]]
-        off = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        pairs = np.stack(
-            [
-                s_doc[np.arange(len(off), dtype=np.int64) + off],
-                np.repeat(batch["doc_id"].astype(np.int64), cnt),
-            ],
-            axis=1,
-        )
-        pairs = np.unique(pairs, axis=0)
-        return {"doc_a": pairs[:, 0], "doc_b": pairs[:, 1]}
-
-    pf = PathPartitionFilter.of(
-        lambda kv: "hp" in kv and int(kv["hp"]) in touched_hp,
-        style="hive",
-        base_dir=os.path.join(path, "hashes"),
+    hashes = os.path.join(path, "hashes")
+    dirs = [os.path.join(hashes, f"hp={p}") for p in sorted(touched_hp)]
+    refs = (ray.put(s_sh), ray.put(s_doc))
+    cand = run_tasks(
+        _probe_partition, [(d, *refs) for d in dirs if os.path.isdir(d)]
     )
-    cand = (
-        ray.data.read_parquet(
-            os.path.join(path, "hashes"),
-            partition_filter=pf,
-            columns=["sh", "doc_id"],
-        )
-        .map_batches(probe, batch_format="numpy")
-        .to_pandas()
-    )
-    if len(cand) == 0:
+    if not any(len(c) for c in cand):
         return done(empty, touched_hp, set())
-    pairs = np.unique(
-        cand[["doc_a", "doc_b"]].to_numpy().astype(np.int64), axis=0
-    )
+    pairs = np.unique(np.concatenate(cand), axis=0)
     doc_a, doc_b = pairs[:, 0], pairs[:, 1]
     reg_ids = np.unique(doc_b)
     shared = np.intersect1d(doc_a, reg_ids)

@@ -7,17 +7,23 @@ vectorized pandas ``final`` over all of that task's rows finishes the
 aggregate.  A ``final`` groups by its fine key itself; Ray-native
 groupby on the fine key would run one callback per key.
 
-- :func:`bucket_of` is the only shuffle-key hash.  Strings hash as
+- :func:`bucket_of` is the operators' key hash.  Strings hash as
   ``crc32(utf-8) % n``; integers as ``(uint64(x) * 2654435761) % n``
   (Knuth multiplicative).  The LSH registry's writer and reader both use
   it, so its value is also that registry's on-disk hive partition.
+- :func:`partition_of` is the exchange's own partition of a key: the
+  high 32 bits of a 64-bit Fibonacci hash, mod ``n``.  ``bucket_of``
+  keeps an integer's low bits for a power-of-two ``n`` (the Knuth
+  constant is 1 mod 16), so strided keys would meet in one reducer.
 - :func:`bucket_aggregate` is two rounds of plain Ray tasks that the
   driver coordinates; no Ray Data shuffle operator runs.  The map round
   runs one task per input block: combiner, then a split into ``P``
-  partitions by ``bucket_of(key, P)``.  The reduce round runs one task
-  per partition that received rows and calls ``final`` once over them.
-  The result holds the reducers' frames as block refs, so it is never
-  re-executed.  Chained exchanges are nested calls.
+  partitions by ``partition_of(key, P)``.  The reduce round runs one
+  task per partition that received rows and calls ``final`` once over
+  them.  The result holds the reducers' frames as block refs, so it is
+  never re-executed.  Chained exchanges are nested calls.
+- :func:`run_tasks` runs one plain Ray task per call, for a probe that
+  needs no exchange; its errors raise the same way.
 """
 
 from __future__ import annotations
@@ -30,28 +36,50 @@ import numpy as np
 import pandas as pd
 
 _KNUTH = np.uint64(2654435761)
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_array(values) -> np.ndarray:
+    """``values`` (a numpy array, pandas Series, pyarrow array or list)
+    as a numpy array."""
+    if isinstance(values, pd.Series):
+        return values.to_numpy()
+    if hasattr(values, "to_numpy"):  # pyarrow Array / ChunkedArray
+        return values.to_numpy(zero_copy_only=False)
+    return np.asarray(values)
+
+
+def _crc32(arr: np.ndarray) -> np.ndarray:
+    try:
+        return np.fromiter(
+            (zlib.crc32(s.encode()) for s in arr), np.int64, len(arr)
+        )
+    except AttributeError:  # non-str keys hash by their str()
+        return np.fromiter(
+            (zlib.crc32(str(s).encode()) for s in arr), np.int64, len(arr)
+        )
 
 
 def bucket_of(values, n: int) -> np.ndarray:
     """Bucket in ``[0, n)`` of every key in ``values`` (a numpy array,
     pandas Series, pyarrow array or list) as int64."""
-    if isinstance(values, pd.Series):
-        arr = values.to_numpy()
-    elif hasattr(values, "to_numpy"):  # pyarrow Array / ChunkedArray
-        arr = values.to_numpy(zero_copy_only=False)
-    else:
-        arr = np.asarray(values)
+    arr = _key_array(values)
     if arr.dtype.kind in "iub":
         return ((arr.astype(np.uint64) * _KNUTH) % np.uint64(n)).astype(
             np.int64
         )
-    try:
-        h = np.fromiter((zlib.crc32(s.encode()) for s in arr), np.int64, len(arr))
-    except AttributeError:  # non-str keys hash by their str()
-        h = np.fromiter(
-            (zlib.crc32(str(s).encode()) for s in arr), np.int64, len(arr)
-        )
-    return h % n
+    return _crc32(arr) % n
+
+
+def partition_of(values, n: int) -> np.ndarray:
+    """The exchange's partition in ``[0, n)`` of every key in ``values``
+    (as :func:`bucket_of` takes them) as int64: the high 32 bits of the
+    key's (a string's crc32) 64-bit Fibonacci hash, mod ``n``."""
+    arr = _key_array(values)
+    if arr.dtype.kind not in "iub":
+        arr = _crc32(arr)
+    h = arr.astype(np.uint64) * _FIBONACCI
+    return ((h >> np.uint64(32)) % np.uint64(n)).astype(np.int64)
 
 
 def _keys(batch, key):
@@ -74,7 +102,7 @@ def _guard(body, n: int, *args) -> list:
     try:
         return body(*args)
     except Exception as e:
-        e.add_note(f"raised in a bucket_aggregate task:\n{traceback.format_exc()}")
+        e.add_note(f"raised in a Ray task:\n{traceback.format_exc()}")
         return [e] + [None] * (n - 1)
 
 
@@ -93,7 +121,7 @@ def _raise_any(statuses: list) -> None:
 
 def _split(block, fns, parts: int, batch_format: str) -> list:
     """Map task: combine one block and cut its rows into ``parts``
-    partitions by ``bucket_of(key, parts)``, each in input order.
+    partitions by ``partition_of(key, parts)``, each in input order.
     Returns the per-partition row counts, then the partitions (None
     where empty)."""
     import pyarrow as pa
@@ -108,7 +136,7 @@ def _split(block, fns, parts: int, batch_format: str) -> list:
     ).to_batch_format(batch_format)
     if partial is not None:
         batch = partial(batch)
-    part = bucket_of(_keys(batch, key), parts)
+    part = partition_of(_keys(batch, key), parts)
     order = np.argsort(part, kind="stable")
     counts = np.bincount(part, minlength=parts)
     if isinstance(batch, pd.DataFrame):
@@ -154,7 +182,7 @@ def bucket_aggregate(ds, final, *, key, partial=None, batch_format="pandas"):
 
     The call runs the exchange: the input's blocks are produced (a lazy
     upstream runs as one map-only execution), one map task per non-empty
-    block splits its rows into ``P`` partitions by ``bucket_of(key,
+    block splits its rows into ``P`` partitions by ``partition_of(key,
     P)``, with ``P`` the number of non-empty blocks, and one reduce task
     per partition that received rows calls ``final`` once.  The result
     is a materialized Dataset of the reducers' frames that have rows, in
@@ -193,3 +221,19 @@ def bucket_aggregate(ds, final, *, key, partial=None, batch_format="pandas"):
     _raise_any(rows)
     frames = [o[1] for o, n in zip(outs, rows) if n] or [outs[-1][1]]
     return ray.data.from_pandas_refs(frames)
+
+
+def _one(fn, *args) -> list:
+    return [fn(*args)]
+
+
+def run_tasks(fn, calls: list) -> list:
+    """``fn(*args)`` for every ``args`` tuple in ``calls``, one plain Ray
+    task each, in order.  Object refs among the arguments arrive
+    resolved.  An error raised by ``fn`` is raised here, once, as its
+    own type."""
+    import ray
+
+    outs = ray.get([_task().remote(_one, 1, fn, *args) for args in calls])
+    _raise_any([o[0] for o in outs])
+    return [o[0] for o in outs]

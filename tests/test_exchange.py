@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from searchengines_ray.stages.exchange import bucket_aggregate, bucket_of
+from searchengines_ray.stages.exchange import bucket_aggregate, bucket_of, partition_of
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1024])
@@ -41,6 +41,40 @@ def test_bucket_of_ints_is_uint64_knuth(n):
 def test_bucket_of_empty():
     assert bucket_of(np.empty(0, np.int64), 8).tolist() == []
     assert bucket_of(pa.array([], pa.string()), 8).tolist() == []
+    assert partition_of(np.empty(0, np.int64), 8).tolist() == []
+    assert partition_of(pa.array([], pa.string()), 8).tolist() == []
+
+
+@pytest.mark.parametrize("step", [1, 2, 8, 16, 64, 1024, 2**20])
+def test_partition_of_spreads_strided_keys(step):
+    """The exchange's partition mixes every bit of an integer key: keys
+    sharing their low bits (where ``bucket_of`` puts all of
+    ``arange(0, 8000, 8)`` in bucket 0 of 8) still spread, no partition
+    holding more than twice the mean."""
+    keys = np.arange(0, 1000 * step, step, dtype=np.int64)
+    small = keys[keys < 2**31].astype(np.int32)
+    words = [f"w{i}" for i in range(1000)]
+    for n in (2, 5, 8, 16, 32):
+        got = partition_of(keys, n)
+        assert got.dtype == np.int64 and got.min() >= 0 and got.max() < n
+        assert np.bincount(got, minlength=n).max() <= 2 * len(keys) / n
+        # as a Series, a pyarrow array and int32 the keys hash alike
+        assert partition_of(pd.Series(keys), n).tolist() == got.tolist()
+        assert partition_of(pa.array(keys), n).tolist() == got.tolist()
+        assert partition_of(small, n).tolist() == got[: len(small)].tolist()
+        assert np.bincount(partition_of(words, n), minlength=n).max() <= 2 * 1000 / n
+
+
+def test_bucket_aggregate_spreads_strided_keys(ray_session):
+    """Strided integer keys over 8 blocks reach several reducers."""
+    keys = np.arange(0, 8000, 8)
+    assert set(bucket_of(keys, 8).tolist()) == {0}
+    ds = _blocks(pd.DataFrame({"k": keys}), 8)
+    out = bucket_aggregate(
+        ds, lambda g: pd.DataFrame({"n": [len(g)]}), key="k"
+    ).to_pandas()
+    assert out["n"].sum() == len(keys)
+    assert out["n"].max() <= 2 * len(keys) / 8
 
 
 def _rows(ds) -> list:
@@ -167,7 +201,7 @@ def test_two_keys_over_eight_blocks(ray_session, ray_log):
     assert ds.num_blocks() == 8
     final, partial_pd, _ = _fns()
     got = bucket_aggregate(ds, final, key="key", partial=partial_pd)
-    parts = set(bucket_of(["a", "b"], 8).tolist())
+    parts = set(partition_of(["a", "b"], 8).tolist())
     assert got.num_blocks() == len(parts) <= 2
     want = sorted(df.groupby("key")["v"].sum().items())
     assert [(k, int(v)) for k, v in _rows(got)] == want
@@ -270,10 +304,10 @@ def test_final_once_per_partition(ray_session):
         return out
 
     out = bucket_aggregate(ds, final, key="k").to_pandas()
-    parts = bucket_of(keys, 5)
+    parts = partition_of(keys, 5)
     assert out["call"].nunique() == len(set(parts.tolist())) <= 5
     for _, c in out.groupby("call"):
-        assert len(set(bucket_of(c["k"], 5).tolist())) == 1
+        assert len(set(partition_of(c["k"], 5).tolist())) == 1
     assert out["k"].is_unique and set(out["k"]) == set(keys.tolist())
     counts = np.bincount(keys)
     assert out["rows"].tolist() == counts[out["k"]].tolist()

@@ -4374,9 +4374,8 @@ def test_lsh_registry_roundtrip_vs_bruteforce(
     def no_exchange(*a, **kw):
         raise AssertionError("lsh_registry_query ran an exchange")
 
-    # the query is a pruned scan plus a point lookup: no shuffle may
-    # creep back onto this path
-    monkeypatch.setattr(dedup, "bucket_aggregate", no_exchange)
+    def no_read(*a, **kw):
+        raise AssertionError("lsh_registry_query ran a Ray Data read")
 
     def run(reg_rows, new_rows, parts, name, **kw):
         path = str(tmp_path / name)
@@ -4385,11 +4384,16 @@ def test_lsh_registry_roundtrip_vs_bruteforce(
             path,
             parts=parts,
         )
-        out = lsh_registry_query(
-            ray.data.from_pandas(pd.DataFrame(new_rows)).repartition(3),
-            path,
-            **kw,
-        )
+        # the query is probe tasks plus a point lookup: neither a shuffle
+        # nor a Ray Data read may creep back onto this path
+        with monkeypatch.context() as m:
+            m.setattr(dedup, "bucket_aggregate", no_exchange)
+            m.setattr(ray.data, "read_parquet", no_read)
+            out = lsh_registry_query(
+                ray.data.from_pandas(pd.DataFrame(new_rows)).repartition(3),
+                path,
+                **kw,
+            )
         return list(
             zip(out["doc_id"], out["reg_doc_id"], out["inter"], out["denom"])
         )
@@ -4537,6 +4541,129 @@ def test_lsh_registry_empty_incoming(tmp_path, ray_session):
     assert len(out) == 0
     assert list(out.columns) == ["doc_id", "reg_doc_id", "inter", "denom"]
     assert stats["hash_parts_probed"] == 0
+
+
+def _registry_files(path: str) -> dict:
+    """``{(layout, hive value): [file names]}`` of a registry."""
+    import os
+
+    out = {}
+    for layout in ("hashes", "sketches"):
+        for d in os.listdir(os.path.join(path, layout)):
+            files = os.listdir(os.path.join(path, layout, d))
+            out[(layout, int(d.split("=", 1)[1]))] = sorted(files)
+    return out
+
+
+def test_lsh_registry_layout_one_file_per_partition(tmp_path, ray_session):
+    """The write leaves ONE file per hive partition, in exactly the
+    partitions of its hashes and doc ids; a registry written the old way
+    (``write_parquet(partition_cols=...)``, several files per partition)
+    answers the query the same; an unreadable hash partition raises its
+    own error type from the probe task."""
+    import json
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from searchengines_ray.stages.dedup import (
+        _sketch_hash_rows,
+        bottomk_sketch_rows,
+        lsh_registry_query,
+        lsh_registry_write,
+    )
+    from searchengines_ray.stages.exchange import bucket_of
+
+    rng = np.random.RandomState(8)
+    vocab = [f"w{i}" for i in range(60)]
+    texts = [" ".join(rng.choice(vocab, size=12)) for _ in range(40)]
+    reg_df = pd.DataFrame({"doc_id": np.arange(40) * 3, "text": texts})
+    reg = ray.data.from_pandas(reg_df).repartition(5)
+    new = pd.DataFrame(
+        {
+            "doc_id": [1000, 1001, 1002],
+            "text": [texts[4], texts[9] + " w1 w2", " ".join(vocab[:12])],
+        }
+    )
+    path = str(tmp_path / "new")
+    assert lsh_registry_write(reg, path, parts=4) == {
+        "k": 16, "shingle": 4, "parts": 4,
+    }
+    files = _registry_files(path)
+    assert all(f == ["part.parquet"] for f in files.values())
+    sk = bottomk_sketch_rows(ray.data.from_pandas(reg_df)).to_pandas()
+    hashes = _sketch_hash_rows(sk, 4)
+    assert {p for lay, p in files if lay == "hashes"} == set(
+        bucket_of(hashes["sh"].to_numpy(), 4).tolist()
+    )
+    assert {p for lay, p in files if lay == "sketches"} == set(
+        bucket_of(sk["doc_id"].to_numpy(), 4).tolist()
+    )
+    stored = pq.read_table(os.path.join(path, "hashes")).to_pandas()
+    assert sorted(zip(stored["sh"], stored["doc_id"], stored["hp"])) == sorted(
+        zip(hashes["sh"], hashes["doc_id"], hashes["hp"])
+    )
+    got = lsh_registry_query(ray.data.from_pandas(new), path, tnum=1, tden=4)
+    assert len(got) >= 2
+
+    # the same registry in the old layout: one file per block per partition
+    old = str(tmp_path / "old")
+    sk_ds = bottomk_sketch_rows(reg)
+    sk_ds.map_batches(
+        lambda b: _sketch_hash_rows(b, 4), batch_format="pandas"
+    ).write_parquet(os.path.join(old, "hashes"), partition_cols=["hp"])
+    sk_ds.map_batches(
+        lambda b: b.assign(dp=bucket_of(b["doc_id"].to_numpy(), 4)),
+        batch_format="pandas",
+    ).write_parquet(os.path.join(old, "sketches"), partition_cols=["dp"])
+    with open(os.path.join(old, "meta.json"), "w") as f:
+        json.dump({"k": 16, "shingle": 4, "parts": 4}, f)
+    old_files = _registry_files(old)
+    assert old_files.keys() == files.keys()
+    assert max(len(f) for f in old_files.values()) > 1
+    out = lsh_registry_query(ray.data.from_pandas(new), old, tnum=1, tden=4)
+    pd.testing.assert_frame_equal(out, got)
+
+    # a hash partition without the probe's columns fails in its task
+    part = os.path.join(path, "hashes", "hp=0", "part.parquet")
+    pq.write_table(pa.table({"x": [1]}), part)
+    with pytest.raises(pa.ArrowInvalid):
+        lsh_registry_query(ray.data.from_pandas(new), path, tnum=1, tden=4)
+
+
+def test_lsh_registry_write_without_sketches(tmp_path, ray_session):
+    """A corpus whose docs all sketch to nothing (null or too short)
+    leaves a readable, empty registry; a query against it returns the
+    typed empty frame and probes no bytes."""
+    import os
+
+    import ray.data
+
+    from searchengines_ray.stages.dedup import (
+        lsh_registry_query,
+        lsh_registry_write,
+    )
+
+    reg = pd.DataFrame(
+        {"doc_id": [1, 2, 3], "text": [None, "a b", "one two three"]}
+    )
+    path = str(tmp_path / "reg")
+    lsh_registry_write(ray.data.from_pandas(reg).repartition(2), path, parts=4)
+    assert sorted(os.listdir(path)) == ["hashes", "meta.json", "sketches"]
+    assert _registry_files(path) == {}
+    new = pd.DataFrame(
+        {"doc_id": [10], "text": ["alpha beta gamma delta epsilon zeta"]}
+    )
+    out, stats = lsh_registry_query(
+        ray.data.from_pandas(new), path, return_stats=True
+    )
+    assert len(out) == 0
+    assert list(out.columns) == ["doc_id", "reg_doc_id", "inter", "denom"]
+    assert (out.dtypes == "int64").all()
+    assert stats["hash_bytes_total"] == stats["sketch_bytes_total"] == 0
+    assert stats["sketch_parts_probed"] == 0
 
 
 def test_lsh_registry_query_rejects_shared_ids(tmp_path, ray_session):
